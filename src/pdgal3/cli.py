@@ -161,11 +161,6 @@ def _config_from(args, file_cfg) -> DispatchConfig:
             if args.m_bound is not None
             else int(file_cfg.get("m_bound", base.m_bound))
         ),
-        series_order=(
-            args.series_order
-            if args.series_order is not None
-            else int(file_cfg.get("series_order", base.series_order))
-        ),
     )
 
 
@@ -274,7 +269,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-order", type=int, default=None)
     common.add_argument("--m-bound", type=int, default=None)
-    common.add_argument("--series-order", type=int, default=None)
     common.add_argument("--out", default=None)
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="pretty", action="store_false",

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from .errors import IncompleteSearchError, UnsupportedError
+from .errors import IncompleteSearchError, PdgalError, UnsupportedError
 from .groups import (
     CaseReport,
     Deferred,
@@ -27,6 +27,7 @@ from .groups import (
     jet_matrix,
 )
 from .integrability import character_lattice, is_constant, rank1_group
+from .linalg import column_rank
 from .modules import (
     FlagCertificate,
     ModuleDiag,
@@ -37,7 +38,6 @@ from .modules import (
     split_extension,
     sub_quotient,
     morphisms,
-    column_rank,
 )
 from .ratfunc import (
     ONE,
@@ -64,8 +64,6 @@ from .systems import (
 class DispatchConfig:
     max_order: int = 4
     m_bound: int = 12
-    series_order: int = 8
-    bound: int = 10
 
 
 DEFAULT_CONFIG = DispatchConfig()
@@ -226,7 +224,7 @@ def _sl_part(W: DiffSystem, cfg: DispatchConfig):
     # columns: vec (column-major) of [[1,0],[0,-1]], [[0,0],[1,0]], [[0,1],[0,0]]
     S = mat([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["-1", "0", "0"]])
     B, _, _, _ = sub_quotient(H, S)
-    return is_constant(B, bound=cfg.bound)
+    return is_constant(B)
 
 
 def _sym_square(W: DiffSystem):
@@ -302,7 +300,7 @@ def _semisimple_group(blocks, cfg: DispatchConfig, free_upper=False):
         closure_fails = bool(hyperexponential_solutions(W)) or bool(
             hyperexponential_solutions(_sym_square(W))
         )
-    except Exception:
+    except PdgalError:
         closure_fails = True
     if closure_fails:
         return (
@@ -377,7 +375,7 @@ def _try_constant(W: DiffSystem, cfg: DispatchConfig, traceless=False):
     try:
         if traceless:
             return _sl_part(W, cfg)
-        return is_constant(W, bound=cfg.bound)
+        return is_constant(W)
     except IncompleteSearchError:
         return None
 
@@ -397,7 +395,7 @@ def _candidate_lines(M: DiffSystem):
 
     try:
         classes, _ = hyperexponential_classes(M)
-    except Exception:
+    except PdgalError:
         return []
     out = []
     for _, space in classes:
@@ -416,7 +414,7 @@ def _find_line_summand(M: DiffSystem):
         S = tuple((x,) for x in v)
         try:
             comp, complete = split_extension(M, S)
-        except Exception:
+        except PdgalError:
             continue
         if comp is not None:
             return S, comp
@@ -771,7 +769,7 @@ def _case_ncnc(Mt, a, b12, b23, cfg, certs):
     # commutative [G,G] iff the (2,3)-class is a constant multiple of the
     # s-twisted (1,2)-class: solve d(f) = (a2-a3) f - c*(b12/s) + b23, d(c)=0
     aug = DiffSystem([[a[1] - a[2], -(b12 / s)], [ZERO, ZERO]])
-    space = rational_solutions(aug, [b23, ZERO], bound=cfg.bound)
+    space = rational_solutions(aug, [b23, ZERO])
     certs = certs + [("isotypic-witness", s.to_string())]
     if space.particular is None and not space.complete:
         g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [], cfg,
@@ -853,7 +851,7 @@ def _case_cqnc(Mt, a, V2, cfg, certs):
     if riso is not None:
         coeff = [[ZERO, -d_t(a[0] - a[2])], [ZERO, ZERO]]
         rhs = [Mt.A[0][1] * riso, ZERO]
-        space = rational_solutions(coeff, rhs, bound=cfg.bound)
+        space = rational_solutions(coeff, rhs)
         if space.particular is None and not space.complete:
             return (
                 CaseReport(case_path="(CQ,NC)-undecided",
@@ -934,7 +932,7 @@ def _prolongation_embedding(Mt, a):
     Wsh = DiffSystem([[a[1] - chi, Mt.A[1][2]], [ZERO, ZERO]])
     try:
         space = morphisms(Vsh, prolong(Wsh))
-    except Exception:
+    except PdgalError:
         return None
     cands = list(space.basis)
     for i in range(len(space.basis)):

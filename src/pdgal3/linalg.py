@@ -1,37 +1,52 @@
-"""Small exact linear algebra over Q(t), via sympy DomainMatrix rref."""
+"""Exact linear algebra over Q(t) and K = Q(t)(x): the package's one
+elimination path.
+
+Every solve, inverse, kernel, rank and basis completion is read off one
+reduced row echelon form, computed by sympy's DomainMatrix rref (sparse
+Gauss-Jordan over the field).  The Q(t) entry points take and return sympy
+expressions; the K entry points take and return RatFunc values.  They differ
+only in the conversion at the boundary.
+"""
 
 from __future__ import annotations
 
 import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
-from .ratfunc import COEFF_FIELD
+from .ratfunc import COEFF_FIELD, FIELD, ONE, RatFunc, ZERO, ratfunc
 
 
-def _dom(v):
+def _rref(rows, ncols, domain):
+    """(RREF rows as lists of domain elements, pivot column indices)."""
+    R, pivots = DomainMatrix(rows, (len(rows), ncols), domain).rref()
+    return R.to_list(), list(pivots)
+
+
+def _kernel(R, pivots, n, conv, zero, one):
+    """The RREF kernel basis over the first n columns: one vector per free
+    column, with conv applied to the entries read from R."""
+    basis = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        v = [zero] * n
+        v[f] = one
+        for r, p in enumerate(pivots):
+            if p < n:
+                v[p] = conv(-R[r][f])
+        basis.append(v)
+    return basis
+
+
+# -- over Q(t), sympy expressions at the boundary ---------------------------------
+
+
+def _qt(v):
     return COEFF_FIELD.from_sympy(sp.cancel(sp.sympify(v)))
 
 
-def _sym(v):
-    return COEFF_FIELD.to_sympy(v)
-
-
-def _identity(n):
-    return [[sp.S.One if i == j else sp.S.Zero for j in range(n)]
-            for i in range(n)]
-
-
-def _kernel_from_rref(R, pivots, n):
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [sp.S.Zero] * n
-        v[f] = sp.S.One
-        for r, p in enumerate(pivots):
-            if p < n:
-                v[p] = sp.cancel(-_sym(R[r, f].element))
-        basis.append(v)
-    return basis
+def _qt_expr(e):
+    return sp.cancel(COEFF_FIELD.to_sympy(e))
 
 
 def solve_affine(A, b):
@@ -40,37 +55,76 @@ def solve_affine(A, b):
     A: list of rows of sympy exprs in t, b: list.  Returns (particular,
     kernel_basis); particular is None when the system is inconsistent.
     """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0:
-        return [sp.S.Zero] * n, _identity(n)
-    aug = [[_dom(v) for v in row] + [_dom(b[i])] for i, row in enumerate(A)]
-    M = DomainMatrix(aug, (m, n + 1), COEFF_FIELD)
-    R, pivots = M.rref()
-    pivots = list(pivots)
+    if not A:
+        return [], []
+    n = len(A[0])
+    R, pivots = _rref(
+        [[_qt(v) for v in row] + [_qt(c)] for row, c in zip(A, b)],
+        n + 1, COEFF_FIELD,
+    )
+    kernel = _kernel(R, pivots, n, _qt_expr, sp.S.Zero, sp.S.One)
     if n in pivots:
-        return None, _kernel_from_rref(R, [p for p in pivots if p < n], n)
+        return None, kernel
     part = [sp.S.Zero] * n
     for r, p in enumerate(pivots):
-        part[p] = sp.cancel(_sym(R[r, n].element))
-    return part, _kernel_from_rref(R, pivots, n)
+        part[p] = _qt_expr(R[r][n])
+    return part, kernel
 
 
 def nullspace(A):
     """Kernel basis of A over Q(t); entries are sympy exprs."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0 or n == 0:
-        return _identity(n)
-    M = DomainMatrix([[_dom(v) for v in row] for row in A], (m, n), COEFF_FIELD)
-    R, pivots = M.rref()
-    return _kernel_from_rref(R, list(pivots), n)
-
-
-def rank(A) -> int:
-    m = len(A)
-    if m == 0 or not A[0]:
-        return 0
+    if not A or not A[0]:
+        return []
     n = len(A[0])
-    M = DomainMatrix([[_dom(v) for v in row] for row in A], (m, n), COEFF_FIELD)
-    return len(M.rref()[1])
+    R, pivots = _rref([[_qt(v) for v in row] for row in A], n, COEFF_FIELD)
+    return _kernel(R, pivots, n, _qt_expr, sp.S.Zero, sp.S.One)
+
+
+# -- over K = Q(t)(x), RatFunc values at the boundary ------------------------------
+
+
+def _k_rref(rows):
+    rows = [[ratfunc(v)._elem for v in row] for row in rows]
+    return _rref(rows, len(rows[0]), FIELD)
+
+
+def mat_inv(A):
+    """Inverse over Q(t)(x); raises ValueError on a singular matrix."""
+    n = len(A)
+    R, pivots = _k_rref(
+        [list(row) + [ONE if i == j else ZERO for j in range(n)]
+         for i, row in enumerate(A)]
+    )
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    return tuple(tuple(RatFunc(e) for e in row[n:]) for row in R)
+
+
+def k_solve_right(S, C):
+    """B with S*B = C for S with independent columns; None when C is not in
+    the column span.  Raises ValueError on rank-deficient S."""
+    k = len(S[0])
+    R, pivots = _k_rref([list(rs) + list(rc) for rs, rc in zip(S, C)])
+    if pivots[:k] != list(range(k)):
+        raise ValueError("rank-deficient subspace basis")
+    if len(pivots) > k:
+        return None
+    return tuple(tuple(RatFunc(e) for e in R[j][k:]) for j in range(k))
+
+
+def k_nullspace(rows):
+    """Basis of the right kernel of a matrix over K (columns as vectors)."""
+    if not rows:
+        return []
+    R, pivots = _k_rref(rows)
+    return _kernel(R, pivots, len(R[0]), RatFunc, ZERO, ONE)
+
+
+def pivot_columns(A):
+    """Indices of the RREF pivot columns of A over K: the columns that are
+    not in the span of the columns before them."""
+    return _k_rref(A)[1]
+
+
+def column_rank(S):
+    return len(pivot_columns(S))

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NonFuchsianError
-from .ratfunc import ONE, RatFunc, ZERO, is_log_derivative, ratfunc
+from .linalg import k_nullspace, k_solve_right, mat_inv, pivot_columns
+from .ratfunc import ONE, ZERO, is_log_derivative, ratfunc
 from .solvers import (
     SolutionSpace,
     hyperexponential_classes,
@@ -27,9 +28,7 @@ from .systems import (
     hom,
     mat,
     mat_d_x,
-    mat_det,
     mat_identity,
-    mat_inv,
     mat_mul,
     mat_sub,
     unvec,
@@ -37,96 +36,26 @@ from .systems import (
 )
 
 
-# -- exact linear algebra over K -------------------------------------------------
+# -- basis completion ----------------------------------------------------------
 
 
-def k_solve_right(S, C):
-    """B with S*B = C for S with independent columns; None when C is not in
-    the column span.  Raises on rank-deficient S."""
-    S = mat(S)
-    C = mat(C)
-    n, k = len(S), len(S[0])
-    m = len(C[0])
-    rows = [list(rs) + list(rc) for rs, rc in zip(S, C)]
-    pivots = []
-    for col in range(k):
-        piv = next(
-            (r for r in range(n) if r not in pivots and not rows[r][col].is_zero),
-            None,
-        )
-        if piv is None:
-            raise ValueError("rank-deficient subspace basis")
-        pivots.append(piv)
-        d = rows[piv][col]
-        rows[piv] = [v / d for v in rows[piv]]
-        for r in range(n):
-            if r != piv and not rows[r][col].is_zero:
-                f = rows[r][col]
-                rows[r] = [v - f * w for v, w in zip(rows[r], rows[piv])]
-    for r in range(n):
-        if r in pivots:
-            continue
-        if any(not v.is_zero for v in rows[r][k:]):
-            return None
-    return tuple(tuple(rows[p][k + j] for j in range(m)) for p in pivots)
-
-
-def k_nullspace(rows):
-    """Basis of the right kernel of a matrix over K (columns as vectors)."""
-    rows = [list(r) for r in mat(rows)] if rows else []
-    if not rows:
-        return []
-    m, n = len(rows), len(rows[0])
-    pivots = {}
-    r = 0
-    for col in range(n):
-        piv = next(
-            (i for i in range(r, m) if not rows[i][col].is_zero), None
-        )
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        d = rows[r][col]
-        rows[r] = [v / d for v in rows[r]]
-        for i in range(m):
-            if i != r and not rows[i][col].is_zero:
-                f = rows[i][col]
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        pivots[col] = r
-        r += 1
-    basis = []
-    for col in range(n):
-        if col in pivots:
-            continue
-        v = [ZERO] * n
-        v[col] = ONE
-        for pc, pr in pivots.items():
-            v[pc] = -rows[pr][col]
-        basis.append(v)
-    return basis
-
-
-def column_rank(S):
-    S = mat(S)
-    return len(S[0]) - len(k_nullspace(S))
+def _pivot_basis(S):
+    """[S | I_n] restricted to its pivot columns: the independent columns of
+    S in order, then the standard vectors completing them; and their indices."""
+    n = len(S)
+    aug = tuple(tuple(row) + e for row, e in zip(S, mat_identity(n)))
+    keep = pivot_columns(aug)
+    return tuple(tuple(row[j] for j in keep) for row in aug), keep
 
 
 def complete_basis(S):
     """An invertible P = [S | standard vectors] extending the columns of S."""
     S = mat(S)
-    n, k = len(S), len(S[0])
-    cols = [[S[i][j] for i in range(n)] for j in range(k)]
-    for e in range(n):
-        if len(cols) == n:
-            break
-        cand = [ONE if i == e else ZERO for i in range(n)]
-        trial = cols + [cand]
-        Pt = tuple(tuple(c[i] for c in trial) for i in range(n))
-        if column_rank(Pt) == len(trial):
-            cols.append(cand)
-    if len(cols) != n:
+    k = len(S[0])
+    P, keep = _pivot_basis(S)
+    if keep[:k] != list(range(k)):
         raise ValueError("could not complete basis")
-    return tuple(tuple(c[i] for c in cols) for i in range(n))
+    return P
 
 
 # -- invariance and sub/quotient --------------------------------------------------
@@ -204,50 +133,6 @@ def morphisms(M1: DiffSystem, M2: DiffSystem) -> SolutionSpace:
         complete=space.complete,
         notes=space.notes,
     )
-
-
-def isomorphism(M1: DiffSystem, M2: DiffSystem):
-    """An invertible morphism M1 -> M2, or None."""
-    if M1.dim != M2.dim:
-        return None
-    space = morphisms(M1, M2)
-    if not space.basis:
-        return None
-    import sympy as sp
-
-    cs = sp.symbols(f"c0:{len(space.basis)}")
-    n = M1.dim
-    comb = sp.Matrix(
-        [
-            [
-                sum(c * space.basis[b][i][j].expr for b, c in enumerate(cs))
-                for j in range(n)
-            ]
-            for i in range(n)
-        ]
-    )
-    if sp.cancel(comb.det(method="berkowitz")) == 0:
-        return None
-    # a nonzero det polynomial: search small rational constant combinations
-    from itertools import product
-
-    for coeffs in product([1, 0, -1, 2, -2, 3], repeat=len(space.basis)):
-        if all(c == 0 for c in coeffs):
-            continue
-        U = space.basis[0]
-        U = tuple(
-            tuple(
-                sum(
-                    (RatFunc(c) * space.basis[b][i][j] for b, c in enumerate(coeffs)),
-                    ZERO,
-                )
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        if not mat_det(U).is_zero:
-            return U
-    return None
 
 
 def rank1_isomorphism(a, b):
@@ -346,16 +231,9 @@ def _block_diag(A, B):
 def _triangularize_with_cert(M: DiffSystem, cert: FlagCertificate):
     cert = cert.verify(M)
     n = M.dim
-    cols = []
-    for S in cert.subspaces:
-        for j in range(len(S[0])):
-            cand = [S[i][j] for i in range(n)]
-            trial = cols + [cand]
-            Pt = tuple(tuple(c[i] for c in trial) for i in range(n))
-            if column_rank(Pt) == len(trial):
-                cols.append(cand)
-    P = complete_basis(tuple(tuple(c[i] for c in cols) for i in range(n))) \
-        if len(cols) < n else tuple(tuple(c[i] for c in cols) for i in range(n))
+    P, _ = _pivot_basis(
+        tuple(tuple(v for S in cert.subspaces for v in S[i]) for i in range(n))
+    )
     dims = [len(S[0]) for S in cert.subspaces]
     if dims[-1] < n:
         dims.append(n)

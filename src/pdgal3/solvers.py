@@ -73,18 +73,19 @@ def _entry_residue(v: RatFunc, f: Poly):
 
 
 def _qt_roots_in_lambda(expr, lam):
-    """Roots in Q(t) of a polynomial in lam with Q(t) coefficients."""
+    """Roots in Q(t) of a polynomial in lam with Q(t) coefficients, each
+    repeated by its multiplicity."""
     num = sp.together(sp.cancel(expr))
     num = sp.fraction(num)[0]
     num = sp.expand(num)
     if num == 0:
         return []
     roots = []
-    for fac, _ in sp.factor_list(num, lam, t)[1]:
+    for fac, mult in sp.factor_list(num, lam, t)[1]:
         p = Poly(fac, lam)
         if p.degree() == 1:
             c1, c0 = p.all_coeffs()
-            roots.append(sp.cancel(-sp.sympify(c0) / sp.sympify(c1)))
+            roots += [sp.cancel(-sp.sympify(c0) / sp.sympify(c1))] * mult
     return roots
 
 

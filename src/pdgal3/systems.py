@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from .linalg import mat_inv
 from .ratfunc import ONE, RatFunc, ZERO, ratfunc
 
 
@@ -90,28 +91,6 @@ def mat_eq(A, B):
     return len(A) == len(B) and all(
         ra == rb for ra, rb in zip(A, B)
     )
-
-
-def mat_inv(A):
-    """Inverse over Q(t)(x) by Gauss-Jordan; raises on a singular matrix."""
-    n = len(A)
-    work = [list(row) for row in A]
-    inv = [list(row) for row in mat_identity(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not work[r][col].is_zero), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        d = work[col][col]
-        work[col] = [v / d for v in work[col]]
-        inv[col] = [v / d for v in inv[col]]
-        for r in range(n):
-            if r != col and not work[r][col].is_zero:
-                f = work[r][col]
-                work[r] = [v - f * w for v, w in zip(work[r], work[col])]
-                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    return tuple(tuple(row) for row in inv)
 
 
 def mat_det(A):

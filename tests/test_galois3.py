@@ -4,7 +4,7 @@ import sympy as sp
 
 import pytest
 
-from pdgal3.errors import UnsupportedError
+from pdgal3.errors import NonFuchsianError, UnsupportedError
 from pdgal3.galois3 import DispatchConfig, classify2, diag_group, dispatch
 from pdgal3.groups import Deferred, jet
 from pdgal3.modules import FlagCertificate, diag_decompose
@@ -217,3 +217,22 @@ def test_dispatch_dual_label():
     r, _ = dispatch(dual(V), None, CFG)
     assert r.case_path.endswith("(CQ,NC)-prolongation")
     assert "→dual→" in r.case_path
+
+
+def test_candidate_lines_propagates_bugs(monkeypatch):
+    # only the package's own errors mean "no line"; a bug must surface
+    from pdgal3 import galois3, solvers
+
+    def raising(exc):
+        def fake(M):
+            raise exc
+        return fake
+
+    M = S([["t/x", "0"], ["0", "0"]])
+    monkeypatch.setattr(solvers, "hyperexponential_classes",
+                        raising(NonFuchsianError("irregular")))
+    assert galois3._candidate_lines(M) == []
+    monkeypatch.setattr(solvers, "hyperexponential_classes",
+                        raising(RuntimeError("bug")))
+    with pytest.raises(RuntimeError):
+        galois3._candidate_lines(M)

@@ -3,6 +3,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pdgal3.modules import (
     FlagCertificate,
@@ -10,7 +11,6 @@ from pdgal3.modules import (
     diag_decompose,
     is_invariant,
     is_simple_2dim,
-    isomorphism,
     k_nullspace,
     k_solve_right,
     morphisms,
@@ -26,10 +26,13 @@ from pdgal3.systems import (
     dual,
     gauge,
     mat,
+    mat_det,
     mat_identity,
     mat_inv,
     mat_mul,
+    mat_transpose,
     prolong,
+    vec,
 )
 from util import random_fuchsian, random_invertible
 
@@ -98,8 +101,15 @@ class TestMorphisms:
         assert sp_.basis == [] and sp_.complete
 
     def test_double_dual(self):
+        # dual is an involution, and the identity W -> dual(dual(W)) lies in
+        # the span of the computed morphisms
         W = DiffSystem([["1/x", "t"], ["1", "0"]])
-        assert isomorphism(W, dual(dual(W))) is not None
+        WW = dual(dual(W))
+        assert WW == W
+        space = morphisms(W, WW)
+        cols = tuple(zip(*(vec(U) for U in space.basis)))
+        ident = tuple((v,) for v in vec(mat_identity(2)))
+        assert k_solve_right(cols, ident) is not None
 
     def test_morphism_identity_exact(self):
         M1 = DiffSystem([["1/x", "1"], ["0", "2/x"]])
@@ -222,6 +232,34 @@ class TestLinearAlgebraHelpers:
 
     def test_complete_basis(self):
         P = complete_basis(mat([["x"], ["1"], ["0"]]))
-        from pdgal3.systems import mat_det
-
         assert not mat_det(P).is_zero
+
+    def test_singular_inverse_rejected(self):
+        with pytest.raises(ValueError):
+            mat_inv(mat([["x", "1"], ["x^2", "x"]]))
+
+    def test_solve_right_rank_deficient_and_inconsistent(self):
+        with pytest.raises(ValueError):
+            k_solve_right(mat([["1", "x"], ["t", "t*x"]]), mat([["1"], ["t"]]))
+        S = mat([["1"], ["x"], ["0"]])
+        assert k_solve_right(S, mat([["t"], ["t*x"], ["1"]])) is None
+
+    @given(st.integers(0, 10**6), st.integers(1, 3))
+    @settings(max_examples=25, deadline=None)
+    def test_random_gauge_properties(self, seed, n):
+        rng = random.Random(seed)
+        P = random_invertible(rng, n)
+        assert mat_mul(mat_inv(P), P) == mat_identity(n)
+        k = rng.randint(1, n)
+        S = tuple(row[:k] for row in P)
+        Q = complete_basis(S)
+        assert tuple(row[:k] for row in Q) == S
+        assert not mat_det(Q).is_zero
+        # k independent rows plus a dependent one: an (n-k)-dim kernel
+        rows = mat_transpose(S)
+        rows += (tuple(ratfunc("x") * v for v in rows[0]),)
+        null = k_nullspace(rows)
+        assert len(null) == n - k
+        for v in null:
+            for row in rows:
+                assert sum((a * b for a, b in zip(row, v)), ZERO).is_zero

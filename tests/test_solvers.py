@@ -138,6 +138,22 @@ class TestHyperexponential:
         assert len(classes) == 1
         assert classes[0][1].dim == 2
 
+    def test_repeated_exponent_not_noted(self):
+        # both local exponents at x are 1: counted with multiplicity they
+        # fill the characteristic polynomial, so nothing is skipped
+        _, notes = hyperexponential_classes(
+            DiffSystem([["1/x", "0"], ["0", "1/x"]])
+        )
+        assert notes == ()
+
+    def test_only_true_skip_noted(self):
+        # at the roots of x^2 - t one exponent is 1/2 ± 1/(2 sqrt(t)), not in
+        # Q(t); at x both exponents are 0
+        _, notes = hyperexponential_classes(
+            DiffSystem([["(x+1)/(x^2-t)", "1/x"], ["0", "0"]])
+        )
+        assert notes == ("non-Q(t) local exponents at -t + x**2 skipped",)
+
     def test_non_fuchsian_rejected(self):
         with pytest.raises(NonFuchsianError):
             hyperexponential_solutions(DiffSystem([["1/x^2"]]))
