@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import product
 
 import sympy as sp
 
@@ -103,42 +102,6 @@ class RepMap:
             for row in self.entries
         ]
 
-    def compose(self, inner: "RepMap") -> "RepMap":
-        """self after inner: evaluate self's entries on inner's image."""
-        subs = {}
-        for row in self.entries:
-            for e in row:
-                for s in sp.sympify(e).free_symbols:
-                    info = _jet_info(s)
-                    if info is None:
-                        continue
-                    i, j, k = info
-                    base = sp.sympify(inner.entries[i - 1][j - 1])
-                    v = base
-                    for _ in range(k):
-                        v = total_delta(v)
-                    subs[s] = v
-        ent = tuple(
-            tuple(sp.expand(sp.sympify(e).subs(subs)) for e in row)
-            for row in self.entries
-        )
-        return RepMap(
-            source_dim=inner.source_dim,
-            target_dim=self.target_dim,
-            entries=ent,
-            name=f"{self.name}∘{inner.name}",
-        )
-
-
-def identity_rep(n: int) -> RepMap:
-    return RepMap(
-        source_dim=n,
-        target_dim=n,
-        entries=tuple(tuple(jet(i + 1, j + 1) for j in range(n)) for i in range(n)),
-        name="id",
-    )
-
-
 def det_rep(n: int) -> RepMap:
     return RepMap(
         source_dim=n,
@@ -159,19 +122,6 @@ def block_rep(n: int, rows, name="block") -> RepMap:
             for a in range(m)
         ),
         name=name,
-    )
-
-
-def diag_rep(n: int) -> RepMap:
-    """Projection to the diagonal torus (image in GL_1^n as a diagonal matrix)."""
-    return RepMap(
-        source_dim=n,
-        target_dim=n,
-        entries=tuple(
-            tuple(jet(i + 1, i + 1) if i == j else sp.S.Zero for j in range(n))
-            for i in range(n)
-        ),
-        name="diag",
     )
 
 
@@ -262,9 +212,9 @@ class Named(GroupDescription):
         raise ValueError(f"unknown family {fam!r}")
 
 
-def rank1_delta_equation(op) -> sp.Expr:
-    """The delta-polynomial numerator of L(delta(z)/z) for z = y1_1."""
-    z0, z1 = jet(1, 1, 0), jet(1, 1, 1)
+def rank1_delta_equation(op, i: int = 1) -> sp.Expr:
+    """The delta-polynomial numerator of L(delta(z)/z) for z = y{i}_{i}."""
+    z0, z1 = jet(i, i, 0), jet(i, i, 1)
     w = z1 / z0
     out = sp.S.Zero
     cur = w
@@ -292,15 +242,7 @@ def torus_equations(n: int, data: dict):
         if kind == "finite":
             eqs.append(jet(i + 1, i + 1) ** int(entry[1]) - 1)
         elif kind == "delta":
-            op = entry[1]
-            z0, z1 = jet(i + 1, i + 1, 0), jet(i + 1, i + 1, 1)
-            w = z1 / z0
-            out = sp.S.Zero
-            cur = w
-            for c in op.coeffs:
-                out += c * cur
-                cur = total_delta(cur)
-            eqs.append(sp.fraction(sp.together(sp.expand(out)))[0])
+            eqs.append(rank1_delta_equation(entry[1], i + 1))
         # kind == "full": no condition
     return eqs
 
@@ -326,14 +268,7 @@ class Pullback(GroupDescription):
     def _member(self, M):
         if self.ambient is not None and not self.ambient._member(M):
             return False
-        for rep, g in self.components:
-            img = rep.apply_to_matrix(M)
-            if len(img) == 1 and len(img[0]) == 1:
-                pass
-            if g._member(img):
-                continue
-            return False
-        return True
+        return all(g._member(rep.apply_to_matrix(M)) for rep, g in self.components)
 
 
 @dataclass(frozen=True)
@@ -378,30 +313,6 @@ def pullback(rep: RepMap, g: GroupDescription) -> Explicit:
             subs[s] = v
     eqs = tuple(sp.sympify(e).xreplace(subs) for e in ex.equations)
     return Explicit(dim=rep.source_dim, equations=eqs, flags=ex.flags)
-
-
-def intersect(groups, ambient: Explicit = None, dim: int = None) -> GroupDescription:
-    """Equation-set union (within ambient closure equations when supplied)."""
-    groups = list(groups)
-    if dim is None:
-        dim = groups[0].dim if groups else ambient.dim
-    explicit = []
-    deferred = []
-    for g in groups:
-        if isinstance(g, Deferred):
-            deferred.append(g)
-        else:
-            explicit.append(g.to_explicit())
-    if deferred:
-        comps = tuple((identity_rep(dim), g) for g in groups)
-        return Pullback(dim=dim, components=comps, ambient=ambient)
-    eqs = []
-    if ambient is not None:
-        eqs.extend(ambient.equations)
-    for g in explicit:
-        eqs.extend(g.equations)
-    flags = tuple(dict.fromkeys(f for g in groups for f in g.flags))
-    return Explicit(dim=dim, equations=tuple(eqs), flags=flags)
 
 
 @dataclass(frozen=True)

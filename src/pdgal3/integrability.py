@@ -17,7 +17,7 @@ from sympy import Poly
 from .errors import IncompleteSearchError
 from .groups import Named
 from .linalg import solve_affine
-from .oreops import IDENTITY_OP, OreOp, minimal_annihilator
+from .oreops import IDENTITY_OP, OreOp
 from .ratfunc import (
     RatFunc,
     ZERO,
@@ -27,6 +27,7 @@ from .ratfunc import (
     is_log_derivative,
     irreducible_factors,
     ratfunc,
+    residue_at,
     residues,
     t,
     x,
@@ -323,7 +324,7 @@ def character_lattice(diag, m_bound: int = 12) -> CharacterLattice:
         consts = []
         rests = []
         for h in hs:
-            rho = _entry_block_residue(h, f)
+            rho = residue_at(h, f)
             c = _t_const_part(rho.nth(0)) if rho.degree() >= 0 else sp.S.Zero
             consts.append(c)
             rests.append(sp.expand(rho.as_expr() - c))
@@ -371,19 +372,6 @@ def character_lattice(diag, m_bound: int = 12) -> CharacterLattice:
     )
 
 
-def _entry_block_residue(h: RatFunc, f: Poly) -> Poly:
-    """Residue element of the proper squarefree-denominator part h at the
-    irreducible factor f (zero when f does not divide the denominator)."""
-    if h.is_zero:
-        return _poly(0, x)
-    num, den = h.monic_pair()
-    _, r = den.div(f)
-    if not r.is_zero:
-        return _poly(0, x)
-    dden = den.diff()
-    return (num * dden.invert(f)).rem(f)
-
-
 def _lattice_witness(entries, reduced, m):
     """r with Σ mᵢaᵢ = ∂r/r: product of pole factors to their residue powers."""
     total = sum((int(mi) * a for mi, a in zip(m, entries)), ZERO)
@@ -394,7 +382,7 @@ def _lattice_witness(entries, reduced, m):
         return None
     r = RatFunc(1)
     for f in irreducible_factors(h.denominator):
-        rho = _entry_block_residue(h, f)
+        rho = residue_at(h, f)
         if rho.degree() > 0:
             return None
         nu = sp.cancel(rho.nth(0)) if rho.degree() == 0 else sp.S.Zero

@@ -294,13 +294,6 @@ def _refine(D: ModuleDiag) -> ModuleDiag:
     return ModuleDiag(blocks=tuple(out_blocks), P=mat_mul(Q, D.P))
 
 
-def is_simple_2dim(M: DiffSystem) -> bool:
-    """A 2-dim system is simple iff it has no hyperexponential line."""
-    if M.dim != 2:
-        raise ValueError("dimension must be 2")
-    return _line_from_classes(M) is None
-
-
 def semisimplify(M: DiffSystem, diag: ModuleDiag = None):
     """(is_semisimple, P, blocks): when semisimple, gauge(M, P) is the direct
     sum of the irreducible blocks.  Second return is None when undecided

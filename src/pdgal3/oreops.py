@@ -1,16 +1,14 @@
-"""Skew-polynomial arithmetic in Q(t)[delta] with delta*c = c*delta + c'.
+"""Monic operators in delta over Q(t) and their action.
 
-Operators act on Q(t) (and on Q(t)(x) via the t-derivation), and on
-finite-dimensional Q(t)-vector spaces equipped with a compatible derivation
-(used for residue elements living in Q(t)[x]/(p)).
+An OreOp c_0 + c_1*delta + ... + delta^h is the form in which telescopers
+and rank-1 delta-groups are reported; delta acts on Q(t)(x) as d/dt.
 """
 
 from __future__ import annotations
 
 import sympy as sp
 
-from .linalg import solve_affine
-from .ratfunc import RatFunc, d_t, ratfunc, t
+from .ratfunc import RatFunc, d_t, ratfunc
 
 
 def _coeff(v) -> sp.Expr:
@@ -75,115 +73,6 @@ class OreOp:
             cur = d_t(cur)
         return out
 
-    # -- ring structure (non-monic intermediates handled via raw lists) -------
-
-    def __mul__(self, other: "OreOp") -> "OreOp":
-        return OreOp(_mul_raw(list(self.coeffs), list(other.coeffs)))
-
-    def __mod__(self, other: "OreOp") -> list:
-        """Right remainder (as a raw coefficient list, may be non-monic)."""
-        return _rem_raw(list(self.coeffs), list(other.coeffs))
-
-    def right_divides(self, other: "OreOp") -> bool:
-        """True when other = Q * self for some operator Q."""
-        return all(c == 0 for c in _rem_raw(list(other.coeffs), list(self.coeffs)))
-
 
 IDENTITY_OP = OreOp([1])
 DELTA = OreOp([0, 1])
-
-
-def _mul_raw(a: list, b: list) -> list:
-    """Product of raw coefficient lists: (sum a_i delta^i)(sum b_j delta^j)."""
-    # delta^i * c = sum_k C(i,k) c^{(k)} delta^{i-k}
-    out = [sp.S.Zero] * (len(a) + len(b) - 1)
-    for j, c in enumerate(b):
-        # shift := delta^i applied past c, accumulated per i
-        der = c
-        ders = [c]
-        for _ in range(len(a) - 1):
-            der = sp.cancel(sp.diff(der, t))
-            ders.append(der)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for k in range(i + 1):
-                out[i - k + j] += sp.binomial(i, k) * ai * ders[k]
-    return [sp.cancel(v) for v in out]
-
-
-def _rem_raw(a: list, b: list) -> list:
-    """Right remainder of a by monic b, padded to length order(b)."""
-    nb = len(b)
-    if nb == 1:
-        return [sp.S.Zero]
-    r = [sp.cancel(v) for v in a]
-    while len(r) > 1 and r[-1] == 0:
-        r.pop()
-    while len(r) >= nb:
-        q = [sp.S.Zero] * (len(r) - nb) + [r[-1]]
-        prod = _mul_raw(q, b)  # same length as r, same leading coefficient
-        r = [sp.cancel(u - v) for u, v in zip(r, prod)]
-        r.pop()
-        while len(r) > 1 and r[-1] == 0:
-            r.pop()
-    return r + [sp.S.Zero] * (nb - 1 - len(r))
-
-
-def annihilator(r) -> OreOp:
-    """Minimal monic L in Q(t)[delta] with L(r) = 0, for r in Q(t)."""
-    rv = _coeff(r)
-    if rv == 0:
-        return IDENTITY_OP
-    return OreOp([sp.cancel(-sp.diff(rv, t) / rv), sp.S.One])
-
-
-def minimal_annihilator(vec, delta_fn, max_order=None):
-    """Minimal monic L with L(v) = 0 for v in a Q(t)-space with derivation.
-
-    vec: list of sympy exprs in t (coordinates); delta_fn maps such a list to
-    the coordinates of its delta-derivative.  Returns None when the minimal
-    order exceeds max_order.
-    """
-    if all(sp.cancel(v) == 0 for v in vec):
-        return IDENTITY_OP
-    dim = len(vec)
-    cap = dim if max_order is None else min(dim, max_order)
-    iterates = [list(vec)]
-    for _ in range(cap):
-        iterates.append(delta_fn(iterates[-1]))
-        h = len(iterates) - 1
-        # delta^h v = sum_{i<h} c_i delta^i v  ->  L = delta^h - sum c_i delta^i
-        rows = [[iterates[i][k] for i in range(h)] for k in range(dim)]
-        rhs = [iterates[h][k] for k in range(dim)]
-        part, _ = solve_affine(rows, rhs)
-        if part is not None:
-            return OreOp([-c for c in part] + [sp.S.One])
-    return None
-
-
-def lclm(ops) -> OreOp:
-    """Minimal monic common left multiple of the given operators."""
-    ops = [op for op in ops if op.order > 0]
-    if not ops:
-        return IDENTITY_OP
-    if len(ops) == 1:
-        return ops[0]
-    hi = max(op.order for op in ops)
-    cap = sum(op.order for op in ops)
-    # rem(delta^j, op) tables, one row-vector per op
-    tables = []
-    for op in ops:
-        tab = [_rem_raw([sp.S.Zero] * j + [sp.S.One], list(op.coeffs))
-               for j in range(cap + 1)]
-        tables.append(tab)
-    for h in range(hi, cap + 1):
-        rows, rhs = [], []
-        for op, tab in zip(ops, tables):
-            for k in range(op.order):
-                rows.append([tab[j][k] for j in range(h)])
-                rhs.append(-tab[h][k])
-        part, _ = solve_affine(rows, rhs)
-        if part is not None:
-            return OreOp(list(part) + [sp.S.One])
-    raise RuntimeError("lclm search exceeded the sum of orders")

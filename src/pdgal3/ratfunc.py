@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import sympy as sp
 from sympy import Poly, QQ
@@ -230,20 +229,6 @@ def ratfunc(value) -> RatFunc:
     return _coerce(value)
 
 
-def arith(op: str, a, b) -> RatFunc:
-    """Named-dispatch arithmetic, mirroring the CLI surface."""
-    a, b = _coerce(a), _coerce(b)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def d_x(a) -> RatFunc:
     return _coerce(a).d_x()
 
@@ -252,7 +237,7 @@ def d_t(a) -> RatFunc:
     return _coerce(a).d_t()
 
 
-# -- partial fractions and integration ---------------------------------------
+# -- integration and residues ------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -262,56 +247,9 @@ class ResidueData:
 
     pole: Poly
     residue: Poly
-    order: int
 
     def __post_init__(self):
         assert self.pole.LC() == 1
-
-
-@dataclass(frozen=True)
-class PFTerm:
-    """One term numer/pole**power of a squarefree partial fraction expansion,
-    deg numer < deg pole."""
-
-    pole: Poly
-    power: int
-    numer: Poly
-
-    def value(self) -> RatFunc:
-        return RatFunc(self.numer.as_expr() / self.pole.as_expr() ** self.power)
-
-
-def _sqf_split(num: Poly, den: Poly):
-    """Split num/den (proper) into components n_i / p_i**e_i over the
-    squarefree factors p_i of den."""
-    _, factors = den.sqf_list()
-    parts = []
-    for p, e in factors:
-        q = p ** e
-        cof = den.quo(q)
-        inv = cof.invert(q)
-        ni = (num * inv).rem(q)
-        parts.append((p, e, ni))
-    return parts
-
-
-def partial_fractions(a) -> tuple[RatFunc, list[PFTerm]]:
-    """Full squarefree partial fraction expansion; reconstruction is exact."""
-    a = _coerce(a)
-    num, den = a.monic_pair()
-    polypart, rem = num.div(den)
-    terms = []
-    for p, e, ni in _sqf_split(rem, den):
-        # p-adic digits of ni: ni = sum d_j p^j, deg d_j < deg p
-        digits = []
-        cur = ni
-        while not cur.is_zero:
-            cur, d = cur.div(p)
-            digits.append(d)
-        for j, d in enumerate(digits):
-            if not d.is_zero:
-                terms.append(PFTerm(pole=p, power=e - j, numer=d))
-    return RatFunc(polypart.as_expr()), terms
 
 
 def horowitz_reduce(a):
@@ -352,34 +290,27 @@ def horowitz_reduce(a):
     return RatFunc(g_expr), polypart, RatFunc(h_expr)
 
 
+def residue_at(a, f: Poly) -> Poly:
+    """Residue element of a at the monic squarefree factor f of its
+    denominator, as an element of Q(t)[x]/(f): (num · den′⁻¹) mod f, whose
+    value at each root of f is the residue of a there (Bronstein, Symbolic
+    Integration I, the Rothstein-Trager residue).  Zero when f does not
+    divide the denominator; f must not divide it twice."""
+    num, den = _coerce(a).monic_pair()
+    if not den.rem(f).is_zero:
+        return _poly(0, x)
+    return (num * den.diff().invert(f)).rem(f)
+
+
 def residues(a) -> list[ResidueData]:
-    """Residues of a, one block per squarefree factor of the reduced
-    denominator (Rothstein-Trager style, no root isolation)."""
-    a = _coerce(a)
+    """Residues of a as one block over the squarefree denominator of its
+    Hermite-reduced part, or [] when a has no residues (Rothstein-Trager
+    style, no root isolation)."""
     _, _, h = horowitz_reduce(a)
     if h.is_zero:
         return []
-    bnum, q2 = h.monic_pair()
-    dq2 = q2.diff()
-    out = []
-    orig_den = a.denominator
-    for p, _ in q2.sqf_list()[1]:
-        if p.degree() == 0:
-            continue
-        res = (bnum * dq2.invert(p)).rem(p)
-        out.append(ResidueData(pole=p, residue=res, order=_mult_in(orig_den, p)))
-    return out
-
-
-def _mult_in(den: Poly, p: Poly) -> int:
-    k = 0
-    cur = den
-    while True:
-        q, r = cur.div(p)
-        if not r.is_zero:
-            return k
-        k += 1
-        cur = q
+    q = h.denominator
+    return [ResidueData(pole=q, residue=residue_at(h, q))]
 
 
 def rational_antiderivative(a):
@@ -422,11 +353,9 @@ def is_log_derivative(a, m_max: int):
         return None
     if a != h:
         return None
-    bnum, q2 = h.monic_pair()
-    dq2 = q2.diff()
     factor_res = []
-    for f in irreducible_factors(q2):
-        res = (bnum * dq2.invert(f)).rem(f)
+    for f in irreducible_factors(h.denominator):
+        res = residue_at(h, f)
         if res.degree() > 0:
             return None
         val = sp.cancel(res.as_expr())

@@ -8,7 +8,7 @@ anything else falls back to a configured bound with complete=False.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import sympy as sp
 from sympy import Poly
@@ -16,17 +16,17 @@ from sympy import Poly
 from .errors import NonFuchsianError
 from .linalg import solve_affine
 from .ratfunc import (
-    COEFF_FIELD,
     RatFunc,
     ZERO,
     _poly,
     factor_list_xt,
     is_log_derivative,
     ratfunc,
+    residue_at,
     t,
     x,
 )
-from .systems import DiffSystem, mat_identity
+from .systems import DiffSystem
 
 
 @dataclass
@@ -63,15 +63,6 @@ def _den_factor_dict(values):
     return out
 
 
-def _entry_residue(v: RatFunc, f: Poly):
-    """Residue element of v at the simple factor f, in Q(t)[x]/(f)."""
-    num, den = v.monic_pair()
-    g, r = den.div(f)
-    if not r.is_zero:
-        return Poly(0, x, domain=COEFF_FIELD)
-    return (num.rem(f) * g.invert(f)).rem(f)
-
-
 def _qt_roots_in_lambda(expr, lam):
     """Roots in Q(t) of a polynomial in lam with Q(t) coefficients, each
     repeated by its multiplicity."""
@@ -94,7 +85,7 @@ def _residue_eigen_candidates(A, f: Poly):
     n = len(A)
     lam = sp.Dummy("lam")
     R = sp.Matrix(
-        [[_entry_residue(A[i][j], f).as_expr() for j in range(n)] for i in range(n)]
+        [[residue_at(A[i][j], f).as_expr() for j in range(n)] for i in range(n)]
     )
     cp = (lam * sp.eye(n) - R).det(method="berkowitz")
     res = sp.resultant(f.as_expr(), sp.together(cp), x) if f.degree() > 0 else cp
@@ -176,7 +167,7 @@ def rational_solutions(A, b=None, bound=10) -> SolutionSpace:
     notes = []
 
     complete = True
-    if fuchsian_finite and omega <= -1:
+    if fuchsian_finite and (omega <= -1 or lead.det(method="berkowitz") != 0):
         # universal denominator from integer local exponents
         den_exp = {}
         for f in all_factors:
@@ -184,29 +175,21 @@ def rational_solutions(A, b=None, bound=10) -> SolutionSpace:
                 _residue_eigen_candidates(A, f)[1] if f in factors_A else []
             )
             ob = factors_b.get(f, 0)
-            e = max(0, (-min(ints)) if ints else 0, ob - 1)
-            den_exp[f] = e
-        # degree bound from exponents at infinity
-        cands = list(_int_eigenvalues(_residue_at_infinity(A)))
+            den_exp[f] = max(0, -min(ints, default=0), ob - 1)
         bdegs = [_degree_at_infinity(v) for v in bvec]
         bdegs = [d for d in bdegs if d is not None]
-        if bdegs:
-            cands.append(max(bdegs) + 1)
-        d_max = max(cands) if cands else None
-    elif fuchsian_finite and omega >= 0 and lead.det(method="berkowitz") != 0:
-        # irregular infinity with invertible leading matrix: degrees are
-        # capped by the inhomogeneous term alone
-        den_exp = {}
-        for f in all_factors:
-            ints = (
-                _residue_eigen_candidates(A, f)[1] if f in factors_A else []
-            )
-            ob = factors_b.get(f, 0)
-            den_exp[f] = max(0, (-min(ints)) if ints else 0, ob - 1)
-        bdegs = [_degree_at_infinity(v) for v in bvec]
-        bdegs = [d for d in bdegs if d is not None]
-        d_max = (max(bdegs) - omega) if bdegs else None
-        notes.append("irregular-infinity-invertible-leading-matrix")
+        if omega <= -1:
+            # degree bound from exponents at infinity; the residue matrix
+            # there is the leading matrix when omega = -1, else zero
+            cands = _int_eigenvalues(lead) if omega == -1 else [0]
+            if bdegs:
+                cands.append(max(bdegs) + 1)
+            d_max = max(cands) if cands else None
+        else:
+            # irregular infinity with invertible leading matrix: degrees are
+            # capped by the inhomogeneous term alone
+            d_max = (max(bdegs) - omega) if bdegs else None
+            notes.append("irregular-infinity-invertible-leading-matrix")
     else:
         complete = False
         notes.append("bound-limited")
@@ -299,21 +282,6 @@ def rational_solutions(A, b=None, bound=10) -> SolutionSpace:
     )
 
 
-def _residue_at_infinity(A):
-    """Coefficient of 1/x at infinity (requires proper entries)."""
-    n = len(A)
-    M = sp.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            v = A[i][j]
-            if v.is_zero:
-                continue
-            num, den = v.monic_pair()
-            if num.degree() - den.degree() == -1:
-                M[i, j] = sp.cancel(sp.sympify(num.LC()))
-    return M
-
-
 # -- hyperexponential solutions --------------------------------------------------
 
 
@@ -332,19 +300,16 @@ def hyperexponential_classes(M: DiffSystem):
     Returns (list of (RatFunc, SolutionSpace), notes).  Requires a Fuchsian
     system; candidates come from Q(t)-rational local exponents.
     """
-    flat = [v for row in M.A for v in row]
-    if any(e > 1 for e in _den_factor_dict(flat).values()):
+    A = M.A
+    n = M.dim
+    factor_dict = _den_factor_dict([v for row in A for v in row])
+    if any(e > 1 for e in factor_dict.values()):
         raise NonFuchsianError(
             "hyperexponential search requires simple finite poles; supply an "
             "invariant-flag certificate instead"
         )
-    A = M.A
-    n = M.dim
     notes = []
-    factors = sorted(
-        _den_factor_dict([v for row in A for v in row]),
-        key=lambda f: sp.default_sort_key(f.as_expr()),
-    )
+    factors = sorted(factor_dict, key=lambda f: sp.default_sort_key(f.as_expr()))
     per_factor = []
     for f in factors:
         qt, _ = _residue_eigen_candidates(A, f)

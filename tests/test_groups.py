@@ -10,7 +10,6 @@ from pdgal3.groups import (
     RepMap,
     block_rep,
     det_rep,
-    identity_rep,
     jet,
     jet_matrix,
     normalize_equation,
@@ -141,7 +140,7 @@ def test_pullback_swap_is_simultaneous():
 
 
 def test_pullback_group_member():
-    comp = (identity_rep(2), Explicit(dim=2, equations=(jet(2, 1),)))
+    comp = (block_rep(2, [0, 1]), Explicit(dim=2, equations=(jet(2, 1),)))
     g = Pullback(dim=2, components=(comp,))
     assert g.member([["1", "5"], ["0", "1"]])
     assert not g.member([["1", "0"], ["5", "1"]])

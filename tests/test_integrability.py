@@ -12,7 +12,7 @@ from pdgal3.integrability import (
     rank1_group,
     telescoper,
 )
-from pdgal3.oreops import DELTA, IDENTITY_OP
+from pdgal3.oreops import DELTA, IDENTITY_OP, OreOp
 from pdgal3.ratfunc import RatFunc, d_x, ratfunc, rational_antiderivative
 from pdgal3.systems import DiffSystem, gauge
 from util import random_invertible
@@ -75,6 +75,17 @@ def test_telescoper_values():
 def test_telescoper_no_residues_is_identity():
     assert telescoper(R("1/x**2")) == IDENTITY_OP
     assert telescoper(R("x + 3")) == IDENTITY_OP
+
+
+def test_telescoper_joint_order_two():
+    # residues t at x and 1 at x-1: the joint minimal annihilator of (t, 1)
+    L = telescoper(R("t/x + 1/(x-1)"))
+    assert L == OreOp([0, 0, 1])
+    assert L.apply(ratfunc(t)).is_zero and L.apply(ratfunc(1)).is_zero
+
+
+def test_telescoper_order_capped():
+    assert telescoper(R("t/x + 1/(x-1)"), max_order=1) is None
 
 
 def test_telescoper_output_certifies():

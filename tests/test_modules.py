@@ -5,12 +5,12 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdgal3.galois3 import classify2
 from pdgal3.modules import (
     FlagCertificate,
     complete_basis,
     diag_decompose,
     is_invariant,
-    is_simple_2dim,
     k_nullspace,
     k_solve_right,
     morphisms,
@@ -144,10 +144,17 @@ class TestDecompose:
 
     def test_direct_sum_of_simple(self):
         W = DiffSystem([["0", "t/x"], ["1/(x-1)", "0"]])  # no rational lines
-        assert is_simple_2dim(W)
+        assert len(diag_decompose(W).blocks) == 1
         V = direct_sum(W, DiffSystem([["0"]]))
         D = diag_decompose(V)
         assert sorted(b.dim for b in D.blocks) == [1, 2]
+
+    def test_line_at_quadratic_pole_found(self):
+        # e1 spans an invariant line whose character -2x/(x^2-t) has the
+        # Q(t) residue -1 at both roots of x^2 - t
+        W = DiffSystem([["-2*x/(x^2-t)", "1/x"], ["0", "0"]])
+        assert [b.dim for b in diag_decompose(W).blocks] == [1, 1]
+        assert classify2(W) == "CQ"
 
     def test_gauge_scrambled_factors_match(self):
         rng = random.Random(11)

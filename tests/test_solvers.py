@@ -6,7 +6,17 @@ import pytest
 import sympy as sp
 
 from pdgal3.errors import NonFuchsianError
-from pdgal3.ratfunc import ZERO, d_x, ratfunc
+from pdgal3.ratfunc import (
+    RatFunc,
+    ZERO,
+    _poly,
+    d_x,
+    ratfunc,
+    residue_at,
+    residues,
+    t,
+    x,
+)
 from pdgal3.solvers import (
     SolutionSpace,
     hyperexponential_classes,
@@ -91,6 +101,26 @@ class TestRationalSolutions:
     def test_solution_space_dim(self):
         assert rational_solutions([["0", "0"], ["0", "0"]]).dim == 2
 
+    def test_quadratic_pole_solution_found(self):
+        # 1/(x^2-t) solves y' = -2x/(x^2-t) y: the exponent at x^2-t is -1
+        s = rational_solutions([["-2*x/(x^2-t)"]])
+        assert s.complete and s.basis == [[ratfunc("1/(x^2-t)")]]
+
+
+@pytest.mark.parametrize("c", [-3, -2, -1, 1, 2, 3])
+@pytest.mark.parametrize("f", [x**2 - t, x**2 + t * x + 1])
+def test_log_derivative_residue(c, f):
+    """c*f'/f has residue c at every root of f, and f^c is found when c < 0."""
+    fp = _poly(f, x)
+    a = RatFunc(c * sp.diff(f, x) / f)
+    assert residue_at(a, fp) == _poly(c, x)
+    assert [(r.pole, r.residue) for r in residues(a)] == [(fp, _poly(c, x))]
+    if c < 0:
+        s = rational_solutions([[a]])
+        assert s.complete and s.dim == 1
+        ratio = s.basis[0][0] / RatFunc(f**c)
+        assert ratio.is_coeff() and not ratio.is_zero
+
 
 class TestHyperexponential:
     def test_diagonal(self):
@@ -153,6 +183,14 @@ class TestHyperexponential:
             DiffSystem([["(x+1)/(x^2-t)", "1/x"], ["0", "0"]])
         )
         assert notes == ("non-Q(t) local exponents at -t + x**2 skipped",)
+
+    def test_quadratic_pole_exponents_in_qt(self):
+        # the residue of 2x/(x^2-t) is 1 at both roots: nothing is skipped
+        classes, notes = hyperexponential_classes(
+            DiffSystem([["2*x/(x^2-t)"]])
+        )
+        assert notes == ()
+        assert [space.dim for _, space in classes] == [1]
 
     def test_non_fuchsian_rejected(self):
         with pytest.raises(NonFuchsianError):
