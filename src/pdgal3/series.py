@@ -12,26 +12,26 @@ from dataclasses import dataclass
 
 import sympy as sp
 
-from .ratfunc import COEFF_FIELD, _poly, x
+from .ratfunc import COEFF_FIELD, x
 from .systems import DiffSystem
 
 _T = COEFF_FIELD.field.gens[0]
 _ZERO = COEFF_FIELD.zero
 _ONE = COEFF_FIELD.one
+_RING = COEFF_FIELD.field.ring
 
 
-def _kt(v):
-    return COEFF_FIELD.from_sympy(sp.cancel(sp.sympify(v)))
+def _taylor(p, x0, N):
+    """Coefficients 0..N of p(x + x0) for a Poly in x over Q(t)."""
+    c = p.shift(x0).rep.to_list()[::-1]
+    return (c + [_ZERO] * (N + 1))[: N + 1]
 
 
 def _entry_series(a, x0, N):
     """Taylor coefficients of a RatFunc at x = x0 (ordinary), length N+1."""
     num, den = a.monic_pair()
-    shift = _poly(x + x0, x)
-    nums = num.compose(shift)
-    dens = den.compose(shift)
-    nc = [_kt(nums.nth(k)) for k in range(N + 1)]
-    dc = [_kt(dens.nth(k)) for k in range(N + 1)]
+    nc = _taylor(num, x0, N)
+    dc = _taylor(den, x0, N)
     if not dc[0]:
         raise ValueError(f"x0 = {x0} is a pole")
     inv0 = _ONE / dc[0]
@@ -62,28 +62,44 @@ def _mid(n):
     return M
 
 
-def _mmul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = _mzero(n, m)
+def _cauchy(X, Y, k):
+    """Coefficient k of the product of matrix series X and Y, uncancelled.
+
+    Entry (i, m) is sum_j sum_l X[j][i][l] Y[k-j][l][m], returned as a
+    (numerator, denominator) pair over Q[t]. Terms are summed per distinct
+    denominator without any gcd; a Q(t) add or multiply cancels every time,
+    and that cancellation is where a series product spends its time.
+    """
+    n, q, m = len(X[0]), len(Y[0]), len(Y[0][0])
+    out = []
     for i in range(n):
-        Ai = A[i]
-        for l in range(k):
-            a = Ai[l]
-            if not a:
-                continue
-            Bl = B[l]
-            row = out[i]
-            for j in range(m):
-                row[j] += a * Bl[j]
+        row = []
+        for c in range(m):
+            by_den = {}
+            for j in range(k + 1):
+                Xi, Yj = X[j][i], Y[k - j]
+                for l in range(q):
+                    a, b = Xi[l], Yj[l][c]
+                    if not a or not b:
+                        continue
+                    d = a.denom * b.denom
+                    prev = by_den.get(d)
+                    nn = a.numer * b.numer
+                    by_den[d] = nn if prev is None else prev + nn
+            num, den = _RING.zero, _RING.one
+            for d, nn in by_den.items():
+                g = den.gcd(d)
+                dg = d.exquo(g)
+                num, den = num * dg + nn * den.exquo(g), den * dg
+            row.append((num, den))
+        out.append(row)
     return out
 
 
-def _madd(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def _mscale(c, A):
-    return [[c * v for v in row] for row in A]
+def _normal(pair, scale=1):
+    """The Q(t) element num / (scale * den) of an uncancelled pair."""
+    num, den = pair
+    return COEFF_FIELD.field.new(num, den * scale)
 
 
 @dataclass(frozen=True)
@@ -144,10 +160,8 @@ def fundamental_series(M: DiffSystem, x0=None, N=8) -> SeriesMatrix:
     n = M.dim
     U = [_mid(n)]
     for k in range(N):
-        acc = _mzero(n)
-        for j in range(k + 1):
-            acc = _madd(acc, _mmul(A[j], U[k - j]))
-        U.append(_mscale(_ONE / COEFF_FIELD.from_sympy(sp.Integer(k + 1)), acc))
+        acc = _cauchy(A, U, k)
+        U.append([[_normal(v, k + 1) for v in row] for row in acc])
     return SeriesMatrix(x0=x0, order=N, coeffs=_freeze(U))
 
 
@@ -172,13 +186,10 @@ def _aligned(*series):
 
 def series_mul(U: SeriesMatrix, V: SeriesMatrix) -> SeriesMatrix:
     x0, N = _aligned(U, V)
-    out = []
-    for k in range(N + 1):
-        acc = _mzero(U.dim, V.dim)
-        for j in range(k + 1):
-            acc = _madd(acc, _mmul([list(r) for r in U.coeffs[j]],
-                                   [list(r) for r in V.coeffs[k - j]]))
-        out.append(acc)
+    out = [
+        [[_normal(v) for v in row] for row in _cauchy(U.coeffs, V.coeffs, k)]
+        for k in range(N + 1)
+    ]
     return SeriesMatrix(x0=x0, order=N, coeffs=_freeze(out))
 
 
@@ -208,12 +219,11 @@ def series_inverse(U: SeriesMatrix) -> SeriesMatrix:
     n = U.dim
     if U.coeffs[0] != tuple(tuple(r) for r in _mid(n)):
         raise ValueError("series inverse implemented for U(x0) = I only")
+    # U(x0) = I, so (U inv)_k = 0 gives inv_k = -sum_{j>=1} U_j inv_{k-j}
     inv = [_mid(n)]
     for k in range(1, U.order + 1):
-        acc = _mzero(n)
-        for j in range(1, k + 1):
-            acc = _madd(acc, _mmul([list(r) for r in U.coeffs[j]], inv[k - j]))
-        inv.append([[-v for v in row] for row in acc])
+        acc = _cauchy(U.coeffs[1:], inv, k - 1)
+        inv.append([[-_normal(v) for v in row] for row in acc])
     return SeriesMatrix(x0=U.x0, order=U.order, coeffs=_freeze(inv))
 
 
@@ -256,12 +266,12 @@ def satisfies(M: DiffSystem, U: SeriesMatrix) -> bool:
     N = U.order
     A = system_series(M, U.x0, N)
     for k in range(N):
-        acc = _mzero(M.dim, U.dim)
-        for j in range(k + 1):
-            acc = _madd(acc, _mmul(A[j], [list(r) for r in U.coeffs[k - j]]))
-        kk = COEFF_FIELD.from_sympy(sp.Integer(k + 1))
+        acc = _cauchy(A, U.coeffs, k)
+        # (k+1) u == num/den, cross-multiplied: no cancellation needed
         for i in range(M.dim):
             for j in range(U.dim):
-                if kk * U.coeffs[k + 1][i][j] != acc[i][j]:
+                u = U.coeffs[k + 1][i][j]
+                num, den = acc[i][j]
+                if (k + 1) * u.numer * den != num * u.denom:
                     return False
     return True
