@@ -9,7 +9,7 @@ machine-checkable CaseReport.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import sympy as sp
 
@@ -216,7 +216,7 @@ def _transport(g: GroupDescription, rep: RepMap) -> GroupDescription:
 # -- the semisimple case -----------------------------------------------------------------
 
 
-def _sl_part(W: DiffSystem, cfg: DispatchConfig):
+def _sl_part(W: DiffSystem):
     """Trace-zero subsystem of hom(W, W) for a 2-dim block, and its constancy."""
     from .systems import hom
 
@@ -228,9 +228,7 @@ def _sl_part(W: DiffSystem, cfg: DispatchConfig):
 
 
 def _sym_square(W: DiffSystem):
-    from .systems import tensor as _tensor
-
-    T = _tensor(W, W)
+    T = tensor(W, W)
     # symmetric vectors: e1⊗e1, e1⊗e2 + e2⊗e1, e2⊗e2 (column-major coords)
     S = mat([["1", "0", "0"], ["0", "1", "0"], ["0", "1", "0"], ["0", "0", "1"]])
     B, _, _, _ = sub_quotient(T, S)
@@ -273,7 +271,7 @@ def _semisimple_group(blocks, cfg: DispatchConfig, free_upper=False):
                 for i in range(3)
             )
         )
-        w = _try_constant(shifted, cfg)
+        w = _try_constant(shifted)
         comps = [(det_rep, tr_g)]
         flags = ()
         if w is not None:
@@ -353,7 +351,7 @@ def _semisimple_group(blocks, cfg: DispatchConfig, free_upper=False):
                      name="det")
         comps.append((rep, rank1_group(trW, cfg.max_order)))
 
-    w = _try_constant(W, cfg, traceless=True)
+    w = _try_constant(W, traceless=True)
     flags = ("finite-primitive-closure-unchecked",)
     if w is not None:
         flags = flags + ("up-to-conjugation",)
@@ -371,10 +369,10 @@ def _semisimple_group(blocks, cfg: DispatchConfig, free_upper=False):
                     flags=flags), notes, certs
 
 
-def _try_constant(W: DiffSystem, cfg: DispatchConfig, traceless=False):
+def _try_constant(W: DiffSystem, traceless=False):
     try:
         if traceless:
-            return _sl_part(W, cfg)
+            return _sl_part(W)
         return is_constant(W)
     except IncompleteSearchError:
         return None
@@ -430,7 +428,25 @@ def dispatch(V: DiffSystem, cert: FlagCertificate = None,
     cfg = cfg or DEFAULT_CONFIG
     if V.dim != 3:
         raise UnsupportedError("dispatch requires a 3-dimensional system")
+    D, certs, verdict = _factor_stage(V, cert, cfg)
+    if verdict is not None:
+        return verdict
+    found = _find_line_summand(V)
+    if found is not None:
+        return _case_decomposable(V, found, cfg, certs)
+    Vd = dual(V)
+    dual_found = _find_line_summand(Vd)
+    if dual_found is not None:
+        return _via_dual(
+            Vd, lambda W: _case_decomposable(W, dual_found, cfg, certs),
+            "{}(dual)")
+    return _case_full_flag(V, Vd, D, cfg, certs)
 
+
+def _factor_stage(V, cert, cfg):
+    """(D, certs, verdict): the composition factors of V, their
+    certificates, and the verdict when V is semisimple, undecided or has a
+    2-dim factor (None when V has a full flag)."""
     D = diag_decompose(V, cert)
     certs = [("gauge", [[v.to_string() for v in row] for row in mat(D.P)]),
              ("factors", [b.to_strings() for b in D.blocks])]
@@ -448,41 +464,31 @@ def dispatch(V: DiffSystem, cert: FlagCertificate = None,
             flags=tuple(g.flags),
             tau_notes=tuple(notes),
         )
-        return report, g
+        return D, certs, (report, g)
     if ss is None:
         report = CaseReport(
             case_path="UNDECIDED",
             certificates=tuple(certs),
             flags=("bound-limited",),
         )
-        return report, Deferred(
+        return D, certs, (report, Deferred(
             dim=3, reduction="semisimplicity test not provably complete",
             flags=("deferred", "bound-limited"),
-        )
+        ))
 
-    dims = sorted(b.dim for b in D.blocks)
-    if dims == [1, 2]:
-        return _case_indecomposable_2dim(V, D, cfg, certs)
+    if sorted(b.dim for b in D.blocks) == [1, 2]:
+        return D, certs, _case_indecomposable_2dim(V, D, cfg, certs)
+    return D, certs, None
 
-    found = _find_line_summand(V)
-    if found is not None:
-        return _case_decomposable(V, found, cfg, certs)
-    dual_found = _find_line_summand(dual(V))
-    if dual_found is not None:
-        rep_dual = _invtranspose_rep(3)
-        sub_report, g = _case_decomposable(dual(V), dual_found, cfg, certs)
-        return (
-            CaseReport(
-                case_path=sub_report.case_path + "(dual)",
-                type_tags=sub_report.type_tags,
-                certificates=sub_report.certificates,
-                flags=sub_report.flags,
-                tau_notes=sub_report.tau_notes,
-            ),
-            _transport(g, rep_dual),
-        )
 
-    return _case_full_flag(V, D, cfg, certs)
+def _via_dual(Vd, stage, label, type_tags=()):
+    """The dual route: stage(Vd) on Vd = dual(V), its case path written into
+    the format string label and type_tags put before its own, and its group
+    pulled back to V along the inverse transpose."""
+    report, g = stage(Vd)
+    report = replace(report, case_path=label.format(report.case_path),
+                     type_tags=type_tags + report.type_tags)
+    return report, _transport(g, _invtranspose_rep(3))
 
 
 def _case_decomposable(V, found, cfg, certs):
@@ -534,8 +540,7 @@ def _case_decomposable(V, found, cfg, certs):
 
 
 def _case_indecomposable_2dim(V, D, cfg, certs):
-    dualized = D.blocks[0].dim != 2
-    if dualized:
+    if D.blocks[0].dim != 2:
         Vd = dual(V)
         Dd = diag_decompose(Vd)
         if Dd.blocks[0].dim != 2:
@@ -546,21 +551,13 @@ def _case_indecomposable_2dim(V, D, cfg, certs):
                 Deferred(dim=3, reduction="could not realize the 2-dim factor "
                          "as a submodule"),
             )
-        report, g = _case_indecomposable_2dim(Vd, Dd, cfg, certs)
-        return (
-            CaseReport(
-                case_path=report.case_path + "(dual)",
-                type_tags=report.type_tags,
-                certificates=report.certificates,
-                flags=report.flags,
-                tau_notes=report.tau_notes,
-            ),
-            _transport(g, _invtranspose_rep(3)),
-        )
+        return _via_dual(
+            Vd, lambda W: _case_indecomposable_2dim(W, Dd, cfg, certs),
+            "{}(dual)")
     W = D.blocks[0]
     U = D.blocks[1]
     Wtest = tensor(dual(U), W)  # W1* ⊗ W2, 2-dimensional
-    w = _try_constant(Wtest, cfg)
+    w = _try_constant(Wtest)
     if w is not None:
         report = CaseReport(
             case_path="INDECOMPOSABLE-2DIM",
@@ -590,10 +587,20 @@ def _case_indecomposable_2dim(V, D, cfg, certs):
     return report, g
 
 
-def _case_full_flag(V, D, cfg, certs):
+def _flag_stage(V, Vd, cfg):
+    """dispatch on V without a certificate, once the line search on V and on
+    Vd = dual(V) has found nothing."""
+    D, certs, verdict = _factor_stage(V, None, cfg)
+    if verdict is not None:
+        return verdict
+    return _case_full_flag(V, Vd, D, cfg, certs)
+
+
+def _case_full_flag(V, Vd, D, cfg, certs):
+    """V with a full flag and no line summand, nor one in Vd = dual(V)."""
     Mt = gauge(V, D.P)
     a = [Mt.A[i][i] for i in range(3)]
-    b12, b13, b23 = Mt.A[0][1], Mt.A[0][2], Mt.A[1][2]
+    b12, b23 = Mt.A[0][1], Mt.A[1][2]
     V2 = DiffSystem([[a[0], b12], [ZERO, a[1]]])
     Q1 = DiffSystem([[a[1], b23], [ZERO, a[2]]])
     t1 = classify2(V2, _E1_CERT)
@@ -602,15 +609,8 @@ def _case_full_flag(V, D, cfg, certs):
                      ("pair", (t1, t2))]
 
     if (t1, t2) in {("CQ", "CR"), ("NC", "CR"), ("NC", "CQ")}:
-        sub_report, g = dispatch(dual(V), cfg=cfg)
-        report = CaseReport(
-            case_path=f"({t1},{t2})→dual→" + sub_report.case_path,
-            type_tags=(t1, t2) + sub_report.type_tags,
-            certificates=sub_report.certificates,
-            flags=sub_report.flags,
-            tau_notes=sub_report.tau_notes,
-        )
-        return report, _transport(g, _invtranspose_rep(3))
+        return _via_dual(Vd, lambda W: _flag_stage(W, V, cfg),
+                         f"({t1},{t2})→dual→{{}}", (t1, t2))
 
     if (t1, t2) == ("CQ", "CQ"):
         partial = _flag_group(
@@ -631,9 +631,6 @@ def _case_full_flag(V, D, cfg, certs):
         )
 
     if (t1, t2) == ("CR", "CR"):
-        found = _find_line_summand(V)
-        if found is not None:
-            return _case_decomposable(V, found, cfg, certs)
         return (
             CaseReport(case_path="(CR,CR)", type_tags=(t1, t2),
                        certificates=tuple(certs), flags=("bound-limited",)),
@@ -642,9 +639,9 @@ def _case_full_flag(V, D, cfg, certs):
         )
 
     if t1 == "CR":
-        return _case_cr(V, Mt, a, cfg, certs, t2)
+        return _case_cr(Mt, cfg, certs, t2)
     if (t1, t2) == ("NC", "NC"):
-        return _case_ncnc(Mt, a, b12, b23, cfg, certs)
+        return _case_ncnc(a, b12, b23, cfg, certs)
     if (t1, t2) == ("CQ", "NC"):
         return _case_cqnc(Mt, a, V2, cfg, certs)
     raise RuntimeError(f"unhandled pair ({t1},{t2})")
@@ -652,7 +649,7 @@ def _case_full_flag(V, D, cfg, certs):
 
 def _split_v2_basis(Mt):
     """Gauge making the invariant complement of V1 in V2 the second basis
-    vector; returns (new system, gauge matrix)."""
+    vector; returns the new system."""
     comp, _ = split_extension(
         DiffSystem([[Mt.A[0][0], Mt.A[0][1]], [ZERO, Mt.A[1][1]]]),
         (("1",), ("0",)),
@@ -661,11 +658,11 @@ def _split_v2_basis(Mt):
         raise RuntimeError("V2 expected to split")
     c1, c2 = comp[0][0], comp[1][0]
     P_cols = mat([[ONE, c1, ZERO], [ZERO, c2, ZERO], [ZERO, ZERO, ONE]])
-    return gauge(Mt, mat_inv(P_cols)), P_cols
+    return gauge(Mt, mat_inv(P_cols))
 
 
-def _case_cr(V, Mt, a, cfg, certs, t2):
-    Mt2, _ = _split_v2_basis(Mt)
+def _case_cr(Mt, cfg, certs, t2):
+    Mt2 = _split_v2_basis(Mt)
     a = [Mt2.A[i][i] for i in range(3)]
     VoverU = DiffSystem([[a[0], Mt2.A[0][2]], [ZERO, a[2]]])
     t3 = classify2(VoverU, _E1_CERT)
@@ -750,7 +747,7 @@ def _perm_matrix(sigma):
                 for i in range(n)])
 
 
-def _case_ncnc(Mt, a, b12, b23, cfg, certs):
+def _case_ncnc(a, b12, b23, cfg, certs):
     iso = is_log_derivative(a[0] - 2 * a[1] + a[2], cfg.m_bound)
     if iso is None or iso[0] != 1:
         flags = () if iso is None else ("identity-component-level",)
@@ -828,7 +825,7 @@ def _case_cqnc(Mt, a, V2, cfg, certs):
                      flags=("deferred", "bound-limited")),
         )
     if ss is True:
-        Mt2, _ = _split_v2_basis(Mt)
+        Mt2 = _split_v2_basis(Mt)
         a2 = [Mt2.A[i][i] for i in range(3)]
         g = _flag_group(tuple(a2), [(2, 1), (3, 1), (3, 2), (1, 2)],
                         [(1, 2)], cfg)

@@ -359,7 +359,7 @@ def character_lattice(diag, m_bound: int = 12) -> CharacterLattice:
 
     witnesses = []
     for m in gens:
-        r = _lattice_witness(entries, reduced, m)
+        r = _lattice_witness(entries, m)
         if r is None or not _witness_ok(entries, m, r):
             raise RuntimeError(f"lattice generator {m} failed witness verification")
         witnesses.append(r)
@@ -372,7 +372,7 @@ def character_lattice(diag, m_bound: int = 12) -> CharacterLattice:
     )
 
 
-def _lattice_witness(entries, reduced, m):
+def _lattice_witness(entries, m):
     """r with Σ mᵢaᵢ = ∂r/r: product of pole factors to their residue powers."""
     total = sum((int(mi) * a for mi, a in zip(m, entries)), ZERO)
     if total.is_zero:

@@ -177,13 +177,6 @@ class ModuleDiag:
     blocks: tuple  # of DiffSystem, triangular order (sub first)
     P: tuple       # gauge(M, P) block upper triangular
 
-    @property
-    def factors(self):
-        """Blocks sorted for deterministic reports: dim, then matrix text."""
-        return tuple(
-            sorted(self.blocks, key=lambda b: (b.dim, str(b.to_strings())))
-        )
-
 
 def _line_from_classes(M: DiffSystem):
     classes, _ = hyperexponential_classes(M)

@@ -212,11 +212,65 @@ def test_dispatch_gauge_invariant_label():
     assert r1.case_path == r2.case_path == "DECOMPOSABLE"
 
 
-def test_dispatch_dual_label():
+def _counting(monkeypatch, module, name):
+    calls = []
+    inner = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_dispatch_dual_label(monkeypatch):
+    # the →dual→ route enters after the line search: each of V and dual(V)
+    # is searched once, and dispatch does not re-enter itself
+    from pdgal3 import galois3
+
+    searches = _counting(monkeypatch, galois3, "_find_line_summand")
+    dispatches = _counting(monkeypatch, galois3, "dispatch")
     V = S([["t/x", "1/x", "0"], ["0", "t/x", "1/(x-1)"], ["0", "0", "0"]])
-    r, _ = dispatch(dual(V), None, CFG)
+    r, _ = galois3.dispatch(dual(V), None, CFG)
     assert r.case_path.endswith("(CQ,NC)-prolongation")
     assert "→dual→" in r.case_path
+    assert len(searches) == 2
+    assert len(dispatches) == 1
+
+
+def _inv_t(M):
+    return sp.Matrix([[sp.sympify(v) for v in row] for row in M]).inv().T.tolist()
+
+
+def test_dispatch_indecomposable_2dim_dual():
+    # dual(V) has the 2-dim factor as a quotient: the dual route computes on
+    # V and pulls the group back along the inverse transpose
+    from test_acceptance import BRANCH_FIXTURES
+
+    V, cert, members, nonmembers = BRANCH_FIXTURES["INDECOMPOSABLE-2DIM"]
+    native, _ = dispatch(V, cert, CFG)
+    r, g = dispatch(dual(V), None, CFG)
+    assert r.case_path == "INDECOMPOSABLE-2DIM(dual)"
+    assert r.type_tags == native.type_tags
+    assert r.flags == native.flags
+    assert all(g.member(_inv_t(M)) for M in members)
+    assert not any(g.member(_inv_t(M)) for M in nonmembers)
+
+
+def test_dispatch_decomposable_dual(monkeypatch):
+    # with no line summand found in V itself, the one in dual(V) is used
+    from pdgal3 import galois3
+    from test_acceptance import BRANCH_FIXTURES
+
+    V, cert, _, _ = BRANCH_FIXTURES["DECOMPOSABLE"]
+    search = galois3._find_line_summand
+    monkeypatch.setattr(galois3, "_find_line_summand",
+                        lambda M: None if M.A == V.A else search(M))
+    r, _ = dispatch(V, cert, CFG)
+    assert r.case_path == "DECOMPOSABLE(dual)"
+    assert r.type_tags == ("NC",)
+    assert r.flags == ()
 
 
 def test_candidate_lines_propagates_bugs(monkeypatch):

@@ -1,0 +1,76 @@
+"""Static hygiene of the package source: no dead imports, no dead parameters.
+
+A plain `ast` scan, scope-blind on purpose: a name counts as used when any
+`Name` node of the module (or, for a parameter, of the function) reads it.
+"""
+
+import ast
+import functools
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "pdgal3"
+
+
+@functools.cache
+def _modules():
+    return {p.stem: ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))}
+
+
+def _reads(nodes) -> set:
+    return {n.id for n in nodes
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _exported(tree) -> set:
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _imported(node):
+    """(source, bound name) per alias of an import statement."""
+    for alias in node.names:
+        if isinstance(node, ast.ImportFrom):
+            yield (node.level, node.module, alias.name), alias.asname or alias.name
+        else:
+            yield (0, alias.name, None), alias.asname or alias.name.split(".")[0]
+
+
+def test_no_unused_or_repeated_imports():
+    bad = []
+    for mod, tree in _modules().items():
+        nodes = list(ast.walk(tree))
+        used = _reads(nodes) | _exported(tree)
+        top = {src for node in tree.body
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for src, _ in _imported(node)}
+        outer = set(map(id, tree.body))
+        for node in nodes:
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for src, name in _imported(node):
+                if name not in used:
+                    bad.append(f"{mod}:{node.lineno}: {name} is never read")
+                elif id(node) not in outer and src in top:
+                    bad.append(f"{mod}:{node.lineno}: {name} is imported at "
+                               "module level already")
+    assert not bad, "\n".join(bad)
+
+
+def test_no_unused_parameters_of_private_functions():
+    bad = []
+    for mod, tree in _modules().items():
+        for node in tree.body:
+            if not (isinstance(node, ast.FunctionDef) and node.name.startswith("_")):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs
+            params += [p for p in (a.vararg, a.kwarg) if p is not None]
+            used = _reads(n for stmt in node.body for n in ast.walk(stmt))
+            bad += [f"{mod}.{node.name}: {p.arg}" for p in params
+                    if p.arg not in used]
+    assert not bad, "\n".join(bad)

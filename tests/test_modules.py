@@ -137,7 +137,7 @@ class TestDecompose:
             [["t/x", "1", "0"], ["0", "t/x", "1"], ["0", "0", "0"]]
         )
         D = diag_decompose(V)
-        facs = sorted(b.to_strings() for b in D.factors)
+        facs = sorted(b.to_strings() for b in D.blocks)
         assert facs == [[["0"]], [["t/x"]], [["t/x"]]]
         Vt = gauge(V, D.P)
         assert all(Vt.A[i][j].is_zero for i in range(3) for j in range(i))
@@ -162,8 +162,8 @@ class TestDecompose:
         P = random_invertible(rng, 3)
         D0 = diag_decompose(V)
         D1 = diag_decompose(gauge(V, P))
-        f0 = [b.A[0][0] for b in D0.factors]
-        f1 = [b.A[0][0] for b in D1.factors]
+        f0 = [b.A[0][0] for b in D0.blocks]
+        f1 = [b.A[0][0] for b in D1.blocks]
         # 1-dim factors pair up via rank-1 isomorphisms
         assert len(f0) == len(f1) == 3
         used = set()
