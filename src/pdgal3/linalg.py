@@ -3,9 +3,9 @@ elimination path.
 
 Every solve, inverse, kernel, rank and basis completion is read off one
 reduced row echelon form, computed by sympy's DomainMatrix rref (sparse
-Gauss-Jordan over the field).  The Q(t) entry points take and return sympy
-expressions; the K entry points take and return RatFunc values.  They differ
-only in the conversion at the boundary.
+Gauss-Jordan over the field).  The Q(t) entry points take sympy expressions
+or Q(t) domain elements and return sympy expressions; the K entry points take
+and return RatFunc values.  They differ only in the conversion at the boundary.
 """
 
 from __future__ import annotations
@@ -42,6 +42,8 @@ def _kernel(R, pivots, n, conv, zero, one):
 
 
 def _qt(v):
+    if COEFF_FIELD.of_type(v):
+        return v
     return COEFF_FIELD.from_sympy(sp.cancel(sp.sympify(v)))
 
 
@@ -52,8 +54,9 @@ def _qt_expr(e):
 def solve_affine(A, b):
     """All solutions of A v = b over Q(t).
 
-    A: list of rows of sympy exprs in t, b: list.  Returns (particular,
-    kernel_basis); particular is None when the system is inconsistent.
+    A: list of rows of sympy exprs in t or Q(t) domain elements, b: list.
+    Returns (particular, kernel_basis) as sympy exprs; particular is None
+    when the system is inconsistent.
     """
     if not A:
         return [], []

@@ -3,7 +3,8 @@
 Elements are kept in a canonical form (reduced fraction with sign-normalized
 denominator), so equality of values is equality of representations.  The
 x-structure (numerator/denominator as polynomials in x over Q(t), monic
-denominator) is exposed for the integration and residue machinery.
+denominator) is exposed for the integration and residue machinery; each
+element computes it once, straight from its Q[t, x] numerator and denominator.
 """
 
 from __future__ import annotations
@@ -38,12 +39,14 @@ def _poly(expr, *gens, **kw):
 class RatFunc:
     """An element of Q(t)(x), immutable and canonical."""
 
-    __slots__ = ("_elem",)
+    __slots__ = ("_elem", "_pair")
 
     def __init__(self, value):
         if isinstance(value, RatFunc):
             self._elem = value._elem
+            self._pair = value._pair
             return
+        self._pair = None
         if isinstance(value, Fraction):
             value = sp.Rational(value.numerator, value.denominator)
         if isinstance(value, (int, sp.Rational)):
@@ -94,14 +97,23 @@ class RatFunc:
         return num.as_expr() if d == 1 else num.as_expr() / d
 
     def monic_pair(self):
-        """(numerator, denominator) as Polys in x over Q(t), denominator monic."""
-        num = _poly(FIELD.to_sympy(self._elem.numer), x)
-        den = _poly(FIELD.to_sympy(self._elem.denom), x)
-        lc = den.LC()
-        if lc != 1:
-            num = num.quo_ground(lc)
-            den = den.monic()
-        return num, den
+        """(numerator, denominator) as Polys in x over Q(t), denominator monic.
+
+        Computed on first use and kept: the terms of the Q[t, x] numerator
+        and denominator are grouped by x-exponent into Q(t) coefficients, and
+        both are divided by the denominator's leading one."""
+        if self._pair is None:
+            num = _x_coeffs(self._elem.numer)
+            den = _x_coeffs(self._elem.denom)
+            lc = den[max(den)]
+            self._pair = tuple(
+                Poly.from_dict(
+                    {(k,): COEFF_FIELD.field.new(c, lc) for k, c in p.items()},
+                    x, domain=COEFF_FIELD,
+                )
+                for p in (num, den)
+            )
+        return self._pair
 
     @property
     def numerator(self) -> Poly:
@@ -198,6 +210,15 @@ class RatFunc:
 
 
 _GEN_T, _GEN_X = FIELD.field.gens
+_T_RING = COEFF_FIELD.field.ring
+
+
+def _x_coeffs(p):
+    """{x-exponent: Q[t] coefficient} of a PolyElement of Q[t, x]."""
+    by_k = {}
+    for (i, k), c in p.terms():
+        by_k.setdefault(k, {})[(i,)] = c
+    return {k: _T_RING.from_dict(d) for k, d in by_k.items()}
 
 
 def _normalize(elem):
@@ -277,17 +298,25 @@ def horowitz_reduce(a):
         cols.append(xi.diff() * q2 - xi * s)
     for i in range(n):
         cols.append(_poly(x ** i, x) * q1)
-    nrows = m + n
-    mat = [[c.nth(r) for c in cols] for r in range(nrows)]
-    rhs = [rem.nth(r) for r in range(nrows)]
+    coeffs = [low_coeffs(c, m + n) for c in cols]
     from .linalg import solve_affine
 
-    vals, _ = solve_affine(mat, rhs)
+    vals, _ = solve_affine([list(row) for row in zip(*coeffs)],
+                           low_coeffs(rem, m + n))
     if vals is None:
         raise RuntimeError("Hermite reduction system must be solvable")
     g_expr = sum(v * x ** i for i, v in enumerate(vals[:m])) / q1.as_expr()
     h_expr = sum(v * x ** i for i, v in enumerate(vals[m:])) / q2.as_expr()
     return RatFunc(g_expr), polypart, RatFunc(h_expr)
+
+
+def low_coeffs(p: Poly, n: int | None = None) -> list:
+    """The coefficients of x^0, x^1, ... in p, as Q(t) domain elements; with
+    n, exactly those of x^0, ..., x^(n-1)."""
+    c = p.rep.to_list()[::-1]
+    if n is None:
+        return c
+    return c[:n] + [COEFF_FIELD.zero] * (n - len(c))
 
 
 def residue_at(a, f: Poly) -> Poly:

@@ -16,11 +16,13 @@ from sympy import Poly
 from .errors import NonFuchsianError
 from .linalg import solve_affine
 from .ratfunc import (
+    COEFF_FIELD,
     RatFunc,
     ZERO,
     _poly,
     factor_list_xt,
     is_log_derivative,
+    low_coeffs,
     ratfunc,
     residue_at,
     t,
@@ -63,6 +65,15 @@ def _den_factor_dict(values):
     return out
 
 
+def _cleared(v: RatFunc, c: Poly) -> Poly:
+    """v * c as a Poly in x; c must be a multiple of v's denominator."""
+    num, den = v.monic_pair()
+    q, rem = c.div(den)
+    if not rem.is_zero:
+        raise RuntimeError(f"{sp.sstr(c.as_expr())} does not clear {v}")
+    return num * q
+
+
 def _qt_roots_in_lambda(expr, lam):
     """Roots in Q(t) of a polynomial in lam with Q(t) coefficients, each
     repeated by its multiplicity."""
@@ -94,6 +105,13 @@ def _residue_eigen_candidates(A, f: Poly):
     return qt, ints
 
 
+def _degree_at_infinity(v: RatFunc):
+    if v.is_zero:
+        return None
+    num, den = v.monic_pair()
+    return num.degree() - den.degree()
+
+
 def _infinity_data(A):
     """(omega, leading matrix at infinity as sympy Matrix over Q(t)).
 
@@ -101,25 +119,16 @@ def _infinity_data(A):
     the coefficient of x^omega.
     """
     n = len(A)
-    degs = []
-    for row in A:
-        for v in row:
-            if v.is_zero:
-                continue
-            num, den = v.monic_pair()
-            degs.append(num.degree() - den.degree())
-    if not degs:
+    degs = [[_degree_at_infinity(v) for v in row] for row in A]
+    finite = [d for row in degs for d in row if d is not None]
+    if not finite:
         return -1, sp.zeros(n, n)
-    omega = max(degs)
+    omega = max(finite)
     M = sp.zeros(n, n)
     for i in range(n):
         for j in range(n):
-            v = A[i][j]
-            if v.is_zero:
-                continue
-            num, den = v.monic_pair()
-            if num.degree() - den.degree() == omega:
-                M[i, j] = sp.cancel(sp.sympify(num.LC()))
+            if degs[i][j] == omega:
+                M[i, j] = sp.cancel(sp.sympify(A[i][j].numerator.LC()))
     return omega, M
 
 
@@ -127,13 +136,6 @@ def _int_eigenvalues(M):
     lam = sp.Dummy("lam")
     cp = (lam * sp.eye(M.rows) - M).det(method="berkowitz")
     return sorted({int(r) for r in _qt_roots_in_lambda(cp, lam) if r.is_Integer})
-
-
-def _degree_at_infinity(v: RatFunc):
-    if v.is_zero:
-        return None
-    num, den = v.monic_pair()
-    return num.degree() - den.degree()
 
 
 # -- the solver ----------------------------------------------------------------
@@ -216,49 +218,52 @@ def rational_solutions(A, b=None, bound=10) -> SolutionSpace:
             particular=None, basis=[], complete=complete, notes=tuple(notes)
         )
 
-    # ansatz Y = (sum_k c_k x^k) / d_u; columns of the linear map c -> dY - AY
-    cols = []
-    col_vals = []
-    for i in range(n):
-        for k in range(ndeg + 1):
-            y = RatFunc(x**k) / du_rf
-            resid = [None] * n
-            dy = y.d_x()
-            for r in range(n):
-                resid[r] = (dy if r == i else ZERO) - A[r][i] * y
-            cols.append((i, k))
-            col_vals.append(resid)
+    # ansatz Y = (sum_k c_k x^k) / d_u.  The linear map c -> dY - AY - b is
+    # cleared by cden = prod f^E_f, a multiple of every denominator in it:
+    # d(x^k/d_u) has f^(e_f+1), A x^k/d_u has f^(e_f+a_f) and b has f^(b_f).
+    # With P = cden/d_u and S = P d_u'/d_u, the unknown c_(i,k) contributes
+    # k x^(k-1) P - x^k S to entry i and -x^k A[r][i] P to every entry r.
+    P = _poly(1, x)
+    for f, e in den_exp.items():
+        E = max(e + factors_A.get(f, 0), e + 1 if e > 0 else 0,
+                factors_b.get(f, 0))
+        P = P * f ** (E - e)
+    S = _poly(0, x)
+    for f, e in den_exp.items():
+        if e > 0:
+            S = S + e * f.diff() * P.exquo(f)
+    T = [
+        [low_coeffs(-_cleared(A[r][i], P) - (S if r == i else 0))
+         for i in range(n)]
+        for r in range(n)
+    ]
+    Pc = low_coeffs(P)
+    cden = P * d_u
+    bc = [low_coeffs(_cleared(v, cden)) for v in bvec]
+    maxdeg = max(
+        [ndeg + len(c) - 1 for row in T for c in row]
+        + [ndeg + len(Pc) - 2] + [len(c) - 1 for c in bc] + [0]
+    )
+    zero = COEFF_FIELD.zero
 
-    # clear denominators globally
-    cden = _poly(1, x)
-    for vecvals in col_vals:
-        for v in vecvals:
-            cden = cden.lcm(v.denominator)
-    for v in bvec:
-        cden = cden.lcm(v.denominator)
-    cden_rf = RatFunc(cden.as_expr())
+    def at(c, d):
+        return c[d] if 0 <= d < len(c) else zero
 
-    cleared_cols = []
-    maxdeg = 0
-    for vecvals in col_vals:
-        cleared = []
-        for v in vecvals:
-            p = (v * cden_rf).numerator
-            cleared.append(p)
-            maxdeg = max(maxdeg, p.degree())
-        cleared_cols.append(cleared)
-    cleared_b = []
-    for v in bvec:
-        p = (v * cden_rf).numerator
-        cleared_b.append(p)
-        maxdeg = max(maxdeg, p.degree())
+    def entry(r, d, i, k):
+        """Coefficient of x^d in entry r of the image of c_(i,k)."""
+        v = at(T[r][i], d - k)
+        if r == i and k:
+            v = v + k * at(Pc, d - k + 1)
+        return v
 
     rows = []
     rhs = []
     for r in range(n):
         for d in range(maxdeg + 1):
-            rows.append([col[r].nth(d) for col in cleared_cols])
-            rhs.append(cleared_b[r].nth(d))
+            rows.append(
+                [entry(r, d, i, k) for i in range(n) for k in range(ndeg + 1)]
+            )
+            rhs.append(at(bc[r], d))
     part, kern = solve_affine(rows, rhs)
 
     def to_vec(coeffs):

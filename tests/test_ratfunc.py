@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from pdgal3.errors import ExpressionParseError
 from pdgal3.ratfunc import (
+    FIELD,
     ONE,
     RatFunc,
     T,
     X,
     ZERO,
+    _poly,
     d_t,
     d_x,
     horowitz_reduce,
@@ -83,6 +85,74 @@ class TestArith:
         assert (a + b) * c == a * c + b * c
         assert a + b == b + a
         assert (a - b) + b == a
+
+
+# -- the cached x-structure ----------------------------------------------------
+
+_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+#: leading x-coefficients of denominators, non-monic in t among them
+_den_leads = [sp.S.One, sp.Integer(2), t, 3 * t - 1, t**2 + 1, -2 * t**2 + t]
+
+
+@st.composite
+def x_structured(draw):
+    """Zero, constants in Q, x-free elements of Q(t), and general elements
+    whose denominator has a non-monic polynomial in t as x-leading coefficient."""
+    kind = draw(st.sampled_from(["zero", "rational", "x-free", "general"]))
+    if kind == "zero":
+        return ZERO
+    if kind == "rational":
+        return RatFunc(draw(_fracs))
+    xdeg = 0 if kind == "x-free" else draw(st.integers(0, 3))
+    num = sum(draw(_fracs) * x**i * t**j for i in range(xdeg + 1) for j in range(3))
+    m = 0 if kind == "x-free" else draw(st.integers(0, 2))
+    den = draw(st.sampled_from(_den_leads)) * x**m + sum(
+        draw(_fracs) * x**i * t**j for i in range(m) for j in range(2)
+    )
+    return RatFunc(num) / RatFunc(den)
+
+
+def _reference_pair(r):
+    """The x-structure through sympy expressions: FracElement -> expr -> Poly."""
+    num = _poly(FIELD.to_sympy(r._elem.numer), x)
+    den = _poly(FIELD.to_sympy(r._elem.denom), x)
+    lc = den.LC()
+    if lc != 1:
+        num = num.quo_ground(lc)
+        den = den.monic()
+    return num, den
+
+
+def _same_polys(ps, qs):
+    return all(
+        (p.rep, p.domain, p.gens) == (q.rep, q.domain, q.gens)
+        for p, q in zip(ps, qs)
+    )
+
+
+class TestMonicPair:
+    @given(x_structured())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sympy_route(self, a):
+        assert _same_polys(a.monic_pair(), _reference_pair(a))
+
+    def test_non_monic_t_leading_coefficient(self):
+        a = rf("(t*x + 1)/((t^2 + 1)*x^2 + t)")
+        num, den = a.monic_pair()
+        assert den.LC() == 1
+        assert sp.cancel(den.as_expr() - x**2 - t / (t**2 + 1)) == 0
+        assert _same_polys((num, den), _reference_pair(a))
+
+    @given(x_structured(), x_structured())
+    @settings(max_examples=40, deadline=None)
+    def test_pairs_follow_construction(self, a, b):
+        pair = a.monic_pair()
+        assert RatFunc(a)._pair is pair
+        derived = [a + b, a * b, a.d_x()] + ([a / b] if b else [])
+        for c in derived:
+            assert c._pair is None
+            assert _same_polys(c.monic_pair(), _reference_pair(c))
+        assert a.monic_pair() is pair
 
 
 class TestParsePrint:

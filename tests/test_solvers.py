@@ -19,6 +19,7 @@ from pdgal3.ratfunc import (
 )
 from pdgal3.solvers import (
     SolutionSpace,
+    _cleared,
     hyperexponential_classes,
     hyperexponential_solutions,
     is_fuchsian,
@@ -105,6 +106,61 @@ class TestRationalSolutions:
         # 1/(x^2-t) solves y' = -2x/(x^2-t) y: the exponent at x^2-t is -1
         s = rational_solutions([["-2*x/(x^2-t)"]])
         assert s.complete and s.basis == [[ratfunc("1/(x^2-t)")]]
+
+
+class TestClearingDenominator:
+    """The ansatz is cleared by prod f^E_f with E_f = max(e_f + a_f,
+    e_f + 1 when e_f > 0, b_f); one case for each term that can set E_f."""
+
+    @staticmethod
+    def check_space(A, s, b=None):
+        if s.particular is not None:
+            check_solution(A, s.particular, b)
+        for v in s.basis:
+            check_solution(A, v)
+
+    def test_double_pole_of_b_outside_A(self):
+        # y = 1/(x-1) solves y' = y/x + b; b has (x-1)^2, A has no x-1
+        A, b = [["1/x"]], ["-1/(x-1)^2 - 1/(x*(x-1))"]
+        s = rational_solutions(A, b)
+        assert s.complete and s.notes == ()
+        assert s.particular is not None and s.dim == 1
+        self.check_space(A, s, b)
+        assert ((s.particular[0] - ratfunc("1/(x-1)")) / s.basis[0][0]).is_coeff()
+
+    def test_poles_of_A_with_den_exp_zero(self):
+        # positive exponents 1 at x-t and 3 at x: d_u = 1, E_f = a_f
+        A = [["1/(x-t)", "0"], ["0", "3/x"]]
+        s = rational_solutions(A)
+        assert s.complete and s.notes == () and s.dim == 2
+        self.check_space(A, s)
+        A1, b1 = [["2/x"]], ["1"]
+        s = rational_solutions(A1, b1)
+        assert s.complete and s.notes == ()
+        assert s.particular is not None and s.dim == 1
+        self.check_space(A1, s, b1)
+
+    def test_bound_limited_double_pole(self):
+        # y2 = c, y1 = -c/x + d - 1/(2x^2): the double pole makes it
+        # non-Fuchsian, so den_exp = bound at x and E_x = 2 + 2
+        A, b = [["0", "1/x^2"], ["0", "0"]], ["1/x^3", "0"]
+        s = rational_solutions(A, b, bound=2)
+        assert not s.complete and s.notes == ("bound-limited",)
+        assert s.particular is not None and s.dim == 2
+        self.check_space(A, s, b)
+        # at x-1, outside A, den_exp is the bound 2: b's pole order 2 leaves
+        # E_f = den_exp + 1, and order 4 sets E_f = b_f, where the particular
+        # solution would need (x-1)^3, beyond the bound
+        for bx, solvable in ((["1/(x-1)^2", "0"], True),
+                             (["1/(x-1)^4", "0"], False)):
+            s = rational_solutions(A, bx, bound=2)
+            assert not s.complete and s.notes == ("bound-limited",)
+            assert (s.particular is not None) == solvable and s.dim == 2
+            self.check_space(A, s, bx)
+
+    def test_uncleared_entry_raises(self):
+        with pytest.raises(RuntimeError):
+            _cleared(ratfunc("1/x^2"), _poly(x, x))
 
 
 @pytest.mark.parametrize("c", [-3, -2, -1, 1, 2, 3])
