@@ -172,7 +172,7 @@ def cmd_analyze(args) -> int:
     if M.dim != 3:
         raise UnsupportedError("dim must be 3")
     cfg = _config_from(args, file_cfg)
-    t0 = time.time()
+    t0 = time.perf_counter()
     report, group = dispatch(M, cert, cfg)
     doc = {
         "schema": SCHEMA,
@@ -183,7 +183,7 @@ def cmd_analyze(args) -> int:
         "certificates": _data_to_json(list(report.certificates)),
         "flags": list(report.flags),
         "tau_notes": list(report.tau_notes),
-        "timing_seconds": round(time.time() - t0, 3),
+        "timing_seconds": round(time.perf_counter() - t0, 3),
     }
     _emit(doc, args)
     print(
@@ -224,7 +224,7 @@ def cmd_construct(args) -> int:
 def cmd_check(args) -> int:
     cfg = _config_from(args, {})
     doc = {"schema": SCHEMA, "command": "check", "kind": args.kind}
-    t0 = time.time()
+    t0 = time.perf_counter()
     if args.kind == "constancy":
         M = _load_system_file(args.paths[0])[0]
         w = is_constant(M)
@@ -254,7 +254,7 @@ def cmd_check(args) -> int:
         op = telescoper(f, cfg.max_order)
         doc["operator"] = op.to_string()
         doc["order"] = op.order
-    doc["timing_seconds"] = round(time.time() - t0, 3)
+    doc["timing_seconds"] = round(time.perf_counter() - t0, 3)
     _emit(doc, args)
     print(f"check {args.kind}: done", file=sys.stderr)
     return 0

@@ -327,7 +327,7 @@ def residue_at(a, f: Poly) -> Poly:
     divide the denominator; f must not divide it twice."""
     num, den = _coerce(a).monic_pair()
     if not den.rem(f).is_zero:
-        return _poly(0, x)
+        return f.zero
     return (num * den.diff().invert(f)).rem(f)
 
 

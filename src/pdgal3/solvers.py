@@ -4,31 +4,46 @@ Complete answers are produced for systems with simple finite poles and a
 regular or regular-singular point at infinity (universal denominator from
 integer local exponents, polynomial degree from exponents at infinity);
 anything else falls back to a configured bound with complete=False.
+
+Local exponents at a pole factor f of degree d come from one characteristic
+polynomial over Q(t): each residue r in Q(t)[x]/(f) becomes its d x d
+multiplication matrix r(C_f), C_f the companion matrix of f, and the
+characteristic polynomial of the n*d x n*d block matrix is the norm
+Res_x(f, det(lam*I - R)).  Its Q(t) roots come from one factorization of the
+polynomial with denominators cleared, in (lam, t); its integer roots, which
+give the universal denominator and the degree bound, are the rational roots
+of the gcd of its coefficients in t.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import sympy as sp
-from sympy import Poly
+from sympy import Poly, ZZ
+from sympy.polys.matrices import DomainMatrix
 
 from .errors import NonFuchsianError
 from .linalg import solve_affine
 from .ratfunc import (
     COEFF_FIELD,
+    FIELD,
     RatFunc,
     ZERO,
+    _T_RING,
     _poly,
     factor_list_xt,
     is_log_derivative,
     low_coeffs,
     ratfunc,
     residue_at,
-    t,
     x,
 )
 from .systems import DiffSystem
+
+#: the eigenvalue variable of characteristic polynomials
+_LAM = sp.Dummy("lam")
 
 
 @dataclass
@@ -52,8 +67,7 @@ class SolutionSpace:
 def _den_factor_dict(values):
     """Irreducible monic factors of all denominators, with max multiplicity."""
     out = {}
-    for v in values:
-        den = ratfunc(v).denominator
+    for den in dict.fromkeys(ratfunc(v).denominator for v in values):
         if den.degree() == 0:
             continue
         for fac, e in factor_list_xt(den.as_expr())[1]:
@@ -74,35 +88,58 @@ def _cleared(v: RatFunc, c: Poly) -> Poly:
     return num * q
 
 
-def _qt_roots_in_lambda(expr, lam):
-    """Roots in Q(t) of a polynomial in lam with Q(t) coefficients, each
-    repeated by its multiplicity."""
-    num = sp.together(sp.cancel(expr))
-    num = sp.fraction(num)[0]
-    num = sp.expand(num)
-    if num == 0:
-        return []
+def _charpoly(rows):
+    """det(lam*I - M) of a square matrix M over Q(t), as a Poly in (lam, t)
+    over ZZ: the Q(t) coefficients times a common denominator."""
+    n = len(rows)
+    cp = Poly.from_list(
+        DomainMatrix(rows, (n, n), COEFF_FIELD).charpoly(), _LAM, domain=COEFF_FIELD
+    )
+    return cp.clear_denoms(convert=True)[1].inject().clear_denoms(convert=True)[1]
+
+
+def _residue_charpoly(A, f: Poly):
+    """Res_x(f, det(lam*I - R)) for the residue matrix R of A at f: the
+    characteristic polynomial of R as a Q(t)-linear map of K_f^n, K_f =
+    Q(t)[x]/(f), each entry r replaced by its multiplication matrix r(C_f)
+    on the basis 1, x, ..., x^(d-1).  For deg f = 1 that is R itself."""
+    n, d = len(A), f.degree()
+    powers = [_poly(x**k, x) for k in range(d)]
+    rows = [[None] * (n * d) for _ in range(n * d)]
+    for i in range(n):
+        for j in range(n):
+            r = residue_at(A[i][j], f)
+            for k, xk in enumerate(powers):
+                col = low_coeffs((r * xk).rem(f), d)
+                for m in range(d):
+                    rows[i * d + m][j * d + k] = col[m]
+    return _charpoly(rows)
+
+
+def _qt_roots(cp: Poly) -> list:
+    """Roots in Q(t) of cp(lam, t), each repeated by its multiplicity, in
+    the order of sympy's sorted factor list."""
     roots = []
-    for fac, mult in sp.factor_list(num, lam, t)[1]:
-        p = Poly(fac, lam)
-        if p.degree() == 1:
-            c1, c0 = p.all_coeffs()
-            roots += [sp.cancel(-sp.sympify(c0) / sp.sympify(c1))] * mult
+    for fac, mult in sp.factor_list(cp, polys=True)[1]:
+        if fac.degree(_LAM) == 1:
+            c = ({}, {})
+            for (k, j), v in fac.terms():
+                c[k][(j,)] = v
+            c0, c1 = (_T_RING.from_dict(d) for d in c)
+            roots += [COEFF_FIELD.field.new(-c0, c1)] * mult
     return roots
 
 
-def _residue_eigen_candidates(A, f: Poly):
-    """(Q(t) candidates, integer candidates) for local exponents at f."""
-    n = len(A)
-    lam = sp.Dummy("lam")
-    R = sp.Matrix(
-        [[residue_at(A[i][j], f).as_expr() for j in range(n)] for i in range(n)]
+def _int_roots(cp: Poly) -> list:
+    """Sorted integer roots lam of cp(lam, t) = 0, identically in t: the
+    rational roots of the gcd over Q of cp's t-coefficients."""
+    by_t = {}
+    for (k, j), v in cp.terms():
+        by_t.setdefault(j, {})[(k,)] = v
+    g = functools.reduce(
+        Poly.gcd, (Poly.from_dict(c, _LAM, domain=ZZ) for c in by_t.values())
     )
-    cp = (lam * sp.eye(n) - R).det(method="berkowitz")
-    res = sp.resultant(f.as_expr(), sp.together(cp), x) if f.degree() > 0 else cp
-    qt = _qt_roots_in_lambda(res, lam)
-    ints = sorted({int(r) for r in qt if r.is_Integer})
-    return qt, ints
+    return sorted({int(r) for r in g.ground_roots() if r.is_Integer})
 
 
 def _degree_at_infinity(v: RatFunc):
@@ -113,29 +150,20 @@ def _degree_at_infinity(v: RatFunc):
 
 
 def _infinity_data(A):
-    """(omega, leading matrix at infinity as sympy Matrix over Q(t)).
+    """(omega, leading matrix at infinity as rows of Q(t) elements).
 
     omega is the growth order of A at infinity (entry degrees); the matrix is
     the coefficient of x^omega.
     """
-    n = len(A)
     degs = [[_degree_at_infinity(v) for v in row] for row in A]
     finite = [d for row in degs for d in row if d is not None]
-    if not finite:
-        return -1, sp.zeros(n, n)
-    omega = max(finite)
-    M = sp.zeros(n, n)
-    for i in range(n):
-        for j in range(n):
-            if degs[i][j] == omega:
-                M[i, j] = sp.cancel(sp.sympify(A[i][j].numerator.LC()))
-    return omega, M
-
-
-def _int_eigenvalues(M):
-    lam = sp.Dummy("lam")
-    cp = (lam * sp.eye(M.rows) - M).det(method="berkowitz")
-    return sorted({int(r) for r in _qt_roots_in_lambda(cp, lam) if r.is_Integer})
+    omega = max(finite, default=-1)
+    lead = [
+        [v.numerator.rep.LC() if d == omega else COEFF_FIELD.zero
+         for v, d in zip(row, drow)]
+        for row, drow in zip(A, degs)
+    ]
+    return omega, lead
 
 
 # -- the solver ----------------------------------------------------------------
@@ -169,13 +197,13 @@ def rational_solutions(A, b=None, bound=10) -> SolutionSpace:
     notes = []
 
     complete = True
-    if fuchsian_finite and (omega <= -1 or lead.det(method="berkowitz") != 0):
+    if fuchsian_finite and (
+        omega <= -1 or DomainMatrix(lead, (n, n), COEFF_FIELD).det()
+    ):
         # universal denominator from integer local exponents
         den_exp = {}
         for f in all_factors:
-            ints = (
-                _residue_eigen_candidates(A, f)[1] if f in factors_A else []
-            )
+            ints = _int_roots(_residue_charpoly(A, f)) if f in factors_A else []
             ob = factors_b.get(f, 0)
             den_exp[f] = max(0, -min(ints, default=0), ob - 1)
         bdegs = [_degree_at_infinity(v) for v in bvec]
@@ -183,7 +211,7 @@ def rational_solutions(A, b=None, bound=10) -> SolutionSpace:
         if omega <= -1:
             # degree bound from exponents at infinity; the residue matrix
             # there is the leading matrix when omega = -1, else zero
-            cands = _int_eigenvalues(lead) if omega == -1 else [0]
+            cands = _int_roots(_charpoly(lead)) if omega == -1 else [0]
             if bdegs:
                 cands.append(max(bdegs) + 1)
             d_max = max(cands) if cands else None
@@ -317,7 +345,7 @@ def hyperexponential_classes(M: DiffSystem):
     factors = sorted(factor_dict, key=lambda f: sp.default_sort_key(f.as_expr()))
     per_factor = []
     for f in factors:
-        qt, _ = _residue_eigen_candidates(A, f)
+        qt = _qt_roots(_residue_charpoly(A, f))
         cp_deg = n * f.degree()
         if len(qt) < cp_deg:
             notes.append(
@@ -327,14 +355,15 @@ def hyperexponential_classes(M: DiffSystem):
         for r in qt:
             if r not in uniq:
                 uniq.append(r)
-        per_factor.append(uniq if uniq else [sp.S.Zero])
+        per_factor.append(uniq if uniq else [COEFF_FIELD.zero])
 
     # all candidate characters r = sum e_f * f'/f
     candidates = [ZERO]
     for f, eigs in zip(factors, per_factor):
         dlog = RatFunc(f.diff().as_expr() / f.as_expr())
         candidates = [
-            c + RatFunc(e) * dlog for c in candidates for e in eigs
+            c + RatFunc(FIELD.convert_from(e, COEFF_FIELD)) * dlog
+            for c in candidates for e in eigs
         ]
     # dedupe modulo logarithmic derivatives
     reps = []

@@ -1,10 +1,12 @@
-"""Static hygiene of the package source: no dead imports, no dead parameters.
+"""Static hygiene of the package source: no dead imports, no dead parameters,
+no dead private functions or classes.
 
 A plain `ast` scan, scope-blind on purpose: a name counts as used when any
 `Name` node of the module (or, for a parameter, of the function) reads it.
 """
 
 import ast
+import collections
 import functools
 from pathlib import Path
 
@@ -73,4 +75,26 @@ def test_no_unused_parameters_of_private_functions():
             used = _reads(n for stmt in node.body for n in ast.walk(stmt))
             bad += [f"{mod}.{node.name}: {p.arg}" for p in params
                     if p.arg not in used]
+    assert not bad, "\n".join(bad)
+
+
+def test_no_unread_private_definitions():
+    """A private module-level function or class that no module of the
+    package reads, outside its own body, is dead code."""
+    reads = collections.Counter()
+    for tree in _modules().values():
+        reads.update(n.id for n in ast.walk(tree)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load))
+    bad = []
+    for mod, tree in _modules().items():
+        for node in tree.body:
+            if not (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")
+                    and not node.name.startswith("__")):
+                continue
+            own = sum(1 for n in ast.walk(node)
+                      if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                      and n.id == node.name)
+            if reads[node.name] == own:
+                bad.append(f"{mod}.{node.name} is never read")
     assert not bad, "\n".join(bad)

@@ -4,9 +4,12 @@ import random
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
+from sympy.polys.matrices import DomainMatrix
 
 from pdgal3.errors import NonFuchsianError
 from pdgal3.ratfunc import (
+    COEFF_FIELD,
     RatFunc,
     ZERO,
     _poly,
@@ -19,7 +22,12 @@ from pdgal3.ratfunc import (
 )
 from pdgal3.solvers import (
     SolutionSpace,
+    _charpoly,
     _cleared,
+    _infinity_data,
+    _int_roots,
+    _qt_roots,
+    _residue_charpoly,
     hyperexponential_classes,
     hyperexponential_solutions,
     is_fuchsian,
@@ -161,6 +169,151 @@ class TestClearingDenominator:
     def test_uncleared_entry_raises(self):
         with pytest.raises(RuntimeError):
             _cleared(ratfunc("1/x^2"), _poly(x, x))
+
+
+# -- local exponents ---------------------------------------------------------
+#
+# The expression route the solver used before the norm went through
+# DomainMatrix, kept as the reference: a sympy Matrix of residues, a
+# Berkowitz det, Res_x(f, .) and an expression factor_list.
+
+
+def _ref_qt_roots(expr, lam):
+    num = sp.expand(sp.fraction(sp.together(sp.cancel(expr)))[0])
+    if num == 0:
+        return []
+    roots = []
+    for fac, mult in sp.factor_list(num, lam, t)[1]:
+        p = sp.Poly(fac, lam)
+        if p.degree() == 1:
+            c1, c0 = p.all_coeffs()
+            roots += [sp.cancel(-sp.sympify(c0) / sp.sympify(c1))] * mult
+    return roots
+
+
+def _ref_ints(roots):
+    return sorted({int(r) for r in roots if r.is_Integer})
+
+
+def _ref_residue_exponents(A, f):
+    """(Q(t) roots with multiplicity, integer roots) of Res_x(f, det(lam - R))."""
+    n = len(A)
+    lam = sp.Dummy("lam")
+    R = sp.Matrix(
+        [[residue_at(A[i][j], f).as_expr() for j in range(n)] for i in range(n)]
+    )
+    cp = (lam * sp.eye(n) - R).det(method="berkowitz")
+    qt = _ref_qt_roots(sp.resultant(f.as_expr(), sp.together(cp), x), lam)
+    return qt, _ref_ints(qt)
+
+
+def _ref_matrix_ints(M):
+    lam = sp.Dummy("lam")
+    cp = (lam * sp.eye(M.rows) - M).det(method="berkowitz")
+    return _ref_ints(_ref_qt_roots(cp, lam))
+
+
+def _as_exprs(roots):
+    return [COEFF_FIELD.to_sympy(r) for r in roots]
+
+
+def _same_roots(new, ref):
+    return len(new) == len(ref) and all(
+        sp.cancel(a - b) == 0 for a, b in zip(_as_exprs(new), ref)
+    )
+
+
+def _qt_rows(M):
+    return [[COEFF_FIELD.from_sympy(sp.sympify(v)) for v in row] for row in M]
+
+
+POLE_FACTORS = [x, x - 1, x - t, x**2 - t, x**2 + t * x + 1]
+EXPONENTS = [0, 1, 2, -1, -3, t, t + 1, -t, sp.Rational(1, 2), 1 / (t + 1)]
+
+
+@st.composite
+def residue_systems(draw):
+    """(A, poles): n x n systems, n in {1, 2, 3}, with simple poles at some
+    of POLE_FACTORS.  At each pole the residue matrix is an integer
+    conjugate of a triangular one whose diagonal is drawn from EXPONENTS
+    (so exponents repeat and are often integers), plus, at quadratic poles,
+    an optional x-dependent part that gives exponents outside Q(t)."""
+    n = draw(st.integers(1, 3))
+    poles = draw(st.lists(st.sampled_from(POLE_FACTORS), min_size=1,
+                          max_size=2, unique=True))
+    A = sp.zeros(n, n)
+    for f in poles:
+        T = sp.Matrix(n, n, lambda i, j: (
+            draw(st.sampled_from(EXPONENTS)) if i == j
+            else draw(st.sampled_from([0, 0, 1, t])) if i < j else 0))
+        G = sp.eye(n)
+        for _ in range(draw(st.integers(0, 2)) if n > 1 else 0):
+            i, j = draw(st.permutations(range(n)))[:2]
+            E = sp.eye(n)
+            E[i, j] = draw(st.integers(-2, 2))
+            G = G * E
+        A += G.inv() * T * G * sp.diff(f, x) / f
+        if sp.degree(f, x) == 2 and draw(st.booleans()):
+            A += sp.Matrix(n, n, lambda i, j: draw(st.integers(-1, 1))) * x / f
+    rows = [[RatFunc(A[i, j]) for j in range(n)] for i in range(n)]
+    return rows, [_poly(f, x) for f in poles]
+
+
+class TestLocalExponents:
+    @given(residue_systems())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_expression_route(self, case):
+        A, poles = case
+        for f in poles:
+            cp = _residue_charpoly(A, f)
+            qt, ints = _ref_residue_exponents(A, f)
+            assert _same_roots(_qt_roots(cp), qt)
+            assert _int_roots(cp) == ints
+
+    def test_t_dependent_root_is_not_integer(self):
+        # (lam - t)(lam - 2): lam = 2 is the only integer root
+        cp = _residue_charpoly(mat([["t/x", "0"], ["0", "2/x"]]), _poly(x, x))
+        assert _int_roots(cp) == [2]
+        assert sorted(map(str, _as_exprs(_qt_roots(cp)))) == ["2", "t"]
+
+    def test_t_free_irreducible_quadratic(self):
+        cp = _charpoly(_qt_rows([[0, 1], [2, 0]]))
+        assert _qt_roots(cp) == [] and _int_roots(cp) == []
+
+    def test_quadratic_pole_doubles_the_exponents(self):
+        # residue -1 at both roots of x^2 - t in each entry of the diagonal
+        A = mat([["-2*x/(x^2-t)", "0"], ["0", "-2*x/(x^2-t)"]])
+        cp = _residue_charpoly(A, _poly(x**2 - t, x))
+        assert cp.degree(cp.gens[0]) == 4
+        assert _as_exprs(_qt_roots(cp)) == [-1] * 4 and _int_roots(cp) == [-1]
+
+    def test_singular_leading_matrix_at_infinity(self):
+        A = mat([["x", "0"], ["0", "1"]])
+        omega, lead = _infinity_data(A)
+        assert omega == 1
+        assert not DomainMatrix(lead, (2, 2), COEFF_FIELD).det()
+        s = rational_solutions(A)
+        assert not s.complete and s.notes == ("bound-limited",)
+
+    def test_regular_leading_matrix_at_infinity(self):
+        A = mat([["x", "1"], ["0", "2*x+t"]])
+        omega, lead = _infinity_data(A)
+        assert omega == 1 and lead == _qt_rows([[1, 0], [0, 2]])
+        assert DomainMatrix(lead, (2, 2), COEFF_FIELD).det() == 2
+        s = rational_solutions(A)
+        assert s.complete and s.basis == []
+        assert s.notes == ("irregular-infinity-invertible-leading-matrix",)
+
+    @pytest.mark.parametrize("A", [
+        [["0", "0"], ["0", "0"]],
+        [["2/x", "0"], ["1/(x-1)", "-1/x"]],
+        [["t/(x-t)", "1/x"], ["0", "(3*x+1)/(x^2-t)"]],
+    ])
+    def test_fuchsian_infinity_matches_expression_route(self, A):
+        omega, lead = _infinity_data(mat(A))
+        assert omega <= -1
+        M = sp.Matrix([[COEFF_FIELD.to_sympy(v) for v in row] for row in lead])
+        assert _int_roots(_charpoly(lead)) == _ref_matrix_ints(M)
 
 
 @pytest.mark.parametrize("c", [-3, -2, -1, 1, 2, 3])
