@@ -96,6 +96,10 @@ class RatFunc:
         d = den.as_expr()
         return num.as_expr() if d == 1 else num.as_expr() / d
 
+    def xt_pair(self):
+        """(numerator, denominator) as stored: PolyElements of Q[t, x]."""
+        return self._elem.numer, self._elem.denom
+
     def monic_pair(self):
         """(numerator, denominator) as Polys in x over Q(t), denominator monic.
 

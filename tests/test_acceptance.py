@@ -36,11 +36,11 @@ class _criterion:
         self.num, self.name, self.budget = num, name, budget
 
     def __enter__(self):
-        self.t0 = time.time()
+        self.t0 = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        elapsed = time.time() - self.t0
+        elapsed = time.perf_counter() - self.t0
         status = "PASS" if exc_type is None else "FAIL"
         print(f"criterion {self.num} ({self.name}): {status} in {elapsed:.1f}s")
         if exc_type is None:

@@ -98,3 +98,22 @@ def test_no_unread_private_definitions():
             if reads[node.name] == own:
                 bad.append(f"{mod}.{node.name} is never read")
     assert not bad, "\n".join(bad)
+
+
+#: the code the power-series oracle checks, which it must not import
+CHECKED = {"linalg", "solvers", "modules", "integrability", "galois3", "groups"}
+
+
+def test_series_oracle_stays_independent():
+    bad = []
+    for node in ast.walk(_modules()["series"]):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        for (level, module, name), _ in _imported(node):
+            path = (module or "").split(".") + [name]
+            if level == 0 and path[0] != "pdgal3":
+                continue
+            hit = CHECKED & set(path)
+            if hit:
+                bad.append(f"series:{node.lineno}: imports {sorted(hit)}")
+    assert not bad, "\n".join(bad)

@@ -1,13 +1,16 @@
 """Category constructions on differential systems, checked both on paper
 examples and against the power-series oracle."""
 
+import math
 import random
 
 import sympy as sp
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pdgal3.ratfunc import ratfunc
+from pdgal3.ratfunc import COEFF_FIELD, RatFunc, ratfunc, t, x
 from pdgal3.series import (
+    SeriesMatrix,
     delta_series,
     fundamental_series,
     ordinary_point,
@@ -32,7 +35,7 @@ from pdgal3.systems import (
     tensor,
     wedge,
 )
-from util import random_fuchsian
+from util import FUCHSIAN_DENS, random_fuchsian
 
 A2 = DiffSystem([["1/x", "t"], ["0", "1/(x-t)"]])
 B1 = DiffSystem([["t/(x+2)"]])
@@ -179,7 +182,7 @@ class TestFunctoriality:
         from itertools import combinations
 
         from pdgal3.ratfunc import COEFF_FIELD
-        from pdgal3.series import SeriesMatrix, _freeze
+        from pdgal3.series import SeriesMatrix
 
         N = self.N
         U3 = fundamental_series(W3, None, N)
@@ -203,8 +206,124 @@ class TestFunctoriality:
         coeffs = [
             [[minors[(I, J)][k] for J in idx] for I in idx] for k in range(N + 1)
         ]
-        C = SeriesMatrix(x0=U3.x0, order=N, coeffs=_freeze(coeffs))
+        C = SeriesMatrix.from_coeffs(U3.x0, coeffs)
         assert satisfies(wedge(W3, 2), C)
+
+
+def _reference_series(M, x0, N):
+    """U_0..U_N by the plain recurrence (k+1) U_{k+1} = sum_j A_j U_{k-j} in
+    Q(t), with A_k = (d^k A/dx^k)(x0) / k! evaluated on sympy expressions."""
+    n = M.dim
+    A, D = [], M.A
+    for k in range(N + 1):
+        A.append([[COEFF_FIELD.from_sympy(sp.cancel(v.expr.subs(x, x0))) / math.factorial(k)
+                   for v in row] for row in D])
+        D = [[v.d_x() for v in row] for row in D]
+    zero, one = COEFF_FIELD.zero, COEFF_FIELD.one
+    U = [[[one if i == j else zero for j in range(n)] for i in range(n)]]
+    for k in range(N):
+        U.append([[sum((A[j][i][l] * U[k - j][l][c]
+                        for j in range(k + 1) for l in range(n)), zero) / (k + 1)
+                   for c in range(n)] for i in range(n)])
+    return [tuple(map(tuple, C)) for C in U]
+
+
+def _ref_ordinary_point(M):
+    c = 0
+    while any(sp.cancel(v.denominator.as_expr().subs(x, c)) == 0
+              for row in M.A for v in row):
+        c += 1
+    return c
+
+
+@st.composite
+def fuchsian_systems(draw, sizes=(1, 2, 3)):
+    """n x n systems whose entries are sums c/q, c in Z + Z t, q in
+    FUCHSIAN_DENS: simple poles at 0, 1, -1 and t only."""
+    n = draw(st.sampled_from(sizes))
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            terms = draw(st.lists(st.tuples(st.integers(-3, 3), st.integers(-1, 1),
+                                            st.sampled_from(FUCHSIAN_DENS)),
+                                  max_size=2))
+            row.append(RatFunc(sum(((a + b * t) / q for a, b, q in terms), sp.S.Zero)))
+        rows.append(row)
+    return DiffSystem(rows)
+
+
+#: expansion points: the ordinary point the oracle picks, integers and 1/2
+POINTS = [None, 2, -3, sp.Rational(1, 2)]
+
+
+def _perturbed(U, data):
+    """U with one entry of one coefficient k >= 1 moved by t.
+
+    Coefficient 0 is left alone: U + t E_ij still solves the system when
+    column i of A is zero, and satisfies is right to accept it."""
+    k = data.draw(st.integers(1, U.order))
+    i = data.draw(st.integers(0, U.dim - 1))
+    j = data.draw(st.integers(0, U.dim - 1))
+    coeffs = [[list(row) for row in C] for C in U.coeffs]
+    coeffs[k][i][j] += COEFF_FIELD.from_sympy(t)
+    return SeriesMatrix.from_coeffs(U.x0, coeffs)
+
+
+class TestSeriesProperties:
+    @given(fuchsian_systems(), st.sampled_from(POINTS), st.integers(0, 6))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_plain_recurrence(self, M, x0, N):
+        x0 = ordinary_point(M) if x0 is None else x0
+        assert fundamental_series(M, x0, N).coeffs == tuple(_reference_series(M, x0, N))
+
+    @given(fuchsian_systems())
+    @settings(max_examples=30, deadline=None)
+    def test_ordinary_point_matches_sympy_route(self, M):
+        assert ordinary_point(prolong(M)) == _ref_ordinary_point(prolong(M))
+
+    @given(fuchsian_systems(), st.sampled_from(POINTS), st.integers(2, 5), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_perturbed_prolongation_rejected(self, M, x0, N, data):
+        Mp = prolong(M)
+        x0 = ordinary_point(Mp) if x0 is None else x0
+        U = fundamental_series(M, x0, N)
+        blk = series_block([[U, delta_series(U)], [None, U]], x0, N)
+        assert satisfies(Mp, SeriesMatrix.from_coeffs(x0, blk.coeffs))
+        assert not satisfies(Mp, _perturbed(blk, data))
+
+    @given(fuchsian_systems((1, 2)), fuchsian_systems((1, 2)),
+           st.sampled_from([2, sp.Rational(1, 2)]), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_perturbed_kron_rejected(self, MA, MB, x0, data):
+        K = series_kron(fundamental_series(MA, x0, 4), fundamental_series(MB, x0, 4))
+        assert satisfies(tensor(MA, MB), K)
+        assert not satisfies(tensor(MA, MB), _perturbed(K, data))
+
+    @given(fuchsian_systems(), st.sampled_from([2, sp.Rational(1, 2)]), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_perturbed_dual_rejected(self, M, x0, data):
+        D = series_transpose(series_inverse(fundamental_series(M, x0, 4)))
+        assert satisfies(dual(M), D)
+        assert not satisfies(dual(M), _perturbed(D, data))
+
+    def test_half_integer_point(self):
+        # (x / x0)^t at x0 = 1/2 is (1 + 2y)^t, y = x - 1/2
+        from sympy.abc import t as ts
+
+        U = fundamental_series(DiffSystem([["t/x"]]), sp.Rational(1, 2), 3)
+        got = [sp.factor(U.coeff_exprs(k)[0][0]) for k in range(4)]
+        want = [sp.factor(sp.expand_func(sp.binomial(ts, k)) * 2**k) for k in range(4)]
+        assert got == want
+
+    def test_pole_at_half_integer_rejected(self):
+        with pytest.raises(ValueError):
+            fundamental_series(DiffSystem([["1", "t/(2*x-1)"], ["0", "1"]]),
+                               sp.Rational(1, 2), 3)
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            satisfies(A2, fundamental_series(B1, 0, 3))
 
 
 class TestMatrixHelpers:
