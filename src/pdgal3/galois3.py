@@ -29,6 +29,7 @@ from .groups import (
 from .integrability import character_lattice, is_constant, rank1_group
 from .linalg import column_rank
 from .modules import (
+    Analysis,
     FlagCertificate,
     ModuleDiag,
     diag_decompose,
@@ -388,11 +389,9 @@ def diag_group(D: ModuleDiag, cfg: DispatchConfig = None) -> GroupDescription:
 # -- decomposability probing ------------------------------------------------------------
 
 
-def _candidate_lines(M: DiffSystem):
-    from .solvers import hyperexponential_classes
-
+def _candidate_lines(M: DiffSystem, an: Analysis):
     try:
-        classes, _ = hyperexponential_classes(M)
+        classes, _ = an.hyperexponential_classes(M)
     except PdgalError:
         return []
     out = []
@@ -406,9 +405,9 @@ def _candidate_lines(M: DiffSystem):
     return out
 
 
-def _find_line_summand(M: DiffSystem):
+def _find_line_summand(M: DiffSystem, an: Analysis):
     """(line, complement) with M = line ⊕ complement, or None."""
-    for v in _candidate_lines(M):
+    for v in _candidate_lines(M, an):
         S = tuple((x,) for x in v)
         try:
             comp, complete = split_extension(M, S)
@@ -424,30 +423,34 @@ def _find_line_summand(M: DiffSystem):
 
 def dispatch(V: DiffSystem, cert: FlagCertificate = None,
              cfg: DispatchConfig = None):
-    """(CaseReport, GroupDescription) for a 3-dim system."""
+    """(CaseReport, GroupDescription) for a 3-dim system.
+
+    One Analysis serves the whole call, so the line search runs once on
+    each matrix it meets: V, dual(V) and their blocks."""
     cfg = cfg or DEFAULT_CONFIG
     if V.dim != 3:
         raise UnsupportedError("dispatch requires a 3-dimensional system")
-    D, certs, verdict = _factor_stage(V, cert, cfg)
+    an = Analysis()
+    D, certs, verdict = _factor_stage(V, cert, cfg, an)
     if verdict is not None:
         return verdict
-    found = _find_line_summand(V)
+    found = _find_line_summand(V, an)
     if found is not None:
         return _case_decomposable(V, found, cfg, certs)
     Vd = dual(V)
-    dual_found = _find_line_summand(Vd)
+    dual_found = _find_line_summand(Vd, an)
     if dual_found is not None:
         return _via_dual(
             Vd, lambda W: _case_decomposable(W, dual_found, cfg, certs),
             "{}(dual)")
-    return _case_full_flag(V, Vd, D, cfg, certs)
+    return _case_full_flag(V, Vd, D, cfg, certs, an)
 
 
-def _factor_stage(V, cert, cfg):
+def _factor_stage(V, cert, cfg, an):
     """(D, certs, verdict): the composition factors of V, their
     certificates, and the verdict when V is semisimple, undecided or has a
     2-dim factor (None when V has a full flag)."""
-    D = diag_decompose(V, cert)
+    D = diag_decompose(V, cert, an)
     certs = [("gauge", [[v.to_string() for v in row] for row in mat(D.P)]),
              ("factors", [b.to_strings() for b in D.blocks])]
 
@@ -587,16 +590,16 @@ def _case_indecomposable_2dim(V, D, cfg, certs):
     return report, g
 
 
-def _flag_stage(V, Vd, cfg):
+def _flag_stage(V, Vd, cfg, an):
     """dispatch on V without a certificate, once the line search on V and on
     Vd = dual(V) has found nothing."""
-    D, certs, verdict = _factor_stage(V, None, cfg)
+    D, certs, verdict = _factor_stage(V, None, cfg, an)
     if verdict is not None:
         return verdict
-    return _case_full_flag(V, Vd, D, cfg, certs)
+    return _case_full_flag(V, Vd, D, cfg, certs, an)
 
 
-def _case_full_flag(V, Vd, D, cfg, certs):
+def _case_full_flag(V, Vd, D, cfg, certs, an):
     """V with a full flag and no line summand, nor one in Vd = dual(V)."""
     Mt = gauge(V, D.P)
     a = [Mt.A[i][i] for i in range(3)]
@@ -609,7 +612,7 @@ def _case_full_flag(V, Vd, D, cfg, certs):
                      ("pair", (t1, t2))]
 
     if (t1, t2) in {("CQ", "CR"), ("NC", "CR"), ("NC", "CQ")}:
-        return _via_dual(Vd, lambda W: _flag_stage(W, V, cfg),
+        return _via_dual(Vd, lambda W: _flag_stage(W, V, cfg, an),
                          f"({t1},{t2})→dual→{{}}", (t1, t2))
 
     if (t1, t2) == ("CQ", "CQ"):

@@ -12,15 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import solvers
 from .errors import NonFuchsianError
 from .linalg import k_nullspace, k_solve_right, mat_inv, pivot_columns
 from .ratfunc import ONE, ZERO, is_log_derivative, ratfunc
-from .solvers import (
-    SolutionSpace,
-    hyperexponential_classes,
-    is_fuchsian,
-    rational_solutions,
-)
+from .solvers import SolutionSpace, is_fuchsian, rational_solutions
 from .systems import (
     DiffSystem,
     dual,
@@ -34,6 +30,34 @@ from .systems import (
     unvec,
     vec,
 )
+
+
+# -- facts shared within one analysis --------------------------------------------
+
+
+class Analysis:
+    """Facts about the systems met while analysing one input, keyed on the
+    system matrix, so that each is computed once.  One object per analysis
+    (a `dispatch` call makes its own), so nothing outlives it.
+
+    Holds the results of `solvers.hyperexponential_classes`; a
+    NonFuchsianError it raised is kept and raised again."""
+
+    def __init__(self):
+        self._classes = {}
+
+    def hyperexponential_classes(self, M: DiffSystem):
+        """solvers.hyperexponential_classes(M), computed once per matrix.
+        The result is shared: callers must not modify it."""
+        if M.A not in self._classes:
+            try:
+                self._classes[M.A] = solvers.hyperexponential_classes(M)
+            except NonFuchsianError as exc:
+                self._classes[M.A] = exc
+        out = self._classes[M.A]
+        if isinstance(out, NonFuchsianError):
+            raise out.with_traceback(None)
+        return out
 
 
 # -- basis completion ----------------------------------------------------------
@@ -178,38 +202,37 @@ class ModuleDiag:
     P: tuple       # gauge(M, P) block upper triangular
 
 
-def _line_from_classes(M: DiffSystem):
-    classes, _ = hyperexponential_classes(M)
+def _line_from_classes(M: DiffSystem, an: Analysis):
+    classes, _ = an.hyperexponential_classes(M)
     if not classes:
         return None
-    classes.sort(key=lambda c: c[0].to_string())
-    return classes[0][1].basis[0]
+    return min(classes, key=lambda c: c[0].to_string())[1].basis[0]
 
 
-def _decompose_blocks(M: DiffSystem):
+def _decompose_blocks(M: DiffSystem, an: Analysis):
     """(blocks, P) with gauge(M, P) block upper triangular, blocks of dim
     <= 2 whenever lines/colines exist."""
     n = M.dim
     if n == 1:
         return [M], mat_identity(1)
-    v = _line_from_classes(M)
+    v = _line_from_classes(M, an)
     if v is not None:
         S = tuple((val,) for val in v)
         B, _, D, P1 = sub_quotient(M, S)
-        blocks_d, Pd = _decompose_blocks(D)
+        blocks_d, Pd = _decompose_blocks(D, an)
         # combined: gauge by diag(1, Pd) after gauge by P1^{-1}
         Q = _block_diag(mat_identity(1), Pd)
         return [B] + blocks_d, mat_mul(Q, mat_inv(P1))
     if n == 2:
         return [M], mat_identity(2)
     # no invariant line: look for a coline (an invariant plane) via the dual
-    w = _line_from_classes(dual(M))
+    w = _line_from_classes(dual(M), an)
     if w is None:
         return [M], mat_identity(n)
     S_cols = k_nullspace([tuple(w)])
     S = tuple(tuple(c[i] for c in S_cols) for i in range(n))
     B, _, D, P1 = sub_quotient(M, S)
-    blocks_b, Pb = _decompose_blocks(B)
+    blocks_b, Pb = _decompose_blocks(B, an)
     Q = _block_diag(Pb, mat_identity(D.dim))
     return blocks_b + [D], mat_mul(Q, mat_inv(P1))
 
@@ -245,17 +268,20 @@ def _triangularize_with_cert(M: DiffSystem, cert: FlagCertificate):
     return blocks, Pinv
 
 
-def diag_decompose(M: DiffSystem, cert: FlagCertificate = None) -> ModuleDiag:
+def diag_decompose(M: DiffSystem, cert: FlagCertificate = None,
+                   analysis: Analysis = None) -> ModuleDiag:
     """Composition factors of M (dim <= 3), via hyperexponential lines, or a
-    supplied invariant flag for non-Fuchsian systems."""
+    supplied invariant flag for non-Fuchsian systems.  The line search reads
+    and fills `analysis`, a fresh Analysis when none is given."""
     if M.dim > 3:
         raise ValueError("diag_decompose implemented for dim <= 3")
+    an = analysis if analysis is not None else Analysis()
     if cert is not None:
         blocks, P = _triangularize_with_cert(M, cert)
         # refine any 2-dim block that still has an invariant line
-        return _refine(ModuleDiag(blocks=tuple(blocks), P=P))
+        return _refine(ModuleDiag(blocks=tuple(blocks), P=P), an)
     try:
-        blocks, P = _decompose_blocks(M)
+        blocks, P = _decompose_blocks(M, an)
     except NonFuchsianError:
         raise NonFuchsianError(
             "composition-factor search needs simple finite poles; supply a "
@@ -264,14 +290,14 @@ def diag_decompose(M: DiffSystem, cert: FlagCertificate = None) -> ModuleDiag:
     return ModuleDiag(blocks=tuple(blocks), P=P)
 
 
-def _refine(D: ModuleDiag) -> ModuleDiag:
+def _refine(D: ModuleDiag, an: Analysis) -> ModuleDiag:
     """Split 2-dim certificate blocks that do admit invariant lines."""
     out_blocks = []
     trans = []
     changed = False
     for b in D.blocks:
         if b.dim == 2 and is_fuchsian(b):
-            sub, Pb = _decompose_blocks(b)
+            sub, Pb = _decompose_blocks(b, an)
             if len(sub) > 1:
                 out_blocks.extend(sub)
                 trans.append(Pb)

@@ -5,23 +5,34 @@ regular or regular-singular point at infinity (universal denominator from
 integer local exponents, polynomial degree from exponents at infinity);
 anything else falls back to a configured bound with complete=False.
 
+A solve has two steps: the local data of A (its pole factors, the integer
+local exponents at each, omega and the leading matrix at infinity), then
+one ansatz for the numerators over the universal denominator.
+
 Local exponents at a pole factor f of degree d come from one characteristic
 polynomial over Q(t): each residue r in Q(t)[x]/(f) becomes its d x d
 multiplication matrix r(C_f), C_f the companion matrix of f, and the
 characteristic polynomial of the n*d x n*d block matrix is the norm
-Res_x(f, det(lam*I - R)).  Its Q(t) roots come from one factorization of the
-polynomial with denominators cleared, in (lam, t); its integer roots, which
-give the universal denominator and the degree bound, are the rational roots
-of the gcd of its coefficients in t.
+Res_x(f, det(lam*I - R)), taken fraction-free over Z[t].  Its Q(t) roots
+come from one factorization in (lam, t); its integer roots, which give the
+universal denominator and the degree bound, are the rational roots of the
+gcd of its coefficients in t.
+
+The hyperexponential search computes these roots once per pole factor.  For
+a candidate character r = sum e_f * f'/f it solves A - r*I with local data
+shifted from A's own, not recomputed: f stays a pole unless A's residue
+matrix there is e_f*I, and the integer exponents at f are the integers
+among rho - e_f, rho a Q(t) root.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import sympy as sp
-from sympy import Poly, ZZ
+from sympy import Poly, QQ, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from .errors import NonFuchsianError
@@ -33,17 +44,22 @@ from .ratfunc import (
     ZERO,
     _T_RING,
     _poly,
-    factor_list_xt,
     is_log_derivative,
     low_coeffs,
     ratfunc,
     residue_at,
+    t,
     x,
 )
 from .systems import DiffSystem
 
 #: the eigenvalue variable of characteristic polynomials
 _LAM = sp.Dummy("lam")
+#: the default ansatz bound where local exponents bound nothing
+_BOUND = 10
+#: Z[t], where characteristic polynomials are taken fraction-free
+_ZT = ZZ[t]
+_ZT_RING = _ZT.ring
 
 
 @dataclass
@@ -65,18 +81,42 @@ class SolutionSpace:
 
 
 def _den_factor_dict(values):
-    """Irreducible monic factors of all denominators, with max multiplicity."""
+    """Irreducible monic factors of all denominators, with max multiplicity.
+
+    Each distinct denominator is factored once over Q[x, t] from its stored
+    Q[t, x] form; the factors come in the order of sympy's sorted factor
+    list in (x, t), as `sp.factor_list` gives them."""
     out = {}
-    for den in dict.fromkeys(ratfunc(v).denominator for v in values):
-        if den.degree() == 0:
+    for den in dict.fromkeys(ratfunc(v).xt_pair()[1] for v in values):
+        if den.degree(1) <= 0:  # free of x, the ring's second generator
             continue
-        for fac, e in factor_list_xt(den.as_expr())[1]:
-            fp = _poly(fac, x)
-            if fp.degree() == 0:
-                continue
-            fp = fp.monic()
-            out[fp] = max(out.get(fp, 0), e)
+        p = Poly.from_dict({(k, i): c for (i, k), c in den.terms()}, x, t,
+                           domain=QQ)
+        for fac, e in sorted(p.factor_list()[1], key=_factor_key):
+            if fac.degree(x) > 0:
+                fp = _in_x(fac)
+                out[fp] = max(out.get(fp, 0), e)
     return out
+
+
+def _factor_key(item):
+    """The sort key of sympy's `factor_list` for factors in the same gens."""
+    fac, e = item
+    rep = fac.rep.to_list()
+    return len(rep), e, rep
+
+
+def _in_x(p: Poly) -> Poly:
+    """A Poly in (x, t) over Q as a monic Poly in x over Q(t)."""
+    by_k = {}
+    for (k, i), c in p.terms():
+        by_k.setdefault(k, {})[(i,)] = c
+    coeffs = {k: _T_RING.from_dict(d) for k, d in by_k.items()}
+    lc = coeffs[max(coeffs)]
+    return Poly.from_dict(
+        {(k,): COEFF_FIELD.field.new(c, lc) for k, c in coeffs.items()},
+        x, domain=COEFF_FIELD,
+    )
 
 
 def _cleared(v: RatFunc, c: Poly) -> Poly:
@@ -89,13 +129,26 @@ def _cleared(v: RatFunc, c: Poly) -> Poly:
 
 
 def _charpoly(rows):
-    """det(lam*I - M) of a square matrix M over Q(t), as a Poly in (lam, t)
-    over ZZ: the Q(t) coefficients times a common denominator."""
+    """det(lam*I - M) of a square matrix M over Q(t), times a nonzero
+    element of Q[t], as a Poly in (lam, t) over ZZ.
+
+    Fraction-free: with M = N/d, N over Z[t] and d in Z[t], the
+    characteristic polynomial sum c_k lam^(n-k) of N is taken over Z[t], and
+    d^n det(lam*I - M) = sum c_k d^(n-k) lam^(n-k)."""
     n = len(rows)
-    cp = Poly.from_list(
-        DomainMatrix(rows, (n, n), COEFF_FIELD).charpoly(), _LAM, domain=COEFF_FIELD
-    )
-    return cp.clear_denoms(convert=True)[1].inject().clear_denoms(convert=True)[1]
+    flat = [v for row in rows for v in row]
+    d = functools.reduce(lambda a, b: a.lcm(b), (v.denom for v in flat))
+    nums = [v.numer * d.exquo(v.denom) for v in flat]
+    scale = math.lcm(*(c.denominator for p in [d, *nums] for c in p.coeffs()))
+    d, *nums = ((p * scale).set_ring(_ZT_RING) for p in [d, *nums])
+    cp = DomainMatrix(
+        [nums[i * n:(i + 1) * n] for i in range(n)], (n, n), _ZT
+    ).charpoly()
+    terms = {}
+    for k, c in enumerate(cp):
+        for (j,), v in (c * d ** (n - k)).terms():
+            terms[(n - k, j)] = v
+    return Poly.from_dict(terms, _LAM, t, domain=ZZ)
 
 
 def _residue_charpoly(A, f: Poly):
@@ -169,7 +222,30 @@ def _infinity_data(A):
 # -- the solver ----------------------------------------------------------------
 
 
-def rational_solutions(A, b=None, bound=10) -> SolutionSpace:
+def _bounded(factors, omega, lead) -> bool:
+    """True when local exponents bound the rational solutions: every finite
+    pole simple, and infinity regular-singular or of invertible leading
+    matrix."""
+    return all(e <= 1 for e in factors.values()) and (
+        omega <= -1
+        or bool(DomainMatrix(lead, (len(lead),) * 2, COEFF_FIELD).det())
+    )
+
+
+def _local_data(A):
+    """(factors, exps, omega, lead) of the matrix A: its pole factors with
+    their multiplicities; the sorted integer local exponents at each factor,
+    or None when they bound nothing (see `_bounded`); omega and the leading
+    matrix at infinity."""
+    factors = _den_factor_dict([v for row in A for v in row])
+    omega, lead = _infinity_data(A)
+    exps = None
+    if _bounded(factors, omega, lead):
+        exps = {f: _int_roots(_residue_charpoly(A, f)) for f in factors}
+    return factors, exps, omega, lead
+
+
+def rational_solutions(A, b=None, bound=_BOUND) -> SolutionSpace:
     """All rational solutions of dY/dx = A Y + b.
 
     A: DiffSystem or nested list; b: vector (list) or None for homogeneous.
@@ -179,33 +255,30 @@ def rational_solutions(A, b=None, bound=10) -> SolutionSpace:
     if isinstance(A, DiffSystem):
         A = A.A
     A = tuple(tuple(ratfunc(v) for v in row) for row in A)
+    return _ansatz(A, b, _local_data(A), bound)
+
+
+def _ansatz(A, b, local, bound) -> SolutionSpace:
+    """rational_solutions(A, b, bound), given A's `_local_data`."""
+    factors_A, exps, omega, lead = local
     n = len(A)
     bvec = (
         [ZERO] * n if b is None else [ratfunc(v) for v in b]
     )
     b_zero = all(v.is_zero for v in bvec)
-
-    flat_A = [v for row in A for v in row]
-    factors_A = _den_factor_dict(flat_A)
     factors_b = _den_factor_dict(bvec)
     all_factors = sorted(
         set(factors_A) | set(factors_b), key=lambda f: sp.default_sort_key(f.as_expr())
     )
-
-    fuchsian_finite = all(e <= 1 for e in factors_A.values())
-    omega, lead = _infinity_data(A)
     notes = []
 
     complete = True
-    if fuchsian_finite and (
-        omega <= -1 or DomainMatrix(lead, (n, n), COEFF_FIELD).det()
-    ):
+    if exps is not None:
         # universal denominator from integer local exponents
-        den_exp = {}
-        for f in all_factors:
-            ints = _int_roots(_residue_charpoly(A, f)) if f in factors_A else []
-            ob = factors_b.get(f, 0)
-            den_exp[f] = max(0, -min(ints, default=0), ob - 1)
+        den_exp = {
+            f: max(0, -min(exps.get(f, ()), default=0), factors_b.get(f, 0) - 1)
+            for f in all_factors
+        }
         bdegs = [_degree_at_infinity(v) for v in bvec]
         bdegs = [d for d in bdegs if d is not None]
         if omega <= -1:
@@ -343,9 +416,10 @@ def hyperexponential_classes(M: DiffSystem):
         )
     notes = []
     factors = sorted(factor_dict, key=lambda f: sp.default_sort_key(f.as_expr()))
+    roots = {}
     per_factor = []
     for f in factors:
-        qt = _qt_roots(_residue_charpoly(A, f))
+        qt = roots[f] = _qt_roots(_residue_charpoly(A, f))
         cp_deg = n * f.degree()
         if len(qt) < cp_deg:
             notes.append(
@@ -357,32 +431,64 @@ def hyperexponential_classes(M: DiffSystem):
                 uniq.append(r)
         per_factor.append(uniq if uniq else [COEFF_FIELD.zero])
 
-    # all candidate characters r = sum e_f * f'/f
-    candidates = [ZERO]
+    # all candidate characters r = sum e_f * f'/f, with their e_f
+    candidates = [(ZERO, ())]
     for f, eigs in zip(factors, per_factor):
         dlog = RatFunc(f.diff().as_expr() / f.as_expr())
         candidates = [
-            c + RatFunc(FIELD.convert_from(e, COEFF_FIELD)) * dlog
-            for c in candidates for e in eigs
+            (c + RatFunc(FIELD.convert_from(e, COEFF_FIELD)) * dlog, es + (e,))
+            for c, es in candidates for e in eigs
         ]
     # dedupe modulo logarithmic derivatives
     reps = []
-    for c in candidates:
-        if not any(is_log_derivative(c - r, 1) for r in reps):
-            reps.append(c)
+    for c, es in candidates:
+        if not any(is_log_derivative(c - r, 1) for r, _ in reps):
+            reps.append((c, es))
 
     out = []
-    for r in reps:
-        shifted = [
-            [A[i][j] - (r if i == j else ZERO) for j in range(n)]
+    for r, es in reps:
+        shifted = tuple(
+            tuple(A[i][j] - (r if i == j else ZERO) for j in range(n))
             for i in range(n)
-        ]
-        space = rational_solutions(shifted)
+        )
+        local = _shifted_local(shifted, roots, dict(zip(factors, es)))
+        space = _ansatz(shifted, None, local, _BOUND)
         if space.basis:
             out.append((r, space))
         if not space.complete:
             notes.append("bound-limited")
     return out, tuple(notes)
+
+
+def _shifted_local(S, roots, shift):
+    """`_local_data` of S = A - r*I for a Fuchsian A and r = sum e_f * f'/f,
+    from the Q(t) roots of A's residue characteristic polynomials.
+
+    The residue matrix of S at f is R_f - e_f*I, so f stays a pole of S
+    unless R_f = e_f*I, and its characteristic polynomial is chi_f(lam + e_f).
+    An integer root l of that makes l + e_f a Q(t) root of chi_f, so the
+    integer exponents at f are the integers among the rho - e_f."""
+    factors = {
+        f: 1 for f in roots
+        if any(v.denominator.rem(f).is_zero for row in S for v in row)
+    }
+    omega, lead = _infinity_data(S)
+    exps = None
+    if _bounded(factors, omega, lead):
+        exps = {
+            f: sorted({k for rho in roots[f]
+                       if (k := _as_int(rho - shift[f])) is not None})
+            for f in factors
+        }
+    return factors, exps, omega, lead
+
+
+def _as_int(c):
+    """c in Q(t) as an int, or None when it is not an integer."""
+    if not (c.numer.is_ground and c.denom.is_ground):
+        return None
+    q = c.numer.LC / c.denom.LC
+    return int(q.numerator) if q.denominator == 1 else None
 
 
 def hyperexponential_solutions(M: DiffSystem):

@@ -7,7 +7,7 @@ import pytest
 from pdgal3.errors import NonFuchsianError, UnsupportedError
 from pdgal3.galois3 import DispatchConfig, classify2, diag_group, dispatch
 from pdgal3.groups import Deferred, jet
-from pdgal3.modules import FlagCertificate, diag_decompose
+from pdgal3.modules import Analysis, FlagCertificate, diag_decompose
 from pdgal3.systems import DiffSystem, dual, gauge
 
 t = sp.Symbol("t")
@@ -266,7 +266,7 @@ def test_dispatch_decomposable_dual(monkeypatch):
     V, cert, _, _ = BRANCH_FIXTURES["DECOMPOSABLE"]
     search = galois3._find_line_summand
     monkeypatch.setattr(galois3, "_find_line_summand",
-                        lambda M: None if M.A == V.A else search(M))
+                        lambda M, an: None if M.A == V.A else search(M, an))
     r, _ = dispatch(V, cert, CFG)
     assert r.case_path == "DECOMPOSABLE(dual)"
     assert r.type_tags == ("NC",)
@@ -285,8 +285,69 @@ def test_candidate_lines_propagates_bugs(monkeypatch):
     M = S([["t/x", "0"], ["0", "0"]])
     monkeypatch.setattr(solvers, "hyperexponential_classes",
                         raising(NonFuchsianError("irregular")))
-    assert galois3._candidate_lines(M) == []
+    assert galois3._candidate_lines(M, Analysis()) == []
     monkeypatch.setattr(solvers, "hyperexponential_classes",
                         raising(RuntimeError("bug")))
     with pytest.raises(RuntimeError):
-        galois3._candidate_lines(M)
+        galois3._candidate_lines(M, Analysis())
+
+
+# -- one line search per matrix per dispatch ------------------------------------
+
+
+PROLONGATION = [["t/x", "1/x", "0"], ["0", "t/x", "1/(x-1)"], ["0", "0", "0"]]
+
+
+def test_dispatch_searches_each_matrix_once(monkeypatch):
+    # dispatch(dual(V)) meets 5 distinct matrices: V, dual(V) and their
+    # 2-dim blocks; before the per-dispatch Analysis it searched them 7 times
+    from pdgal3 import solvers
+
+    calls = _counting(monkeypatch, solvers, "hyperexponential_classes")
+    r, _ = dispatch(dual(S(PROLONGATION)), None, CFG)
+    assert r.case_path.endswith("(CQ,NC)-prolongation")
+    matrices = [M.A for (M,) in calls]
+    assert len(matrices) == len(set(matrices)) == 5
+
+
+def test_each_dispatch_computes_afresh(monkeypatch):
+    from pdgal3 import solvers
+
+    calls = _counting(monkeypatch, solvers, "hyperexponential_classes")
+    V = dual(S(PROLONGATION))
+    first, _ = dispatch(V, None, CFG)
+    n = len(calls)
+    second, _ = dispatch(V, None, CFG)
+    assert len(calls) == 2 * n
+    assert calls[n:] == calls[:n]
+    assert first == second
+
+
+def test_diag_decompose_leaves_memoized_classes_unchanged():
+    # diag_decompose reads the classes it picks a line from; it must not
+    # reorder the shared list that the line-summand search reads next
+    from pdgal3 import solvers
+
+    M = S([["t/x", "0", "0"], ["0", "-t/(x-1)", "0"], ["0", "0", "0"]])
+    an = Analysis()
+    classes, notes = an.hyperexponential_classes(M)
+    assert [r.to_string() for r, _ in classes] != sorted(
+        r.to_string() for r, _ in classes)
+    before = [(r, list(s.basis)) for r, s in classes]
+    diag_decompose(M, None, an)
+    assert an.hyperexponential_classes(M) == (classes, notes)
+    assert [(r, s.basis) for r, s in classes] == before
+    fresh, _ = solvers.hyperexponential_classes(M)
+    assert [(r, s.basis) for r, s in fresh] == before
+
+
+def test_analysis_keeps_a_non_fuchsian_raise(monkeypatch):
+    from pdgal3 import solvers
+
+    calls = _counting(monkeypatch, solvers, "hyperexponential_classes")
+    an = Analysis()
+    M = S([["1/x^2", "0"], ["0", "0"]])
+    for _ in range(2):
+        with pytest.raises(NonFuchsianError):
+            an.hyperexponential_classes(M)
+    assert len(calls) == 1

@@ -117,3 +117,26 @@ def test_series_oracle_stays_independent():
             if hit:
                 bad.append(f"series:{node.lineno}: imports {sorted(hit)}")
     assert not bad, "\n".join(bad)
+
+
+#: memoizers that outlive a call: a result they keep is module state
+MODULE_CACHES = {"cache", "lru_cache"}
+
+
+def test_no_module_level_caches_or_globals():
+    """Facts are shared through an object made per analysis (an instance's
+    `cached_property` is fine), never through `functools.cache`,
+    `functools.lru_cache` or a `global` statement."""
+    bad = []
+    for mod, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Global):
+                bad.append(f"{mod}:{node.lineno}: global {', '.join(node.names)}")
+            elif (isinstance(node, ast.ImportFrom) and node.module == "functools"
+                  and MODULE_CACHES & {a.name for a in node.names}):
+                bad.append(f"{mod}:{node.lineno}: imports a functools cache")
+            elif (isinstance(node, ast.Attribute) and node.attr in MODULE_CACHES
+                  and isinstance(node.value, ast.Name)
+                  and node.value.id == "functools"):
+                bad.append(f"{mod}:{node.lineno}: functools.{node.attr}")
+    assert not bad, "\n".join(bad)

@@ -409,3 +409,218 @@ class TestHyperexponential:
         assert is_fuchsian(DiffSystem([["t/x", "0"], ["0", "1/x"]]))
         assert not is_fuchsian(DiffSystem([["1/x^2"]]))
         assert not is_fuchsian(DiffSystem([["x"]]))
+
+
+# -- the shifted route of the hyperexponential search --------------------------
+#
+# The search used to solve rational_solutions(A - r*I) from scratch for each
+# candidate character r; that loop is kept here as the reference.
+
+
+def _ref_hyperexponential_classes(M):
+    from pdgal3.ratfunc import FIELD, is_log_derivative
+    from pdgal3.solvers import _den_factor_dict
+
+    A, n = M.A, M.dim
+    factors = sorted(_den_factor_dict([v for row in A for v in row]),
+                     key=lambda f: sp.default_sort_key(f.as_expr()))
+    notes, per_factor = [], []
+    for f in factors:
+        qt = _qt_roots(_residue_charpoly(A, f))
+        if len(qt) < n * f.degree():
+            notes.append(
+                f"non-Q(t) local exponents at {sp.sstr(f.as_expr())} skipped")
+        uniq = []
+        for r in qt:
+            if r not in uniq:
+                uniq.append(r)
+        per_factor.append(uniq or [COEFF_FIELD.zero])
+    candidates = [ZERO]
+    for f, eigs in zip(factors, per_factor):
+        dlog = RatFunc(f.diff().as_expr() / f.as_expr())
+        candidates = [c + RatFunc(FIELD.convert_from(e, COEFF_FIELD)) * dlog
+                      for c in candidates for e in eigs]
+    reps = []
+    for c in candidates:
+        if not any(is_log_derivative(c - r, 1) for r in reps):
+            reps.append(c)
+    out = []
+    for r in reps:
+        space = rational_solutions(
+            [[A[i][j] - (r if i == j else ZERO) for j in range(n)]
+             for i in range(n)])
+        if space.basis:
+            out.append((r, space))
+        if not space.complete:
+            notes.append("bound-limited")
+    return out, tuple(notes)
+
+
+def _same_classes(M):
+    classes, notes = hyperexponential_classes(M)
+    ref, ref_notes = _ref_hyperexponential_classes(M)
+    assert notes == ref_notes
+    assert [r for r, _ in classes] == [r for r, _ in ref]
+    for (_, s), (_, s_ref) in zip(classes, ref):
+        assert s.basis == s_ref.basis
+        assert s.complete == s_ref.complete
+        assert s.notes == s_ref.notes
+    return classes, notes
+
+
+SHIFT_POLES = [x, x - 1, x - t, x**2 - t]
+SHIFT_EXPONENTS = [0, 1, -1, -2, t, t + 1, sp.Rational(1, 2)]
+
+
+@st.composite
+def shifted_systems(draw):
+    """Fuchsian n x n systems, n in {1, 2, 3}, with simple poles at some of
+    SHIFT_POLES.  A residue matrix is either scalar (so that f drops out of
+    A - r*I for the candidate that takes that exponent there) or an integer
+    conjugate of a triangular one; quadratic poles may get an x-dependent
+    part with exponents outside Q(t).  At infinity: a pair of poles whose
+    residues cancel (omega <= -2), the plain sum of poles (omega = -1), or
+    an added constant or linear matrix (omega >= 0)."""
+    n = draw(st.integers(1, 3))
+    poles = draw(st.lists(st.sampled_from(SHIFT_POLES), min_size=1,
+                          max_size=2, unique=True))
+    A = sp.zeros(n, n)
+    for f in poles:
+        if draw(st.booleans()):
+            T = draw(st.sampled_from(SHIFT_EXPONENTS)) * sp.eye(n)
+        else:
+            T = sp.Matrix(n, n, lambda i, j: (
+                draw(st.sampled_from(SHIFT_EXPONENTS)) if i == j
+                else draw(st.sampled_from([0, 1, t])) if i < j else 0))
+        if n > 1 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(n)))[:2]
+            G = sp.eye(n)
+            G[i, j] = draw(st.integers(-2, 2))
+            T = G.inv() * T * G
+        A += T * sp.diff(f, x) / f
+        if sp.degree(f, x) == 2 and draw(st.booleans()):
+            A += sp.Matrix(n, n, lambda i, j: draw(st.integers(-1, 1))) * x / f
+    infinity = draw(st.sampled_from(["<=-2", "-1", ">=0"]))
+    if infinity == "<=-2":
+        R = sp.Matrix(n, n, lambda i, j: draw(st.sampled_from([0, 1, t])))
+        A += R * (1 / (x - 1) - 1 / (x + 1))
+    elif infinity == ">=0":
+        C = sp.Matrix(n, n, lambda i, j: draw(st.sampled_from([0, 0, 1])))
+        A += C * x ** draw(st.integers(0, 1))
+    return DiffSystem([[RatFunc(A[i, j]) for j in range(n)]
+                       for i in range(n)])
+
+
+def _check_shifted_local_data(M):
+    """For every choice of one Q(t) exponent e_f per pole factor (0 where
+    there is none), the local data of A - r*I shifted from A's equals the
+    local data computed from scratch: the same poles, integer exponents and
+    infinity."""
+    import itertools
+
+    from pdgal3.ratfunc import FIELD
+    from pdgal3.solvers import _den_factor_dict, _local_data, _shifted_local
+
+    A, n = M.A, M.dim
+    factors = list(_den_factor_dict([v for row in A for v in row]))
+    roots = {f: _qt_roots(_residue_charpoly(A, f)) for f in factors}
+    dropped = 0
+    for es in itertools.product(*(roots[f] or [COEFF_FIELD.zero]
+                                  for f in factors)):
+        r = sum((RatFunc(FIELD.convert_from(e, COEFF_FIELD))
+                 * RatFunc(f.diff().as_expr() / f.as_expr())
+                 for f, e in zip(factors, es)), ZERO)
+        S = tuple(tuple(A[i][j] - (r if i == j else ZERO) for j in range(n))
+                  for i in range(n))
+        shifted = _shifted_local(S, roots, dict(zip(factors, es)))
+        assert shifted == _local_data(S)
+        dropped += len(shifted[0]) < len(factors)
+    return dropped
+
+
+class TestShiftedRoute:
+    @given(shifted_systems())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_solving_each_shift_from_scratch(self, M):
+        _same_classes(M)
+
+    @given(shifted_systems())
+    @settings(max_examples=30, deadline=None)
+    def test_shifted_local_data_equals_recomputed(self, M):
+        _check_shifted_local_data(M)
+
+    @pytest.mark.parametrize("rows, drops", [
+        # R_x = t*I: the candidate with e_x = t leaves no pole at x
+        ([["t/x", "0"], ["0", "t/x + 1/(x-1)"]], True),
+        ([["t/x"]], True),
+        # only A_11 loses its pole at x; A_22 keeps it
+        ([["t/x", "0"], ["0", "1/x + 1/(x-1)"]], False),
+        # scalar residue at x^2 - t
+        ([["2*t*x/(x^2-t)", "0"], ["0", "2*t*x/(x^2-t)"]], True),
+    ])
+    def test_pole_dropped_by_the_shift(self, rows, drops):
+        classes, _ = _same_classes(DiffSystem(rows))
+        assert classes
+        assert bool(_check_shifted_local_data(DiffSystem(rows))) == drops
+
+    @pytest.mark.parametrize("rows", [
+        # omega <= -2: the residues at 1 and -1 cancel at infinity
+        [["1/(x-1) - 1/(x+1)", "0"], ["0", "t/x"]],
+        # omega = -1
+        [["t/x", "1/x"], ["0", "-1/(x-1)"]],
+        # omega = 0 and 1: invertible, then singular leading matrix
+        [["1 + t/x", "0"], ["0", "1"]],
+        [["x", "0"], ["0", "1/x"]],
+    ])
+    def test_each_kind_of_infinity(self, rows):
+        _same_classes(DiffSystem(rows))
+
+    def test_non_qt_exponents_at_a_quadratic_pole(self):
+        _, notes = _same_classes(
+            DiffSystem([["(x+1)/(x^2-t)", "1/x"], ["0", "0"]]))
+        assert notes == ("non-Q(t) local exponents at -t + x**2 skipped",)
+
+
+# -- pole factors from the stored Q[t, x] form ---------------------------------
+
+
+def _ref_den_factor_dict(values):
+    """The route through sympy expressions that _den_factor_dict replaced."""
+    from pdgal3.ratfunc import factor_list_xt
+
+    out = {}
+    for den in dict.fromkeys(ratfunc(v).denominator for v in values):
+        if den.degree() == 0:
+            continue
+        for fac, e in factor_list_xt(den.as_expr())[1]:
+            fp = _poly(fac, x)
+            if fp.degree() == 0:
+                continue
+            fp = fp.monic()
+            out[fp] = max(out.get(fp, 0), e)
+    return out
+
+
+DEN_FACTORS = [x, x - 1, 1 - x, x - t, x**2 - t, 2 * x + 3, t * x - 1,
+               x**2 + t * x + 1, -x**2 + 2, x + t / 2, t, t + 1, 3]
+
+
+@given(st.lists(
+    st.tuples(
+        st.sampled_from([1, x, t, x**2 - t, t * x + 2]),
+        st.lists(st.tuples(st.sampled_from(DEN_FACTORS), st.integers(1, 3)),
+                 max_size=4)),
+    min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_den_factor_dict_matches_expression_route(entries):
+    from pdgal3.solvers import _den_factor_dict
+
+    values = []
+    for num, dens in entries:
+        den = sp.Integer(1)
+        for f, e in dens:
+            den *= f**e
+        values.append(RatFunc(num / den))
+    new, ref = _den_factor_dict(values), _ref_den_factor_dict(values)
+    assert list(new.items()) == list(ref.items())
+    assert all(f.domain == COEFF_FIELD and f.LC() == 1 for f in new)
