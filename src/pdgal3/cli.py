@@ -69,7 +69,10 @@ def _load_system_file(path):
             for S in certs["flag"]
         )
         cert = FlagCertificate(subspaces=subspaces)
-    return M, cert, doc.get("config") or {}
+    config = doc.get("config") or {}
+    if not isinstance(config, dict):
+        raise ExpressionParseError("'config' must be a JSON object")
+    return M, cert, config
 
 
 def _system_doc(M: DiffSystem) -> dict:
@@ -148,20 +151,16 @@ def _emit(doc, args):
 
 
 def _config_from(args, file_cfg) -> DispatchConfig:
-    base = DispatchConfig()
+    if args.max_order is not None:
+        return DispatchConfig(max_order=args.max_order)
     env_max = os.environ.get("PDGAL3_MAX_ORDER")
-    return DispatchConfig(
-        max_order=(
-            args.max_order
-            if args.max_order is not None
-            else int(file_cfg.get("max_order", env_max or base.max_order))
-        ),
-        m_bound=(
-            args.m_bound
-            if args.m_bound is not None
-            else int(file_cfg.get("m_bound", base.m_bound))
-        ),
-    )
+    value = file_cfg.get("max_order", env_max or DispatchConfig.max_order)
+    try:
+        return DispatchConfig(max_order=int(value))
+    except (TypeError, ValueError):
+        raise ExpressionParseError(
+            f"max_order must be an integer, not {value!r}"
+        ) from None
 
 
 # -- commands -----------------------------------------------------------------------
@@ -268,7 +267,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--max-order", type=int, default=None)
-    common.add_argument("--m-bound", type=int, default=None)
     common.add_argument("--out", default=None)
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="pretty", action="store_false",

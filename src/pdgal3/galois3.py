@@ -64,7 +64,6 @@ from .systems import (
 @dataclass(frozen=True)
 class DispatchConfig:
     max_order: int = 4
-    m_bound: int = 12
 
 
 DEFAULT_CONFIG = DispatchConfig()
@@ -110,7 +109,7 @@ def _rank1_entry(a: RatFunc, cfg: DispatchConfig):
 
 def _torus(entries, cfg: DispatchConfig):
     """Diagonal-group description for 1-dim factors a_1..a_n, and the lattice."""
-    lat = character_lattice([ratfunc(a) for a in entries], cfg.m_bound)
+    lat = character_lattice([ratfunc(a) for a in entries])
     per_entry = [_rank1_entry(ratfunc(a), cfg) for a in entries]
     g = Named(
         dim=len(entries),
@@ -751,7 +750,7 @@ def _perm_matrix(sigma):
 
 
 def _case_ncnc(a, b12, b23, cfg, certs):
-    iso = is_log_derivative(a[0] - 2 * a[1] + a[2], cfg.m_bound)
+    iso = is_log_derivative(a[0] - 2 * a[1] + a[2])
     if iso is None or iso[0] != 1:
         flags = () if iso is None else ("identity-component-level",)
         g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [], cfg,

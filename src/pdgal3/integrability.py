@@ -9,6 +9,7 @@ annihilator of the residue elements of f.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import sympy as sp
@@ -19,13 +20,12 @@ from .groups import Named
 from .linalg import solve_affine
 from .oreops import IDENTITY_OP, OreOp
 from .ratfunc import (
-    RatFunc,
     ZERO,
     _poly,
     d_t,
     horowitz_reduce,
     is_log_derivative,
-    irreducible_factors,
+    pole_factors,
     ratfunc,
     residue_at,
     residues,
@@ -167,7 +167,7 @@ def telescoper(f, max_order: int = 4):
 def rank1_group(a, max_order: int = 4) -> Named:
     """The parameterized Galois group of ∂y = a·y as a subgroup of GL₁."""
     a = ratfunc(a)
-    hit = is_log_derivative(a, 64)
+    hit = is_log_derivative(a)
     if hit is not None:
         m, r = hit
         return Named(
@@ -191,8 +191,6 @@ class CharacterLattice:
     n: int
     generators: tuple  # tuple of integer tuples, Hermite normal form
     witnesses: tuple  # RatFunc r per generator
-    m_bound: int
-    flags: tuple = ()
 
     def contains(self, m) -> bool:
         """Exact membership via the generator matrix (solve over Q, check Z)."""
@@ -291,16 +289,14 @@ def _t_const_part(e):
     return sp.Rational(quo.nth(0)) if quo.degree() >= 0 else sp.S.Zero
 
 
-def character_lattice(diag, m_bound: int = 12) -> CharacterLattice:
+def character_lattice(diag) -> CharacterLattice:
     """All m ∈ Zⁿ with Σ mᵢaᵢ a logarithmic ∂-derivative, with witnesses.
 
     The computation is exact: Q-linear residue conditions plus integrality
-    congruences are solved by a saturated integer-kernel computation.  m_bound
-    is echoed for reporting; it never truncates the lattice.
+    congruences are solved by a saturated integer-kernel computation.
     """
     entries = [ratfunc(a) for a in diag]
     n = len(entries)
-    flags = ()
 
     reduced = [horowitz_reduce(a) for a in entries]
     # Q-linear conditions: the ∂-exact part g and the polynomial part must
@@ -311,16 +307,9 @@ def character_lattice(diag, m_bound: int = 12) -> CharacterLattice:
 
     # residue conditions per irreducible pole factor
     hs = [h for _, _, h in reduced]
-    all_factors = {}
-    for h in hs:
-        if h.is_zero:
-            continue
-        for f in irreducible_factors(h.denominator):
-            all_factors[f.as_expr()] = f
     cong_rows = []  # rational rows whose pairing with m must be an integer
-    factor_list = sorted(all_factors, key=sp.default_sort_key)
-    for fe in factor_list:
-        f = all_factors[fe]
+    factors = pole_factors(hs)
+    for f in sorted(factors, key=lambda f: sp.default_sort_key(f.as_expr())):
         consts = []
         rests = []
         for h in hs:
@@ -335,7 +324,7 @@ def character_lattice(diag, m_bound: int = 12) -> CharacterLattice:
     def _int_rows(rows):
         out = []
         for r in rows:
-            den = sp.ilcm(*[sp.Rational(v).q for v in r]) if r else 1
+            den = math.lcm(*(sp.Rational(v).q for v in r))
             row = [int(sp.Rational(v) * den) for v in r]
             if any(row):
                 out.append(row)
@@ -347,7 +336,7 @@ def character_lattice(diag, m_bound: int = 12) -> CharacterLattice:
     for r in R:
         big.append(r + [0] * s)
     for i, c in enumerate(cong_rows):
-        den = sp.ilcm(*[sp.Rational(v).q for v in c]) if c else 1
+        den = math.lcm(*(sp.Rational(v).q for v in c))
         row = [int(sp.Rational(v) * den) for v in c]
         tail = [0] * s
         tail[i] = -int(den)
@@ -359,39 +348,13 @@ def character_lattice(diag, m_bound: int = 12) -> CharacterLattice:
 
     witnesses = []
     for m in gens:
-        r = _lattice_witness(entries, m)
-        if r is None or not _witness_ok(entries, m, r):
+        total = sum((int(mi) * a for mi, a in zip(m, entries)), ZERO)
+        hit = is_log_derivative(total)
+        if hit is None or hit[0] != 1 or not _witness_ok(total, hit[1]):
             raise RuntimeError(f"lattice generator {m} failed witness verification")
-        witnesses.append(r)
-    return CharacterLattice(
-        n=n,
-        generators=gens,
-        witnesses=tuple(witnesses),
-        m_bound=m_bound,
-        flags=flags,
-    )
+        witnesses.append(hit[1])
+    return CharacterLattice(n=n, generators=gens, witnesses=tuple(witnesses))
 
 
-def _lattice_witness(entries, m):
-    """r with Σ mᵢaᵢ = ∂r/r: product of pole factors to their residue powers."""
-    total = sum((int(mi) * a for mi, a in zip(m, entries)), ZERO)
-    if total.is_zero:
-        return RatFunc(1)
-    _, _, h = horowitz_reduce(total)
-    if h.is_zero:
-        return None
-    r = RatFunc(1)
-    for f in irreducible_factors(h.denominator):
-        rho = residue_at(h, f)
-        if rho.degree() > 0:
-            return None
-        nu = sp.cancel(rho.nth(0)) if rho.degree() == 0 else sp.S.Zero
-        if nu.free_symbols or not sp.Rational(nu).is_integer:
-            return None
-        r = r * RatFunc(f.as_expr()) ** int(sp.Rational(nu))
-    return r
-
-
-def _witness_ok(entries, m, r) -> bool:
-    total = sum((int(mi) * a for mi, a in zip(m, entries)), ZERO)
+def _witness_ok(total, r) -> bool:
     return (total * r - r.d_x()).is_zero

@@ -161,8 +161,8 @@ def morphisms(M1: DiffSystem, M2: DiffSystem) -> SolutionSpace:
 
 def rank1_isomorphism(a, b):
     """u in K* with du/dx = (b - a) u, i.e. [[a]] isomorphic to [[b]]."""
-    out = is_log_derivative(ratfunc(b) - ratfunc(a), 1)
-    return out[1] if out else None
+    out = is_log_derivative(ratfunc(b) - ratfunc(a))
+    return out[1] if out is not None and out[0] == 1 else None
 
 
 # -- composition factors ------------------------------------------------------------

@@ -9,6 +9,7 @@ element computes it once, straight from its Q[t, x] numerator and denominator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -355,50 +356,78 @@ def rational_antiderivative(a):
     return g + RatFunc(polypart.integrate().as_expr())
 
 
-def factor_list_xt(expr):
-    """factor_list over Q[x, t] after clearing denominators in t."""
-    num = sp.fraction(sp.together(sp.sympify(expr)))[0]
-    return sp.factor_list(num, x, t)
+def pole_factors(values):
+    """Irreducible monic factors over Q(t) of all denominators, each with its
+    largest multiplicity.
 
-
-def irreducible_factors(p: Poly) -> list[Poly]:
-    """Monic irreducible factors over Q(t) of a squarefree Poly in x."""
-    _, factors = factor_list_xt(p.as_expr())
-    out = []
-    for f, e in factors:
-        fp = _poly(f, x)
-        if fp.degree(x) > 0:
-            out.append(fp.monic())
+    Each distinct denominator is factored once over Q[x, t] from its stored
+    Q[t, x] form; the factors come in the order of sympy's sorted factor
+    list in (x, t), as `sp.factor_list` gives them."""
+    out = {}
+    for den in dict.fromkeys(ratfunc(v).xt_pair()[1] for v in values):
+        if den.degree(1) <= 0:  # free of x, the ring's second generator
+            continue
+        p = Poly.from_dict({(k, i): c for (i, k), c in den.terms()}, x, t,
+                           domain=QQ)
+        for fac, e in sorted(p.factor_list()[1], key=_factor_key):
+            if fac.degree(x) > 0:
+                fp = _in_x(fac)
+                out[fp] = max(out.get(fp, 0), e)
     return out
 
 
-def is_log_derivative(a, m_max: int):
-    """Smallest m <= m_max with m*a = d_x(r)/r for some r in K, else None.
+def _factor_key(item):
+    """The sort key of sympy's `factor_list` for factors in the same gens."""
+    fac, e = item
+    rep = fac.rep.to_list()
+    return len(rep), e, rep
 
-    Needs: zero polynomial part, simple poles only, and on every irreducible
-    pole factor a residue that is a t-free rational number.
+
+def _in_x(p: Poly) -> Poly:
+    """A Poly in (x, t) over Q as a monic Poly in x over Q(t)."""
+    by_k = {}
+    for (k, i), c in p.terms():
+        by_k.setdefault(k, {})[(i,)] = c
+    coeffs = {k: _T_RING.from_dict(d) for k, d in by_k.items()}
+    lc = coeffs[max(coeffs)]
+    return Poly.from_dict(
+        {(k,): COEFF_FIELD.field.new(c, lc) for k, c in coeffs.items()},
+        x, domain=COEFF_FIELD,
+    )
+
+
+def _as_rational(c):
+    """c in Q(t) as a Fraction, or None when c depends on t."""
+    if not (c.numer.is_ground and c.denom.is_ground):
+        return None
+    q = c.numer.LC / c.denom.LC
+    return Fraction(int(q.numerator), int(q.denominator))
+
+
+def is_log_derivative(a):
+    """(m, r) with m the least positive integer such that m*a = d_x(r)/r for
+    some r in K, or None when there is no such m.
+
+    Such an m exists exactly when a is proper with a squarefree denominator
+    and its residue at every irreducible pole factor f is a t-free rational
+    number rho_f; then m is the lcm of their denominators and r is the
+    product of the f^(m*rho_f).
     """
     a = _coerce(a)
-    if a.is_zero:
-        return 1, ONE
-    g, polypart, h = horowitz_reduce(a)
-    if not polypart.is_zero or not g.is_zero:
+    factors = pole_factors([a])
+    num, den = a.monic_pair()
+    if any(e > 1 for e in factors.values()) or num.degree() >= den.degree():
         return None
-    if a != h:
-        return None
-    factor_res = []
-    for f in irreducible_factors(h.denominator):
-        res = residue_at(h, f)
-        if res.degree() > 0:
+    rho = {}
+    for f in factors:
+        res = residue_at(a, f)
+        # a residue of positive degree differs between the roots of f
+        q = _as_rational(res.rep.LC()) if res.degree() <= 0 else None
+        if q is None:
             return None
-        val = sp.cancel(res.as_expr())
-        if val.free_symbols:
-            return None  # t-dependent residue: no finite m exists
-        factor_res.append((f, sp.Rational(val)))
-    for m in range(1, m_max + 1):
-        if all((m * q).is_integer for _, q in factor_res):
-            r = ONE
-            for f, q in factor_res:
-                r = r * RatFunc(f.as_expr()) ** int(m * q)
-            return m, r
-    return None
+        rho[f] = q
+    m = math.lcm(*(q.denominator for q in rho.values()))
+    r = ONE
+    for f, q in rho.items():
+        r = r * RatFunc(f.as_expr()) ** int(m * q)
+    return m, r

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 import sympy as sp
-from sympy import Poly, QQ, ZZ
+from sympy import Poly, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from .errors import NonFuchsianError
@@ -43,9 +43,11 @@ from .ratfunc import (
     RatFunc,
     ZERO,
     _T_RING,
+    _as_rational,
     _poly,
     is_log_derivative,
     low_coeffs,
+    pole_factors,
     ratfunc,
     residue_at,
     t,
@@ -78,45 +80,6 @@ class SolutionSpace:
 
 
 # -- local data at the singularities -------------------------------------------
-
-
-def _den_factor_dict(values):
-    """Irreducible monic factors of all denominators, with max multiplicity.
-
-    Each distinct denominator is factored once over Q[x, t] from its stored
-    Q[t, x] form; the factors come in the order of sympy's sorted factor
-    list in (x, t), as `sp.factor_list` gives them."""
-    out = {}
-    for den in dict.fromkeys(ratfunc(v).xt_pair()[1] for v in values):
-        if den.degree(1) <= 0:  # free of x, the ring's second generator
-            continue
-        p = Poly.from_dict({(k, i): c for (i, k), c in den.terms()}, x, t,
-                           domain=QQ)
-        for fac, e in sorted(p.factor_list()[1], key=_factor_key):
-            if fac.degree(x) > 0:
-                fp = _in_x(fac)
-                out[fp] = max(out.get(fp, 0), e)
-    return out
-
-
-def _factor_key(item):
-    """The sort key of sympy's `factor_list` for factors in the same gens."""
-    fac, e = item
-    rep = fac.rep.to_list()
-    return len(rep), e, rep
-
-
-def _in_x(p: Poly) -> Poly:
-    """A Poly in (x, t) over Q as a monic Poly in x over Q(t)."""
-    by_k = {}
-    for (k, i), c in p.terms():
-        by_k.setdefault(k, {})[(i,)] = c
-    coeffs = {k: _T_RING.from_dict(d) for k, d in by_k.items()}
-    lc = coeffs[max(coeffs)]
-    return Poly.from_dict(
-        {(k,): COEFF_FIELD.field.new(c, lc) for k, c in coeffs.items()},
-        x, domain=COEFF_FIELD,
-    )
 
 
 def _cleared(v: RatFunc, c: Poly) -> Poly:
@@ -237,7 +200,7 @@ def _local_data(A):
     their multiplicities; the sorted integer local exponents at each factor,
     or None when they bound nothing (see `_bounded`); omega and the leading
     matrix at infinity."""
-    factors = _den_factor_dict([v for row in A for v in row])
+    factors = pole_factors([v for row in A for v in row])
     omega, lead = _infinity_data(A)
     exps = None
     if _bounded(factors, omega, lead):
@@ -266,7 +229,7 @@ def _ansatz(A, b, local, bound) -> SolutionSpace:
         [ZERO] * n if b is None else [ratfunc(v) for v in b]
     )
     b_zero = all(v.is_zero for v in bvec)
-    factors_b = _den_factor_dict(bvec)
+    factors_b = pole_factors(bvec)
     all_factors = sorted(
         set(factors_A) | set(factors_b), key=lambda f: sp.default_sort_key(f.as_expr())
     )
@@ -394,7 +357,7 @@ def _ansatz(A, b, local, bound) -> SolutionSpace:
 def is_fuchsian(M: DiffSystem) -> bool:
     """Simple finite poles and proper entries (regular-singular infinity)."""
     flat = [v for row in M.A for v in row]
-    if any(e > 1 for e in _den_factor_dict(flat).values()):
+    if any(e > 1 for e in pole_factors(flat).values()):
         return False
     omega, _ = _infinity_data(M.A)
     return omega <= -1
@@ -408,7 +371,7 @@ def hyperexponential_classes(M: DiffSystem):
     """
     A = M.A
     n = M.dim
-    factor_dict = _den_factor_dict([v for row in A for v in row])
+    factor_dict = pole_factors([v for row in A for v in row])
     if any(e > 1 for e in factor_dict.values()):
         raise NonFuchsianError(
             "hyperexponential search requires simple finite poles; supply an "
@@ -442,7 +405,8 @@ def hyperexponential_classes(M: DiffSystem):
     # dedupe modulo logarithmic derivatives
     reps = []
     for c, es in candidates:
-        if not any(is_log_derivative(c - r, 1) for r, _ in reps):
+        hits = (is_log_derivative(c - r) for r, _ in reps)
+        if not any(h is not None and h[0] == 1 for h in hits):
             reps.append((c, es))
 
     out = []
@@ -485,10 +449,8 @@ def _shifted_local(S, roots, shift):
 
 def _as_int(c):
     """c in Q(t) as an int, or None when it is not an integer."""
-    if not (c.numer.is_ground and c.denom.is_ground):
-        return None
-    q = c.numer.LC / c.denom.LC
-    return int(q.numerator) if q.denominator == 1 else None
+    q = _as_rational(c)
+    return q.numerator if q is not None and q.denominator == 1 else None
 
 
 def hyperexponential_solutions(M: DiffSystem):

@@ -150,6 +150,31 @@ def test_config_from_file_and_env(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("config", [{"max_order": "abc"}, [1]])
+def test_malformed_file_config_exit_1(tmp_path, capsys, config):
+    doc = dict(SEMISIMPLE, config=config)
+    path = write(tmp_path, "sys.json", doc)
+    assert main(["analyze", path]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_malformed_env_config_exit_1(capsys, monkeypatch):
+    monkeypatch.setenv("PDGAL3_MAX_ORDER", "abc")
+    assert main(["check", "telescoper", "--expr", "1/x"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_m_bound_removed(tmp_path, capsys):
+    """The lattice needs no bound: the flag is gone, and a file that still
+    carries the key is read like any file with an unknown key."""
+    path = write(tmp_path, "sys.json", dict(SEMISIMPLE, config={"m_bound": 3}))
+    with pytest.raises(SystemExit):
+        main(["analyze", path, "--m-bound", "3"])
+    capsys.readouterr()
+    code, doc = run(capsys, ["analyze", path])
+    assert code == 0 and doc["case_path"] == "SEMISIMPLE"
+
+
 def test_unknown_command_raises_systemexit(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])

@@ -172,6 +172,19 @@ def test_dispatch_ncnc_noncommutative():
     assert r.case_path == "(NC,NC)-noncommutative"
 
 
+@pytest.mark.parametrize("m", [12, 13])
+def test_dispatch_ncnc_finite_order_is_flagged(m):
+    """With middle entry -1/(2m*x), a1 - 2*a2 + a3 = 1/(m*x) has the exact
+    order m, whatever m is: the report flags the identity-component level."""
+    r, g = dispatch(
+        S([["t/x", "1/(x-1)", "0"], ["0", f"-1/({2 * m}*x)", "1/(x+1)"],
+           ["0", "0", "-t/x"]]),
+        CERT3, CFG)
+    assert r.case_path == "(NC,NC)-noncommutative"
+    assert r.flags == ("identity-component-level",)
+    assert g.flags == ("identity-component-level",)
+
+
 def test_dispatch_ncnc_commutative():
     r, g = dispatch(
         S([["t/x", "1/(x-1)", "0"], ["0", "0", "1/(x-1)"], ["0", "0", "-t/x"]]),

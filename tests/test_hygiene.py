@@ -1,5 +1,5 @@
 """Static hygiene of the package source: no dead imports, no dead parameters,
-no dead private functions or classes.
+no dead private functions or classes, no broad `except` that swallows.
 
 A plain `ast` scan, scope-blind on purpose: a name counts as used when any
 `Name` node of the module (or, for a parameter, of the function) reads it.
@@ -140,3 +140,76 @@ def test_no_module_level_caches_or_globals():
                   and node.value.id == "functools"):
                 bad.append(f"{mod}:{node.lineno}: functools.{node.attr}")
     assert not bad, "\n".join(bad)
+
+
+#: handlers that catch more than the package's own errors
+BROAD = {"Exception", "BaseException"}
+
+
+def _package_errors() -> set:
+    """PdgalError and every class of errors.py derived from it."""
+    names = {"PdgalError"}
+    for node in _modules()["errors"].body:
+        if (isinstance(node, ast.ClassDef)
+                and any(isinstance(b, ast.Name) and b.id in names
+                        for b in node.bases)):
+            names.add(node.name)
+    return names
+
+
+def _swallowing_handlers(tree, errors) -> list:
+    """Line numbers of bare `except:` or `except Exception` handlers whose
+    last statement does not raise one of `errors`."""
+    bad = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = (node.type.elts if isinstance(node.type, ast.Tuple)
+                  else [node.type])
+        if not any(c is None or (isinstance(c, ast.Name) and c.id in BROAD)
+                   for c in caught):
+            continue
+        last = node.body[-1]
+        exc = getattr(last, "exc", None)
+        if isinstance(exc, ast.Call):
+            exc = exc.func
+        if not (isinstance(last, ast.Raise) and isinstance(exc, ast.Name)
+                and exc.id in errors):
+            bad.append(node.lineno)
+    return bad
+
+
+def test_broad_excepts_raise_package_errors():
+    """A broad handler may only translate into a package error: one that
+    returns or carries on would turn a bug into an answer."""
+    errors = _package_errors()
+    bad = [f"{mod}:{line}" for mod, tree in _modules().items()
+           for line in _swallowing_handlers(tree, errors)]
+    assert not bad, "\n".join(bad)
+
+
+def test_broad_except_rule_flags_swallowing():
+    errors = _package_errors()
+    snippet = """
+try:
+    f()
+except Exception:
+    handled = False
+try:
+    f()
+except:
+    pass
+try:
+    f()
+except (ValueError, BaseException) as exc:
+    raise RuntimeError() from exc
+try:
+    f()
+except Exception as exc:
+    raise ExpressionParseError("bad") from exc
+try:
+    f()
+except ValueError:
+    handled = False
+"""
+    assert _swallowing_handlers(ast.parse(snippet), errors) == [4, 8, 12]

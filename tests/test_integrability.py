@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 import sympy as sp
 
 from pdgal3.errors import IncompleteSearchError
@@ -119,6 +120,12 @@ def test_rank1_group_finite():
     assert g2.family == "finite-cyclic" and g2.data["order"] == 2
 
 
+def test_rank1_group_order_above_64():
+    g = rank1_group(R("1/(65*x)"))
+    assert g.family == "finite-cyclic"
+    assert g.data == {"order": 65, "witness": R("x")}
+
+
 def test_rank1_group_delta():
     g = rank1_group(R("t/x"))
     assert g.family == "rank1-delta"
@@ -152,6 +159,18 @@ def test_character_lattice_dependent_entries():
 def test_character_lattice_trivial_entries():
     lat = character_lattice([R("0"), R("0")])
     assert lat.contains((1, 0)) and lat.contains((0, 1))
+
+
+@pytest.mark.parametrize("entry, generators", [
+    ("1/x", ((1,),)),
+    ("1/(13*x)", ((13,),)),
+    ("t/x", ()),
+    ("x", ()),
+])
+def test_character_lattice_one_entry(entry, generators):
+    lat = character_lattice([R(entry)])
+    assert lat.generators == generators
+    assert lat.witnesses == ((R("x"),) if generators else ())
 
 
 def test_integer_kernel_saturated():

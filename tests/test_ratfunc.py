@@ -2,6 +2,7 @@
 residues, antiderivatives, and logarithmic-derivative membership."""
 
 import fractions
+import math
 
 import pytest
 import sympy as sp
@@ -22,6 +23,7 @@ from pdgal3.ratfunc import (
     is_log_derivative,
     ratfunc,
     rational_antiderivative,
+    residue_at,
     residues,
     t,
     x,
@@ -30,6 +32,55 @@ from pdgal3.ratfunc import (
 
 def rf(s):
     return ratfunc(s)
+
+
+#: pairwise coprime, irreducible over Q(t)
+LOG_FACTORS = [x, x - 1, x - t, x**2 - t, x**2 + t * x + 1]
+
+
+@st.composite
+def log_terms(draw):
+    """Up to four (f, c) with distinct f in LOG_FACTORS and c a nonzero
+    rational with denominator up to 100.  The denominators divide one drawn
+    m0 <= 100: the reference search below takes m steps, and the witness has
+    degree m * |c| in each f."""
+    m0 = draw(st.integers(1, 100))
+    divisors = [d for d in range(1, m0 + 1) if m0 % d == 0]
+    fs = draw(st.lists(st.sampled_from(LOG_FACTORS), max_size=4, unique=True))
+    return [(f, fractions.Fraction(draw(st.sampled_from([-2, -1, 1, 2])),
+                                   draw(st.sampled_from(divisors))))
+            for f in fs]
+
+
+def _ref_is_log_derivative(a, m_max):
+    """The bounded search that is_log_derivative replaced: Hermite reduction,
+    pole factors through sympy expressions, then m = 1, ..., m_max in turn."""
+    if a.is_zero:
+        return 1, ONE
+    g, polypart, h = horowitz_reduce(a)
+    if not polypart.is_zero or not g.is_zero or a != h:
+        return None
+    cleared = sp.fraction(sp.together(h.denominator.as_expr()))[0]
+    factor_res = []
+    for fe, _ in sp.factor_list(cleared, x, t)[1]:
+        f = _poly(fe, x)
+        if f.degree() == 0:
+            continue
+        f = f.monic()
+        res = residue_at(h, f)
+        if res.degree() > 0:
+            return None
+        val = sp.cancel(res.as_expr())
+        if val.free_symbols:
+            return None
+        factor_res.append((f, sp.Rational(val)))
+    for m in range(1, m_max + 1):
+        if all((m * q).is_integer for _, q in factor_res):
+            r = ONE
+            for f, q in factor_res:
+                r = r * RatFunc(f.as_expr()) ** int(m * q)
+            return m, r
+    return None
 
 
 # -- random rational functions for property tests ------------------------------
@@ -263,32 +314,51 @@ class TestAntiderivative:
 
 class TestLogDerivative:
     def test_log_x(self):
-        assert is_log_derivative(rf("1/x"), 4) == (1, X)
+        assert is_log_derivative(rf("1/x")) == (1, X)
 
     def test_t_residue_fails(self):
-        assert is_log_derivative(rf("t/x"), 4) is None
+        assert is_log_derivative(rf("t/x")) is None
 
     def test_half_integer(self):
-        m, r = is_log_derivative(rf("3/(2*x)"), 4)
+        m, r = is_log_derivative(rf("3/(2*x)"))
         assert (m, r) == (2, rf("x^3"))
 
     def test_double_pole_fails(self):
-        assert is_log_derivative(rf("1/x^2"), 4) is None
+        assert is_log_derivative(rf("1/x^2")) is None
 
     def test_polynomial_part_fails(self):
-        assert is_log_derivative(rf("1 + 1/x"), 4) is None
+        assert is_log_derivative(rf("1 + 1/x")) is None
 
-    def test_bound_respected(self):
-        assert is_log_derivative(rf("1/(5*x)"), 4) is None
-        assert is_log_derivative(rf("1/(5*x)"), 5) == (5, X)
+    def test_exact_order(self):
+        assert is_log_derivative(rf("1/(5*x)")) == (5, X)
+        assert is_log_derivative(rf("1/(65*x)")) == (65, X)
 
     def test_moving_pole(self):
-        assert is_log_derivative(rf("2/(x-t)"), 4) == (1, rf("(x-t)^2"))
+        assert is_log_derivative(rf("2/(x-t)")) == (1, rf("(x-t)^2"))
 
-    @given(rat_funcs(), st.integers(min_value=1, max_value=6))
+    @given(rat_funcs())
     @settings(max_examples=40, deadline=None)
-    def test_witness_identity(self, a, m_max):
-        out = is_log_derivative(a, m_max)
+    def test_witness_identity(self, a):
+        out = is_log_derivative(a)
         if out is not None:
             m, r = out
             assert m * a * r - d_x(r) == ZERO
+
+    @given(log_terms(), st.sampled_from([0, t, x, t * x**2, 1 / (x - 2)**2]))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_bounded_search(self, terms, bump):
+        """a = sum c_i f_i'/f_i, perhaps with a t-dependent residue, a
+        polynomial part or a double pole added: the exact order equals the
+        old bounded search run with the order known by construction."""
+        a = sum((RatFunc(sp.Rational(c.numerator, c.denominator)
+                         * sp.diff(f, x) / f) for f, c in terms), ZERO)
+        m = math.lcm(*(c.denominator for _, c in terms))
+        if bump == t:  # a residue that depends on t
+            a = a + rf("t/(x-2)")
+        elif bump != 0:
+            a = a + RatFunc(bump)
+        out = is_log_derivative(a)
+        assert out == _ref_is_log_derivative(a, m)
+        assert (out is not None) == (bump == 0)
+        if out is not None:
+            assert out[0] == m
