@@ -9,7 +9,7 @@ from .errors import (
     PdgalError,
     UnsupportedError,
 )
-from .galois3 import DispatchConfig, classify2, diag_group, dispatch
+from .galois3 import classify2, diag_group, dispatch
 from .groups import CaseReport, Deferred, Explicit, Named, Pullback, jet, pullback
 from .integrability import character_lattice, is_constant, rank1_group, telescoper
 from .modules import FlagCertificate, diag_decompose, is_invariant, semisimplify
@@ -19,7 +19,6 @@ from .systems import DiffSystem, direct_sum, dual, gauge, prolong, tensor, wedge
 __all__ = [
     "Deferred",
     "DiffSystem",
-    "DispatchConfig",
     "CaseReport",
     "Explicit",
     "ExpressionParseError",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -20,9 +19,10 @@ from .errors import (
     PdgalError,
     UnsupportedError,
 )
-from .galois3 import DispatchConfig, classify2, dispatch
+from .galois3 import classify2, dispatch
 from .groups import Deferred, Explicit, Named, Pullback
 from .integrability import is_constant, telescoper
+from .linalg import column_rank
 from .modules import FlagCertificate, is_invariant
 from .oreops import OreOp
 from .ratfunc import RatFunc
@@ -42,15 +42,43 @@ SCHEMA = "pdgal3/1"
 # -- parsing -----------------------------------------------------------------------
 
 
+def _parse_rows(rows, what):
+    """A non-empty rectangular list of rows of expressions, parsed."""
+    if (not isinstance(rows, list) or not rows
+            or not all(isinstance(row, list) and row for row in rows)
+            or len({len(row) for row in rows}) != 1):
+        raise ExpressionParseError(
+            f"{what} must be a non-empty list of rows of equal length")
+    return [[RatFunc.parse(str(v)) for v in row] for row in rows]
+
+
 def _parse_matrix(rows) -> DiffSystem:
-    if not isinstance(rows, list) or not rows:
-        raise ExpressionParseError("matrix must be a non-empty list of rows")
-    parsed = [[RatFunc.parse(str(v)) for v in row] for row in rows]
+    parsed = _parse_rows(rows, "matrix")
+    if len(parsed) != len(parsed[0]):
+        raise ExpressionParseError("matrix must be square")
     return DiffSystem(parsed)
 
 
+def _load_subspace_file(path, dim):
+    """The n x k column basis of a subspace file, for a system of dim n."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ExpressionParseError(f"cannot read subspace file {path!r}: {exc}")
+    if not isinstance(doc, dict) or "matrix" not in doc:
+        raise ExpressionParseError("subspace file needs a 'matrix' field")
+    S = _parse_rows(doc["matrix"], "subspace matrix")
+    if len(S) != dim:
+        raise ExpressionParseError(
+            f"subspace has {len(S)} rows, the system has dimension {dim}")
+    if column_rank(S) != len(S[0]):
+        raise ExpressionParseError("subspace columns must be independent")
+    return S
+
+
 def _load_system_file(path):
-    """(DiffSystem, FlagCertificate | None, dict config) from a JSON file."""
+    """(DiffSystem, FlagCertificate | None) from a JSON file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -69,10 +97,7 @@ def _load_system_file(path):
             for S in certs["flag"]
         )
         cert = FlagCertificate(subspaces=subspaces)
-    config = doc.get("config") or {}
-    if not isinstance(config, dict):
-        raise ExpressionParseError("'config' must be a JSON object")
-    return M, cert, config
+    return M, cert
 
 
 def _system_doc(M: DiffSystem) -> dict:
@@ -150,29 +175,15 @@ def _emit(doc, args):
         print(text)
 
 
-def _config_from(args, file_cfg) -> DispatchConfig:
-    if args.max_order is not None:
-        return DispatchConfig(max_order=args.max_order)
-    env_max = os.environ.get("PDGAL3_MAX_ORDER")
-    value = file_cfg.get("max_order", env_max or DispatchConfig.max_order)
-    try:
-        return DispatchConfig(max_order=int(value))
-    except (TypeError, ValueError):
-        raise ExpressionParseError(
-            f"max_order must be an integer, not {value!r}"
-        ) from None
-
-
 # -- commands -----------------------------------------------------------------------
 
 
 def cmd_analyze(args) -> int:
-    M, cert, file_cfg = _load_system_file(args.path)
+    M, cert = _load_system_file(args.path)
     if M.dim != 3:
         raise UnsupportedError("dim must be 3")
-    cfg = _config_from(args, file_cfg)
     t0 = time.perf_counter()
-    report, group = dispatch(M, cert, cfg)
+    report, group = dispatch(M, cert)
     doc = {
         "schema": SCHEMA,
         "command": "analyze",
@@ -210,6 +221,9 @@ def cmd_construct(args) -> int:
             f"construct {args.op} needs {arity} input file(s)"
         )
     if args.op == "wedge":
+        if not 1 <= args.k <= inputs[0].dim:
+            raise ExpressionParseError(
+                f"wedge power -k {args.k} is not in 1..{inputs[0].dim}")
         out = wedge(inputs[0], args.k)
     elif args.op == "gauge":
         out = gauge(inputs[0], inputs[1].A)
@@ -220,8 +234,15 @@ def cmd_construct(args) -> int:
     return 0
 
 
+#: input files each check kind takes
+_CHECK_PATHS = {"constancy": 1, "classify2": 1, "invariant": 2, "telescoper": 0}
+
+
 def cmd_check(args) -> int:
-    cfg = _config_from(args, {})
+    need = _CHECK_PATHS[args.kind]
+    if len(args.paths) != need:
+        raise ExpressionParseError(
+            f"check {args.kind} needs {need} input file(s)")
     doc = {"schema": SCHEMA, "command": "check", "kind": args.kind}
     t0 = time.perf_counter()
     if args.kind == "constancy":
@@ -231,26 +252,18 @@ def cmd_check(args) -> int:
         if w is not None:
             doc["witness"] = [[v.to_string() for v in row] for row in w.B]
     elif args.kind == "classify2":
-        M, cert, _ = _load_system_file(args.paths[0])
+        M, cert = _load_system_file(args.paths[0])
         doc["type"] = classify2(M, cert)
     elif args.kind == "invariant":
         M = _load_system_file(args.paths[0])[0]
-        # the subspace file holds an n x k column basis, not a square system
-        try:
-            with open(args.paths[1]) as fh:
-                sub_doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ExpressionParseError(
-                f"cannot read subspace file {args.paths[1]!r}: {exc}"
-            )
-        S = [[RatFunc.parse(str(v)) for v in row] for row in sub_doc["matrix"]]
+        S = _load_subspace_file(args.paths[1], M.dim)
         B = is_invariant(M, S)
         doc["invariant"] = B is not None
         if B is not None:
             doc["restriction"] = [[v.to_string() for v in row] for row in B]
     elif args.kind == "telescoper":
         f = RatFunc.parse(args.expr)
-        op = telescoper(f, cfg.max_order)
+        op = telescoper(f)
         doc["operator"] = op.to_string()
         doc["order"] = op.order
     doc["timing_seconds"] = round(time.perf_counter() - t0, 3)
@@ -266,7 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "systems over Q(t)(x).",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--max-order", type=int, default=None)
     common.add_argument("--out", default=None)
     fmt = common.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="pretty", action="store_false",
@@ -289,9 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", parents=[common],
                        help="run a single primitive test")
-    p.add_argument("kind",
-                   choices=["constancy", "classify2", "invariant",
-                            "telescoper"])
+    p.add_argument("kind", choices=list(_CHECK_PATHS))
     p.add_argument("paths", nargs="*")
     p.add_argument("--expr", default=None,
                    help="expression for kind=telescoper")

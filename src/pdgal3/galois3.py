@@ -9,7 +9,7 @@ machine-checkable CaseReport.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import sympy as sp
 
@@ -61,13 +61,6 @@ from .systems import (
 )
 
 
-@dataclass(frozen=True)
-class DispatchConfig:
-    max_order: int = 4
-
-
-DEFAULT_CONFIG = DispatchConfig()
-
 _E1_CERT = FlagCertificate(subspaces=((("1",), ("0",)),))
 
 
@@ -97,20 +90,18 @@ def classify2(W: DiffSystem, cert: FlagCertificate = None) -> str:
 # -- building blocks for equation sets --------------------------------------------------
 
 
-def _rank1_entry(a: RatFunc, cfg: DispatchConfig):
+def _rank1_entry(a: RatFunc):
     """Per-entry condition for the torus family, from rank1_group."""
-    g = rank1_group(a, cfg.max_order)
+    g = rank1_group(a)
     if g.family == "finite-cyclic":
         return ("finite", g.data["order"])
-    if g.family == "rank1-delta":
-        return ("delta", g.data["op"])
-    return ("full",)
+    return ("delta", g.data["op"])
 
 
-def _torus(entries, cfg: DispatchConfig):
+def _torus(entries):
     """Diagonal-group description for 1-dim factors a_1..a_n, and the lattice."""
     lat = character_lattice([ratfunc(a) for a in entries])
-    per_entry = [_rank1_entry(ratfunc(a), cfg) for a in entries]
+    per_entry = [_rank1_entry(ratfunc(a)) for a in entries]
     g = Named(
         dim=len(entries),
         family="torus",
@@ -128,10 +119,10 @@ def _zeros(positions):
     return [jet(i, j) for (i, j) in positions]
 
 
-def _flag_group(entries, zero_positions, cq_pairs, cfg, flags=()):
+def _flag_group(entries, zero_positions, cq_pairs, flags=()):
     """Triangular-case equations: zero entries, diagonal torus conditions,
     and constant-ratio conditions; all other entries unconditioned."""
-    torus, _ = _torus(entries, cfg)
+    torus, _ = _torus(entries)
     diag_eqs = [e for e in torus.to_explicit().equations
                 if not any(jet(i, j) in e.free_symbols
                            for i in range(1, len(entries) + 1)
@@ -141,15 +132,15 @@ def _flag_group(entries, zero_positions, cq_pairs, cfg, flags=()):
     return Explicit(dim=len(entries), equations=tuple(eqs), flags=tuple(flags))
 
 
-def group2(a1, a2, kind: str, cfg: DispatchConfig) -> GroupDescription:
+def group2(a1, a2, kind: str) -> GroupDescription:
     """Group of a 2-dim triangular system [[a1, b], [0, a2]] of the given
     type.  NC: full unipotent coordinate; CQ: Deferred with partial
     equations (the tau=0 unipotent structure needs an external algorithm)."""
     if kind == "NC":
-        return _flag_group((a1, a2), [(2, 1)], [], cfg)
+        return _flag_group((a1, a2), [(2, 1)], [])
     if kind == "CQ":
         partial = _flag_group(
-            (a1, a2), [(2, 1)], [(1, 2)], cfg, flags=("tau0-partial",)
+            (a1, a2), [(2, 1)], [(1, 2)], flags=("tau0-partial",)
         )
         return Deferred(
             dim=2,
@@ -235,7 +226,7 @@ def _sym_square(W: DiffSystem):
     return B
 
 
-def _semisimple_group(blocks, cfg: DispatchConfig, free_upper=False):
+def _semisimple_group(blocks, free_upper=False):
     """Group of a direct sum of blocks of dims summing to <= 3.
 
     blocks are in coordinate order.  With free_upper the strictly
@@ -252,7 +243,7 @@ def _semisimple_group(blocks, cfg: DispatchConfig, free_upper=False):
         o += d
 
     if all(d == 1 for d in dims):
-        g, lat = _torus([b.A[0][0] for b in blocks], cfg)
+        g, lat = _torus([b.A[0][0] for b in blocks])
         certs.append(("character-lattice", lat.generators))
         notes.append("tau(G)=0: commutative identity component")
         return g, notes, certs
@@ -260,7 +251,7 @@ def _semisimple_group(blocks, cfg: DispatchConfig, free_upper=False):
     if dims == [3]:
         V = blocks[0]
         tr = sum((V.A[i][i] for i in range(3)), ZERO)
-        tr_g = rank1_group(tr, cfg.max_order)
+        tr_g = rank1_group(tr)
         det_entries = ((jet_matrix(3).det(),),)
         det_rep = RepMap(source_dim=3, target_dim=1, entries=det_entries,
                          name="det")
@@ -335,7 +326,7 @@ def _semisimple_group(blocks, cfg: DispatchConfig, free_upper=False):
         ui = dims.index(1)
         uoff = offs[ui]
         aU = blocks[ui].A[0][0]
-        torus2, lat = _torus([trW, aU], cfg)
+        torus2, lat = _torus([trW, aU])
         certs.append(("character-lattice", lat.generators))
         rep = RepMap(
             source_dim=3,
@@ -349,7 +340,7 @@ def _semisimple_group(blocks, cfg: DispatchConfig, free_upper=False):
     else:
         rep = RepMap(source_dim=2, target_dim=1, entries=((det_entry,),),
                      name="det")
-        comps.append((rep, rank1_group(trW, cfg.max_order)))
+        comps.append((rep, rank1_group(trW)))
 
     w = _try_constant(W, traceless=True)
     flags = ("finite-primitive-closure-unchecked",)
@@ -378,10 +369,9 @@ def _try_constant(W: DiffSystem, traceless=False):
         return None
 
 
-def diag_group(D: ModuleDiag, cfg: DispatchConfig = None) -> GroupDescription:
+def diag_group(D: ModuleDiag) -> GroupDescription:
     """Group of a semisimple system presented by its diagonal blocks."""
-    cfg = cfg or DEFAULT_CONFIG
-    g, _, _ = _semisimple_group(list(D.blocks), cfg)
+    g, _, _ = _semisimple_group(list(D.blocks))
     return g
 
 
@@ -420,32 +410,30 @@ def _find_line_summand(M: DiffSystem, an: Analysis):
 # -- the dispatcher ----------------------------------------------------------------------
 
 
-def dispatch(V: DiffSystem, cert: FlagCertificate = None,
-             cfg: DispatchConfig = None):
+def dispatch(V: DiffSystem, cert: FlagCertificate = None):
     """(CaseReport, GroupDescription) for a 3-dim system.
 
     One Analysis serves the whole call, so the line search runs once on
     each matrix it meets: V, dual(V) and their blocks."""
-    cfg = cfg or DEFAULT_CONFIG
     if V.dim != 3:
         raise UnsupportedError("dispatch requires a 3-dimensional system")
     an = Analysis()
-    D, certs, verdict = _factor_stage(V, cert, cfg, an)
+    D, certs, verdict = _factor_stage(V, cert, an)
     if verdict is not None:
         return verdict
     found = _find_line_summand(V, an)
     if found is not None:
-        return _case_decomposable(V, found, cfg, certs)
+        return _case_decomposable(V, found, certs)
     Vd = dual(V)
     dual_found = _find_line_summand(Vd, an)
     if dual_found is not None:
         return _via_dual(
-            Vd, lambda W: _case_decomposable(W, dual_found, cfg, certs),
+            Vd, lambda W: _case_decomposable(W, dual_found, certs),
             "{}(dual)")
-    return _case_full_flag(V, Vd, D, cfg, certs, an)
+    return _case_full_flag(V, Vd, D, certs, an)
 
 
-def _factor_stage(V, cert, cfg, an):
+def _factor_stage(V, cert, an):
     """(D, certs, verdict): the composition factors of V, their
     certificates, and the verdict when V is semisimple, undecided or has a
     2-dim factor (None when V has a full flag)."""
@@ -455,7 +443,7 @@ def _factor_stage(V, cert, cfg, an):
 
     ss, Pss, ssblocks = semisimplify(V, D)
     if ss is True:
-        g, notes, more = _semisimple_group(ssblocks, cfg)
+        g, notes, more = _semisimple_group(ssblocks)
         certs.append(("semisimple-gauge",
                       [[v.to_string() for v in row] for row in mat(Pss)]))
         certs.extend(more)
@@ -479,7 +467,7 @@ def _factor_stage(V, cert, cfg, an):
         ))
 
     if sorted(b.dim for b in D.blocks) == [1, 2]:
-        return D, certs, _case_indecomposable_2dim(V, D, cfg, certs)
+        return D, certs, _case_indecomposable_2dim(V, D, certs)
     return D, certs, None
 
 
@@ -493,7 +481,7 @@ def _via_dual(Vd, stage, label, type_tags=()):
     return report, _transport(g, _invtranspose_rep(3))
 
 
-def _case_decomposable(V, found, cfg, certs):
+def _case_decomposable(V, found, certs):
     S, comp = found
     # W = complement, non-semisimple (else V would be semisimple)
     BW = DiffSystem(is_invariant(V, comp))
@@ -511,7 +499,6 @@ def _case_decomposable(V, found, cfg, certs):
             entries,
             [(2, 1), (3, 1), (3, 2), (1, 3), (2, 3)],
             [(1, 2)],
-            cfg,
             flags=("tau0-partial",),
         )
         g = Deferred(
@@ -529,7 +516,7 @@ def _case_decomposable(V, found, cfg, certs):
                        "type inequality tau(G)=max(tau(H),tau(G/H))",),
         )
         return report, g
-    g = _flag_group(entries, [(2, 1), (3, 1), (3, 2), (1, 3), (2, 3)], [], cfg)
+    g = _flag_group(entries, [(2, 1), (3, 1), (3, 2), (1, 3), (2, 3)], [])
     report = CaseReport(
         case_path="DECOMPOSABLE",
         type_tags=("NC",),
@@ -541,7 +528,7 @@ def _case_decomposable(V, found, cfg, certs):
     return report, g
 
 
-def _case_indecomposable_2dim(V, D, cfg, certs):
+def _case_indecomposable_2dim(V, D, certs):
     if D.blocks[0].dim != 2:
         Vd = dual(V)
         Dd = diag_decompose(Vd)
@@ -554,7 +541,7 @@ def _case_indecomposable_2dim(V, D, cfg, certs):
                          "as a submodule"),
             )
         return _via_dual(
-            Vd, lambda W: _case_indecomposable_2dim(W, Dd, cfg, certs),
+            Vd, lambda W: _case_indecomposable_2dim(W, Dd, certs),
             "{}(dual)")
     W = D.blocks[0]
     U = D.blocks[1]
@@ -575,7 +562,7 @@ def _case_indecomposable_2dim(V, D, cfg, certs):
             dim=3,
             reduction="tau(G)=0: complete via a constant-system algorithm",
         )
-    g, notes, more = _semisimple_group([W, U], cfg, free_upper=True)
+    g, notes, more = _semisimple_group([W, U], free_upper=True)
     report = CaseReport(
         case_path="INDECOMPOSABLE-2DIM",
         type_tags=("non-constant",),
@@ -589,16 +576,16 @@ def _case_indecomposable_2dim(V, D, cfg, certs):
     return report, g
 
 
-def _flag_stage(V, Vd, cfg, an):
+def _flag_stage(V, Vd, an):
     """dispatch on V without a certificate, once the line search on V and on
     Vd = dual(V) has found nothing."""
-    D, certs, verdict = _factor_stage(V, None, cfg, an)
+    D, certs, verdict = _factor_stage(V, None, an)
     if verdict is not None:
         return verdict
-    return _case_full_flag(V, Vd, D, cfg, certs, an)
+    return _case_full_flag(V, Vd, D, certs, an)
 
 
-def _case_full_flag(V, Vd, D, cfg, certs, an):
+def _case_full_flag(V, Vd, D, certs, an):
     """V with a full flag and no line summand, nor one in Vd = dual(V)."""
     Mt = gauge(V, D.P)
     a = [Mt.A[i][i] for i in range(3)]
@@ -611,13 +598,13 @@ def _case_full_flag(V, Vd, D, cfg, certs, an):
                      ("pair", (t1, t2))]
 
     if (t1, t2) in {("CQ", "CR"), ("NC", "CR"), ("NC", "CQ")}:
-        return _via_dual(Vd, lambda W: _flag_stage(W, V, cfg, an),
+        return _via_dual(Vd, lambda W: _flag_stage(W, V, an),
                          f"({t1},{t2})→dual→{{}}", (t1, t2))
 
     if (t1, t2) == ("CQ", "CQ"):
         partial = _flag_group(
             tuple(a), [(2, 1), (3, 1), (3, 2)],
-            [(1, 2), (2, 3), (1, 3)], cfg, flags=("tau0-partial",),
+            [(1, 2), (2, 3), (1, 3)], flags=("tau0-partial",),
         )
         report = CaseReport(
             case_path="(CQ,CQ)",
@@ -641,11 +628,11 @@ def _case_full_flag(V, Vd, D, cfg, certs, an):
         )
 
     if t1 == "CR":
-        return _case_cr(Mt, cfg, certs, t2)
+        return _case_cr(Mt, certs, t2)
     if (t1, t2) == ("NC", "NC"):
-        return _case_ncnc(a, b12, b23, cfg, certs)
+        return _case_ncnc(a, b12, b23, certs)
     if (t1, t2) == ("CQ", "NC"):
-        return _case_cqnc(Mt, a, V2, cfg, certs)
+        return _case_cqnc(Mt, a, V2, certs)
     raise RuntimeError(f"unhandled pair ({t1},{t2})")
 
 
@@ -663,7 +650,7 @@ def _split_v2_basis(Mt):
     return gauge(Mt, mat_inv(P_cols))
 
 
-def _case_cr(Mt, cfg, certs, t2):
+def _case_cr(Mt, certs, t2):
     Mt2 = _split_v2_basis(Mt)
     a = [Mt2.A[i][i] for i in range(3)]
     VoverU = DiffSystem([[a[0], Mt2.A[0][2]], [ZERO, a[2]]])
@@ -680,7 +667,7 @@ def _case_cr(Mt, cfg, certs, t2):
     if (t2, t3) == ("CQ", "CQ"):
         partial = _flag_group(
             tuple(a), [(2, 1), (3, 1), (3, 2), (1, 2)],
-            [(2, 3), (1, 3)], cfg, flags=("tau0-partial",),
+            [(2, 3), (1, 3)], flags=("tau0-partial",),
         )
         report = CaseReport(
             case_path="(CR,CQ,CQ)",
@@ -699,7 +686,7 @@ def _case_cr(Mt, cfg, certs, t2):
     if (t2, t3) == ("CQ", "NC"):
         g = _flag_group(
             tuple(a), [(2, 1), (3, 1), (3, 2), (1, 2)], [(2, 3)],
-            cfg, flags=("tau0-partial-on-(2,3)",),
+            flags=("tau0-partial-on-(2,3)",),
         )
         report = CaseReport(
             case_path="(CR,CQ,NC)",
@@ -717,7 +704,7 @@ def _case_cr(Mt, cfg, certs, t2):
         ap = [Mp.A[i][i] for i in range(3)]
         gp = _flag_group(
             tuple(ap), [(2, 1), (3, 1), (3, 2), (1, 2)], [(2, 3)],
-            cfg, flags=("tau0-partial-on-(2,3)",),
+            flags=("tau0-partial-on-(2,3)",),
         )
         g = _transport(gp, _perm_rep(3, sigma))
         report = CaseReport(
@@ -731,7 +718,7 @@ def _case_cr(Mt, cfg, certs, t2):
         return report, g
 
     # (CR,NC,NC)
-    g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2), (1, 2)], [], cfg)
+    g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2), (1, 2)], [])
     report = CaseReport(
         case_path="(CR,NC,NC)",
         type_tags=("CR", "NC", "NC"),
@@ -749,12 +736,11 @@ def _perm_matrix(sigma):
                 for i in range(n)])
 
 
-def _case_ncnc(a, b12, b23, cfg, certs):
+def _case_ncnc(a, b12, b23, certs):
     iso = is_log_derivative(a[0] - 2 * a[1] + a[2])
     if iso is None or iso[0] != 1:
         flags = () if iso is None else ("identity-component-level",)
-        g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [], cfg,
-                        flags=flags)
+        g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [], flags=flags)
         report = CaseReport(
             case_path="(NC,NC)-noncommutative",
             type_tags=("NC", "NC"),
@@ -771,7 +757,7 @@ def _case_ncnc(a, b12, b23, cfg, certs):
     space = rational_solutions(aug, [b23, ZERO])
     certs = certs + [("isotypic-witness", s.to_string())]
     if space.particular is None and not space.complete:
-        g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [], cfg,
+        g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [],
                         flags=("bound-limited",))
         report = CaseReport(
             case_path="(NC,NC)-undecided",
@@ -789,7 +775,7 @@ def _case_ncnc(a, b12, b23, cfg, certs):
         )
     commutative = space.particular is not None
     if commutative:
-        g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [], cfg,
+        g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [],
                         flags=("identity-component-level",))
         report = CaseReport(
             case_path="(NC,NC)-commutative",
@@ -803,7 +789,7 @@ def _case_ncnc(a, b12, b23, cfg, certs):
                        "conditions on the (2,3) entry are not computed",),
         )
         return report, g
-    g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [], cfg)
+    g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [])
     report = CaseReport(
         case_path="(NC,NC)-noncommutative",
         type_tags=("NC", "NC"),
@@ -815,7 +801,7 @@ def _case_ncnc(a, b12, b23, cfg, certs):
     return report, g
 
 
-def _case_cqnc(Mt, a, V2, cfg, certs):
+def _case_cqnc(Mt, a, V2, certs):
     ss, _, _ = semisimplify(V2)
     if ss is None:
         return (
@@ -830,7 +816,7 @@ def _case_cqnc(Mt, a, V2, cfg, certs):
         Mt2 = _split_v2_basis(Mt)
         a2 = [Mt2.A[i][i] for i in range(3)]
         g = _flag_group(tuple(a2), [(2, 1), (3, 1), (3, 2), (1, 2)],
-                        [(1, 2)], cfg)
+                        [(1, 2)])
         report = CaseReport(
             case_path="(CQ,NC)-V2semisimple",
             type_tags=("CQ", "NC"),
@@ -865,7 +851,7 @@ def _case_cqnc(Mt, a, V2, cfg, certs):
             reductive = True
             prol_witness = space.particular
     if not reductive:
-        g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [(1, 2)], cfg,
+        g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [(1, 2)],
                         flags=("tau0-partial-on-(1,2)",))
         report = CaseReport(
             case_path="(CQ,NC)-Ru",
@@ -892,7 +878,7 @@ def _case_cqnc(Mt, a, V2, cfg, certs):
         and Mt.A[0][2] == d_t(b23)
     )
     comps = ((block_rep(3, [1, 2], name="V/V1"),
-              group2(a[1], a[2], "NC", cfg)),)
+              group2(a[1], a[2], "NC")),)
     eqs = _zeros([(2, 1), (3, 1), (3, 2)])
     if normalized:
         y = jet

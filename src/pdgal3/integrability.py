@@ -20,11 +20,12 @@ from .groups import Named
 from .linalg import solve_affine
 from .oreops import IDENTITY_OP, OreOp
 from .ratfunc import (
+    COEFF_FIELD,
     ZERO,
-    _poly,
     d_t,
     horowitz_reduce,
     is_log_derivative,
+    low_coeffs,
     pole_factors,
     ratfunc,
     residue_at,
@@ -96,75 +97,44 @@ def is_constant(M: DiffSystem, bound: int = 10):
 # -- telescoper -------------------------------------------------------------------
 
 
-class _ResidueBlock:
-    """Residue element of one squarefree pole block, with the induced
-    δ-action δρ = ρ_t − ρ_x · p_t · p_x⁻¹ (mod p)."""
-
-    def __init__(self, pole: Poly, residue: Poly):
-        self.pole = pole
-        self.deg = pole.degree()
-        px = pole.diff()
-        self._pt = _poly(pole.as_expr().diff(t), x)
-        self._inv_px = px.invert(pole)
-        self.residue = residue
-
-    def coords(self, rho: Poly):
-        return [rho.nth(k) for k in range(self.deg)]
-
-    def delta(self, rho: Poly) -> Poly:
-        rho_t = _poly(rho.as_expr().diff(t), x)
-        rho_x = rho.diff()
-        return (rho_t - rho_x * self._pt * self._inv_px).rem(self.pole)
+_T = COEFF_FIELD.field.gens[0]
 
 
-def _residue_blocks(f) -> list[_ResidueBlock]:
-    return [_ResidueBlock(r.pole, r.residue) for r in residues(f)]
+def _d_t(p: Poly) -> Poly:
+    """p with each of its Q(t) coefficients differentiated in t."""
+    return Poly.from_list([c.diff(_T) for c in p.rep.to_list()], x,
+                          domain=COEFF_FIELD)
 
 
-def telescoper(f, max_order: int = 4):
-    """Minimal monic L ∈ Q(t)[δ] of order ≤ max_order with L(f) ∈ ∂K, else None."""
-    if max_order < 0:
-        raise ValueError("max_order must be >= 0")
-    f = ratfunc(f)
-    blocks = _residue_blocks(f)
+def telescoper(f):
+    """Minimal monic L ∈ Q(t)[δ] with L(f) ∈ ∂K.
+
+    L is the minimal annihilator of f's residue element ρ in K_q =
+    Q(t)[x]/(q), q the squarefree denominator of f's Hermite-reduced part,
+    under δρ = ρ_t − ρ_x · q_t · q_x⁻¹ (mod q).  K_q has dimension deg q over
+    Q(t), so some δʰρ with h ≤ deg q lies in the span of ρ, …, δʰ⁻¹ρ; the
+    first such h is the order of L.
+    """
+    blocks = residues(ratfunc(f))
     if not blocks:
         return IDENTITY_OP
-    state = [b.residue for b in blocks]
-
-    def joint_coords(st):
-        out = []
-        for b, rho in zip(blocks, st):
-            out.extend(b.coords(rho))  # Poly.nth returns sympy exprs in t
-        return out
-
-    def joint_delta(st):
-        return [b.delta(rho) for b, rho in zip(blocks, st)]
-
-    # iterate δ on the joint residue vector and look for the first linear
-    # dependence over Q(t)
-    iters = [state]
-    for _ in range(max_order):
-        iters.append(joint_delta(iters[-1]))
-    rows = [joint_coords(st) for st in iters]
-    ncoord = len(rows[0])
-    for h in range(0, max_order + 1):
-        # c_0 row_0 + ... + c_{h-1} row_{h-1} + row_h = 0
-        A = [[rows[j][k] for j in range(h)] for k in range(ncoord)]
-        bvec = [sp.expand(-rows[h][k]) for k in range(ncoord)]
-        if h == 0:
-            if all(v == 0 for v in bvec):
-                return IDENTITY_OP
-            continue
-        part, _ = solve_affine(A, bvec)
+    q, rho = blocks[0].pole, blocks[0].residue
+    n = q.degree()
+    shift = (_d_t(q) * q.diff().invert(q)).rem(q)
+    cols = [low_coeffs(rho, n)]
+    while True:
+        rho = (_d_t(rho) - rho.diff() * shift).rem(q)
+        row = low_coeffs(rho, n)
+        part, _ = solve_affine([list(r) for r in zip(*cols)], [-c for c in row])
         if part is not None:
-            return OreOp(tuple(part) + (sp.S.One,))
-    return None
+            return OreOp([COEFF_FIELD.to_sympy(c) for c in part] + [1])
+        cols.append(row)
 
 
 # -- rank-1 groups ----------------------------------------------------------------
 
 
-def rank1_group(a, max_order: int = 4) -> Named:
+def rank1_group(a) -> Named:
     """The parameterized Galois group of ∂y = a·y as a subgroup of GL₁."""
     a = ratfunc(a)
     hit = is_log_derivative(a)
@@ -175,10 +145,7 @@ def rank1_group(a, max_order: int = 4) -> Named:
             family="finite-cyclic",
             data={"order": m, "witness": r},
         )
-    L = telescoper(d_t(a), max_order)
-    if L is not None:
-        return Named(dim=1, family="rank1-delta", data={"op": L})
-    return Named(dim=1, family="GL", flags=("bound-limited",))
+    return Named(dim=1, family="rank1-delta", data={"op": telescoper(d_t(a))})
 
 
 # -- character lattices ------------------------------------------------------------

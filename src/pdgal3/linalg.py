@@ -3,9 +3,10 @@ elimination path.
 
 Every solve, inverse, kernel, rank and basis completion is read off one
 reduced row echelon form, computed by sympy's DomainMatrix rref (sparse
-Gauss-Jordan over the field).  The Q(t) entry points take sympy expressions
-or Q(t) domain elements and return sympy expressions; the K entry points take
-and return RatFunc values.  They differ only in the conversion at the boundary.
+Gauss-Jordan over the field).  The Q(t) entry points take sympy expressions,
+ints or Q(t) domain elements and return Q(t) domain elements; the K entry
+points take and return RatFunc values.  They differ only in the conversion at
+the boundary.
 """
 
 from __future__ import annotations
@@ -22,23 +23,23 @@ def _rref(rows, ncols, domain):
     return R.to_list(), list(pivots)
 
 
-def _kernel(R, pivots, n, conv, zero, one):
+def _kernel(R, pivots, n, domain):
     """The RREF kernel basis over the first n columns: one vector per free
-    column, with conv applied to the entries read from R."""
+    column, with entries in the domain of R."""
     basis = []
     for f in range(n):
         if f in pivots:
             continue
-        v = [zero] * n
-        v[f] = one
+        v = [domain.zero] * n
+        v[f] = domain.one
         for r, p in enumerate(pivots):
             if p < n:
-                v[p] = conv(-R[r][f])
+                v[p] = -R[r][f]
         basis.append(v)
     return basis
 
 
-# -- over Q(t), sympy expressions at the boundary ---------------------------------
+# -- over Q(t), Q(t) domain elements at the boundary ------------------------------
 
 
 def _qt(v):
@@ -47,16 +48,12 @@ def _qt(v):
     return COEFF_FIELD.from_sympy(sp.cancel(sp.sympify(v)))
 
 
-def _qt_expr(e):
-    return sp.cancel(COEFF_FIELD.to_sympy(e))
-
-
 def solve_affine(A, b):
     """All solutions of A v = b over Q(t).
 
-    A: list of rows of sympy exprs in t or Q(t) domain elements, b: list.
-    Returns (particular, kernel_basis) as sympy exprs; particular is None
-    when the system is inconsistent.
+    A: list of rows of sympy exprs in t, ints or Q(t) domain elements; b: a
+    list of the same.  Returns (particular, kernel_basis) as Q(t) domain
+    elements; particular is None when the system is inconsistent.
     """
     if not A:
         return [], []
@@ -65,22 +62,22 @@ def solve_affine(A, b):
         [[_qt(v) for v in row] + [_qt(c)] for row, c in zip(A, b)],
         n + 1, COEFF_FIELD,
     )
-    kernel = _kernel(R, pivots, n, _qt_expr, sp.S.Zero, sp.S.One)
+    kernel = _kernel(R, pivots, n, COEFF_FIELD)
     if n in pivots:
         return None, kernel
-    part = [sp.S.Zero] * n
+    part = [COEFF_FIELD.zero] * n
     for r, p in enumerate(pivots):
-        part[p] = _qt_expr(R[r][n])
+        part[p] = R[r][n]
     return part, kernel
 
 
 def nullspace(A):
-    """Kernel basis of A over Q(t); entries are sympy exprs."""
+    """Kernel basis of A over Q(t), as Q(t) domain elements."""
     if not A or not A[0]:
         return []
     n = len(A[0])
     R, pivots = _rref([[_qt(v) for v in row] for row in A], n, COEFF_FIELD)
-    return _kernel(R, pivots, n, _qt_expr, sp.S.Zero, sp.S.One)
+    return _kernel(R, pivots, n, COEFF_FIELD)
 
 
 # -- over K = Q(t)(x), RatFunc values at the boundary ------------------------------
@@ -120,7 +117,8 @@ def k_nullspace(rows):
     if not rows:
         return []
     R, pivots = _k_rref(rows)
-    return _kernel(R, pivots, len(R[0]), RatFunc, ZERO, ONE)
+    return [[RatFunc(e) for e in v]
+            for v in _kernel(R, pivots, len(R[0]), FIELD)]
 
 
 def pivot_columns(A):

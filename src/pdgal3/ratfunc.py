@@ -137,9 +137,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return not self._elem
 
-    def is_polynomial(self) -> bool:
-        return self.denominator.degree() == 0
-
     def is_coeff(self) -> bool:
         """True when the value is free of x (an element of Q(t))."""
         return self.d_x().is_zero
@@ -216,6 +213,7 @@ class RatFunc:
 
 _GEN_T, _GEN_X = FIELD.field.gens
 _T_RING = COEFF_FIELD.field.ring
+_TX_RING = FIELD.field.ring
 
 
 def _x_coeffs(p):
@@ -290,7 +288,7 @@ def horowitz_reduce(a):
     q1 = den.gcd(dden)
     q2 = den.quo(q1)
     if q1.degree() == 0:
-        return ZERO, polypart, RatFunc(rem.as_expr() / den.as_expr())
+        return ZERO, polypart, from_low_coeffs(low_coeffs(rem), den)
     # rem/den = (A/q1)' + B/q2, deg A < deg q1, deg B < deg q2.
     # Multiplied by den:  rem = A'*q2 - A*s + B*q1,  s := q1'*q2/q1 (a poly).
     s = (q1.diff() * q2).quo(q1)
@@ -310,9 +308,7 @@ def horowitz_reduce(a):
                            low_coeffs(rem, m + n))
     if vals is None:
         raise RuntimeError("Hermite reduction system must be solvable")
-    g_expr = sum(v * x ** i for i, v in enumerate(vals[:m])) / q1.as_expr()
-    h_expr = sum(v * x ** i for i, v in enumerate(vals[m:])) / q2.as_expr()
-    return RatFunc(g_expr), polypart, RatFunc(h_expr)
+    return from_low_coeffs(vals[:m], q1), polypart, from_low_coeffs(vals[m:], q2)
 
 
 def low_coeffs(p: Poly, n: int | None = None) -> list:
@@ -322,6 +318,25 @@ def low_coeffs(p: Poly, n: int | None = None) -> list:
     if n is None:
         return c
     return c[:n] + [COEFF_FIELD.zero] * (n - len(c))
+
+
+def from_low_coeffs(coeffs, den: Poly) -> RatFunc:
+    """(c_0 + c_1 x + ...) / den for Q(t) domain elements c_k and a Poly den
+    in x over Q(t): numerator and denominator are cleared once, by the lcm
+    of all their coefficients' denominators, into Q[t, x]."""
+    dens = low_coeffs(den)
+    lcm = _T_RING.one
+    for c in (*coeffs, *dens):
+        lcm = lcm.lcm(c.denom)
+
+    def lift(cs):
+        return _TX_RING.from_dict({
+            (i, k): v
+            for k, c in enumerate(cs)
+            for (i,), v in (c.numer * lcm.exquo(c.denom)).terms()
+        })
+
+    return RatFunc(FIELD.field.new(lift(coeffs), lift(dens)))
 
 
 def residue_at(a, f: Poly) -> Poly:

@@ -45,6 +45,7 @@ from .ratfunc import (
     _T_RING,
     _as_rational,
     _poly,
+    from_low_coeffs,
     is_log_derivative,
     low_coeffs,
     pole_factors,
@@ -266,7 +267,6 @@ def _ansatz(A, b, local, bound) -> SolutionSpace:
     for f, e in den_exp.items():
         if e > 0:
             d_u = d_u * f**e
-    du_rf = RatFunc(d_u.as_expr())
     if d_max is None:
         ndeg = -1
     else:
@@ -331,14 +331,9 @@ def _ansatz(A, b, local, bound) -> SolutionSpace:
     part, kern = solve_affine(rows, rhs)
 
     def to_vec(coeffs):
-        out = []
-        for i in range(n):
-            num = sum(
-                sp.sympify(coeffs[i * (ndeg + 1) + k]) * x**k
-                for k in range(ndeg + 1)
-            )
-            out.append(RatFunc(num) / du_rf)
-        return out
+        w = ndeg + 1
+        return [from_low_coeffs(coeffs[i * w:(i + 1) * w], d_u)
+                for i in range(n)]
 
     basis = [to_vec(v) for v in kern]
     particular = None

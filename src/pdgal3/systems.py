@@ -24,10 +24,6 @@ def mat_identity(n):
     )
 
 
-def mat_zero(m, n):
-    return tuple(tuple(ZERO for _ in range(n)) for _ in range(m))
-
-
 def mat_add(A, B):
     return tuple(
         tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
@@ -42,11 +38,6 @@ def mat_sub(A, B):
 
 def mat_neg(A):
     return tuple(tuple(-a for a in row) for row in A)
-
-
-def mat_scale(c, A):
-    c = ratfunc(c)
-    return tuple(tuple(c * a for a in row) for row in A)
 
 
 def mat_mul(A, B):
@@ -81,10 +72,6 @@ def mat_kron(A, B):
         for i1 in range(len(A))
         for i2 in range(p)
     )
-
-
-def mat_is_zero(A):
-    return all(v.is_zero for row in A for v in row)
 
 
 def mat_eq(A, B):

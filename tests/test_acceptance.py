@@ -10,7 +10,7 @@ import time
 
 import sympy as sp
 
-from pdgal3.galois3 import DispatchConfig, classify2, dispatch
+from pdgal3.galois3 import classify2, dispatch
 from pdgal3.integrability import character_lattice, is_constant, rank1_group, telescoper
 from pdgal3.modules import FlagCertificate
 from pdgal3.oreops import DELTA
@@ -21,7 +21,6 @@ from util import random_fuchsian
 
 t, x = sp.symbols("t x")
 
-CFG = DispatchConfig()
 CERT2 = FlagCertificate(subspaces=((("1",), ("0",)),))
 CERT3 = FlagCertificate(
     subspaces=(
@@ -307,7 +306,7 @@ BRANCH_FIXTURES = {
 def test_criterion_5_branch_correctness():
     with _criterion(5, "dispatcher branch correctness", 120):
         for label, (V, cert, members, nonmembers) in BRANCH_FIXTURES.items():
-            report, group = dispatch(V, cert, CFG)
+            report, group = dispatch(V, cert)
             assert report.case_path == label, (label, report.case_path)
             for M in members:
                 assert group.member(M), (label, M)
@@ -332,10 +331,10 @@ def test_criterion_6_dual_and_permutation():
             DiffSystem([["1/x", "0", "1/(x-1)"], ["0", "t/x", "1/(x+1)"],
                         ["0", "0", "0"]]), CERT3, [], [])
         for label, (V, cert, _, _) in flag_fixtures.items():
-            native, _ = dispatch(V, cert, CFG)
+            native, _ = dispatch(V, cert)
             assert native.case_path == label
             terminal = native.case_path.split("→")[-1]
-            dual_report, _ = dispatch(dual(V), None, CFG)
+            dual_report, _ = dispatch(dual(V), None)
             assert dual_report.case_path.split("→")[-1] == terminal, (
                 label, dual_report.case_path)
             if dual_report.case_path != native.case_path:
@@ -343,7 +342,7 @@ def test_criterion_6_dual_and_permutation():
         # the (CR,NC,CQ) fixture routes through the documented permutation
         perm_report, _ = dispatch(
             DiffSystem([["1/x", "0", "1/(x-1)"], ["0", "t/x", "1/(x+1)"],
-                        ["0", "0", "0"]]), CERT3, CFG)
+                        ["0", "0", "0"]]), CERT3)
         assert "→permute→(CR,CQ,NC)" in perm_report.case_path
 
 
@@ -367,7 +366,7 @@ def test_criterion_7_torus_machinery():
         # 3-dim torus membership on diagonal samples
         _, torus = dispatch(
             DiffSystem([["t/x", "0", "0"], ["0", "1/x", "0"],
-                        ["0", "0", "0"]]), CERT3, CFG)
+                        ["0", "0", "0"]]), CERT3)
         assert torus.member([["5", "0", "0"], ["0", "1", "0"],
                              ["0", "0", "1"]])
         assert not torus.member([["t", "0", "0"], ["0", "1", "0"],

@@ -140,27 +140,50 @@ def test_check_invariant(tmp_path, capsys):
     assert code == 0 and doc["invariant"] is False
 
 
-def test_config_from_file_and_env(tmp_path, capsys, monkeypatch):
-    doc = dict(SEMISIMPLE)
-    doc["config"] = {"max_order": 3}
-    path = write(tmp_path, "sys.json", doc)
-    assert main(["analyze", path, "--out", str(tmp_path / "r.json")]) == 0
-    monkeypatch.setenv("PDGAL3_MAX_ORDER", "2")
-    assert main(["check", "telescoper", "--expr", "1/x"]) == 0
+def test_max_order_removed(tmp_path, capsys, monkeypatch):
+    """Telescopers have their exact order: the flag is gone, a file that
+    still carries a config is read like any file with an unknown key, and
+    the environment variable is ignored."""
+    path = write(tmp_path, "sys.json", SEMISIMPLE)
+    with pytest.raises(SystemExit):
+        main(["analyze", path, "--max-order", "3"])
     capsys.readouterr()
-
-
-@pytest.mark.parametrize("config", [{"max_order": "abc"}, [1]])
-def test_malformed_file_config_exit_1(tmp_path, capsys, config):
-    doc = dict(SEMISIMPLE, config=config)
-    path = write(tmp_path, "sys.json", doc)
-    assert main(["analyze", path]) == 1
-    assert capsys.readouterr().err.startswith("error:")
-
-
-def test_malformed_env_config_exit_1(capsys, monkeypatch):
+    code, plain = run(capsys, ["analyze", path])
+    assert code == 0
+    plain.pop("timing_seconds")
+    for config in ({"max_order": "abc"}, [1]):
+        path = write(tmp_path, "cfg.json", dict(SEMISIMPLE, config=config))
+        code, doc = run(capsys, ["analyze", path])
+        assert code == 0
+        doc.pop("timing_seconds")
+        assert doc == plain
     monkeypatch.setenv("PDGAL3_MAX_ORDER", "abc")
-    assert main(["check", "telescoper", "--expr", "1/x"]) == 1
+    code, doc = run(capsys, ["check", "telescoper", "--expr", "1/x"])
+    assert code == 0 and doc["order"] == 1
+
+
+M2 = {"matrix": [["t/x", "1/(x-1)"], ["0", "0"]]}
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["check", "constancy"], {}),
+    (["check", "classify2"], {}),
+    (["check", "invariant", "m.json"], {"m.json": M2}),
+    (["check", "invariant", "m.json", "s.json"],
+     {"m.json": M2, "s.json": {"rows": [["1"], ["0"]]}}),
+    (["check", "invariant", "m.json", "s.json"],
+     {"m.json": M2, "s.json": [["1"], ["0"]]}),
+    (["check", "invariant", "m.json", "s.json"],
+     {"m.json": M2, "s.json": {"matrix": [["1"], ["0"], ["0"]]}}),
+    (["check", "invariant", "m.json", "s.json"],
+     {"m.json": M2, "s.json": {"matrix": [["0"], ["0"]]}}),
+    (["check", "constancy", "m.json"],
+     {"m.json": {"matrix": [["1", "0"], ["0"]]}}),
+    (["construct", "wedge", "m.json", "-k", "5"], {"m.json": M2}),
+])
+def test_malformed_check_construct_input_exit_1(tmp_path, capsys, argv, files):
+    paths = {name: write(tmp_path, name, doc) for name, doc in files.items()}
+    assert main([paths.get(a, a) for a in argv]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 

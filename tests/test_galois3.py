@@ -5,7 +5,7 @@ import sympy as sp
 import pytest
 
 from pdgal3.errors import NonFuchsianError, UnsupportedError
-from pdgal3.galois3 import DispatchConfig, classify2, diag_group, dispatch
+from pdgal3.galois3 import classify2, diag_group, dispatch
 from pdgal3.groups import Deferred, jet
 from pdgal3.modules import Analysis, FlagCertificate, diag_decompose
 from pdgal3.systems import DiffSystem, dual, gauge
@@ -19,7 +19,6 @@ CERT3 = FlagCertificate(
         (("1", "0"), ("0", "1"), ("0", "0")),
     )
 )
-CFG = DispatchConfig()
 
 
 def S(rows):
@@ -55,7 +54,7 @@ def test_classify2_dim_check():
 def test_diag_group_torus():
     D = diag_decompose(S([["t/x", "0", "0"], ["0", "1/x", "0"], ["0", "0", "0"]]),
                        CERT3)
-    g = diag_group(D, CFG)
+    g = diag_group(D)
     assert g.family == "torus"
     assert g.data["lattice"] == ((0, 0, 1), (0, 1, 0))
     eqs = g.to_explicit().equations
@@ -65,7 +64,7 @@ def test_diag_group_torus():
 
 def test_diag_group_trivial_factors():
     D = diag_decompose(S([["0", "0"], ["0", "0"]]))
-    g = diag_group(D, CFG)
+    g = diag_group(D)
     eqs = g.to_explicit().equations
     assert jet(1, 1) - 1 in eqs and jet(2, 2) - 1 in eqs
 
@@ -83,7 +82,7 @@ def test_dispatch_rejects_wrong_dimension():
 
 def test_dispatch_semisimple_torus():
     r, g = dispatch(S([["t/x", "0", "0"], ["0", "1/x", "0"], ["0", "0", "0"]]),
-                    CERT3, CFG)
+                    CERT3)
     assert r.case_path == "SEMISIMPLE"
     assert g.family == "torus"
     assert g.member([["5", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
@@ -93,7 +92,7 @@ def test_dispatch_semisimple_torus():
 def test_dispatch_decomposable_non_constant():
     r, g = dispatch(
         S([["t/x", "1/(x-1)", "0"], ["0", "0", "0"], ["0", "0", "1/x"]]),
-        CERT3, CFG)
+        CERT3)
     assert r.case_path == "DECOMPOSABLE"
     assert r.type_tags == ("NC",)
     eqs = g.to_explicit().equations
@@ -105,7 +104,7 @@ def test_dispatch_decomposable_non_constant():
 def test_dispatch_decomposable_constant_quotient_is_deferred():
     r, g = dispatch(
         S([["1/x", "1", "0"], ["0", "0", "0"], ["0", "0", "t/x"]]),
-        CERT3, CFG)
+        CERT3)
     assert r.case_path == "DECOMPOSABLE"
     assert r.type_tags == ("CQ",)
     assert isinstance(g, Deferred) and g.partial is not None
@@ -115,7 +114,7 @@ def test_dispatch_decomposable_constant_quotient_is_deferred():
 def test_dispatch_indecomposable_2dim():
     r, g = dispatch(
         S([["0", "1/x", "0"], ["t/(x-1)", "0", "1/(x+1)"], ["0", "0", "0"]]),
-        None, CFG)
+        None)
     assert r.case_path == "INDECOMPOSABLE-2DIM"
     eqs = g.to_explicit().equations
     det2 = jet(1, 1) * jet(2, 2) - jet(1, 2) * jet(2, 1) - 1
@@ -127,7 +126,7 @@ def test_dispatch_indecomposable_2dim():
 
 def test_dispatch_cqcq_deferred():
     r, g = dispatch(
-        S([["0", "1/x", "0"], ["0", "0", "1/x"], ["0", "0", "0"]]), CERT3, CFG)
+        S([["0", "1/x", "0"], ["0", "0", "1/x"], ["0", "0", "0"]]), CERT3)
     assert r.case_path == "(CQ,CQ)"
     assert isinstance(g, Deferred)
     assert g.member([["1", "3", "5"], ["0", "1", "7"], ["0", "0", "1"]])
@@ -137,7 +136,7 @@ def test_dispatch_cqcq_deferred():
 def test_dispatch_cr_cq_nc():
     r, g = dispatch(
         S([["t/x", "0", "1/(x-1)"], ["0", "0", "1/x"], ["0", "0", "0"]]),
-        CERT3, CFG)
+        CERT3)
     assert r.case_path == "(CR,CQ,NC)"
     eqs = g.to_explicit().equations
     assert jet(1, 2) in eqs
@@ -147,7 +146,7 @@ def test_dispatch_cr_cq_nc():
 def test_dispatch_cr_nc_cq_routes_through_permutation():
     r, g = dispatch(
         S([["1/x", "0", "1/(x-1)"], ["0", "t/x", "1/(x+1)"], ["0", "0", "0"]]),
-        CERT3, CFG)
+        CERT3)
     assert r.case_path == "(CR,NC,CQ)→permute→(CR,CQ,NC)"
     eqs = g.to_explicit().equations
     assert jet(1, 1) - 1 in eqs
@@ -158,7 +157,7 @@ def test_dispatch_cr_nc_cq_routes_through_permutation():
 def test_dispatch_cr_nc_nc():
     r, g = dispatch(
         S([["t/x", "0", "1/(x-1)"], ["0", "t/(x-1)", "1/x"], ["0", "0", "0"]]),
-        CERT3, CFG)
+        CERT3)
     assert r.case_path == "(CR,NC,NC)"
     eqs = g.to_explicit().equations
     for free in [jet(1, 3), jet(2, 3)]:
@@ -168,7 +167,7 @@ def test_dispatch_cr_nc_nc():
 def test_dispatch_ncnc_noncommutative():
     r, g = dispatch(
         S([["t/x", "1/(x-1)", "0"], ["0", "0", "1/(x+1)"], ["0", "0", "-t/x"]]),
-        CERT3, CFG)
+        CERT3)
     assert r.case_path == "(NC,NC)-noncommutative"
 
 
@@ -179,7 +178,7 @@ def test_dispatch_ncnc_finite_order_is_flagged(m):
     r, g = dispatch(
         S([["t/x", "1/(x-1)", "0"], ["0", f"-1/({2 * m}*x)", "1/(x+1)"],
            ["0", "0", "-t/x"]]),
-        CERT3, CFG)
+        CERT3)
     assert r.case_path == "(NC,NC)-noncommutative"
     assert r.flags == ("identity-component-level",)
     assert g.flags == ("identity-component-level",)
@@ -188,7 +187,7 @@ def test_dispatch_ncnc_finite_order_is_flagged(m):
 def test_dispatch_ncnc_commutative():
     r, g = dispatch(
         S([["t/x", "1/(x-1)", "0"], ["0", "0", "1/(x-1)"], ["0", "0", "-t/x"]]),
-        CERT3, CFG)
+        CERT3)
     assert r.case_path == "(NC,NC)-commutative"
     eqs = g.to_explicit().equations
     # no condition on the (1,3) entry: determined by V2
@@ -198,14 +197,14 @@ def test_dispatch_ncnc_commutative():
 def test_dispatch_cqnc_ru():
     r, g = dispatch(
         S([["0", "1/(x-1)", "0"], ["0", "0", "1/(x+1)"], ["0", "0", "t/x"]]),
-        CERT3, CFG)
+        CERT3)
     assert r.case_path == "(CQ,NC)-Ru"
 
 
 def test_dispatch_cqnc_prolongation():
     r, g = dispatch(
         S([["t/x", "1/x", "0"], ["0", "t/x", "1/(x-1)"], ["0", "0", "0"]]),
-        CERT3, CFG)
+        CERT3)
     assert r.case_path == "(CQ,NC)-prolongation"
     assert "prolongation-embedding-certified" in r.flags
     # normal-form member: [[a*c, a'*c, v'*c],[0, a*c, v*c],[0,0,c]]
@@ -219,9 +218,9 @@ def test_dispatch_cqnc_prolongation():
 
 def test_dispatch_gauge_invariant_label():
     V = S([["t/x", "1/(x-1)", "0"], ["0", "0", "0"], ["0", "0", "1/x"]])
-    r1, _ = dispatch(V, CERT3, CFG)
+    r1, _ = dispatch(V, CERT3)
     P = [["1", "0", "0"], ["0", "t", "0"], ["0", "1", "1"]]
-    r2, _ = dispatch(gauge(V, P), None, CFG)
+    r2, _ = dispatch(gauge(V, P), None)
     assert r1.case_path == r2.case_path == "DECOMPOSABLE"
 
 
@@ -245,7 +244,7 @@ def test_dispatch_dual_label(monkeypatch):
     searches = _counting(monkeypatch, galois3, "_find_line_summand")
     dispatches = _counting(monkeypatch, galois3, "dispatch")
     V = S([["t/x", "1/x", "0"], ["0", "t/x", "1/(x-1)"], ["0", "0", "0"]])
-    r, _ = galois3.dispatch(dual(V), None, CFG)
+    r, _ = galois3.dispatch(dual(V), None)
     assert r.case_path.endswith("(CQ,NC)-prolongation")
     assert "→dual→" in r.case_path
     assert len(searches) == 2
@@ -262,8 +261,8 @@ def test_dispatch_indecomposable_2dim_dual():
     from test_acceptance import BRANCH_FIXTURES
 
     V, cert, members, nonmembers = BRANCH_FIXTURES["INDECOMPOSABLE-2DIM"]
-    native, _ = dispatch(V, cert, CFG)
-    r, g = dispatch(dual(V), None, CFG)
+    native, _ = dispatch(V, cert)
+    r, g = dispatch(dual(V), None)
     assert r.case_path == "INDECOMPOSABLE-2DIM(dual)"
     assert r.type_tags == native.type_tags
     assert r.flags == native.flags
@@ -280,7 +279,7 @@ def test_dispatch_decomposable_dual(monkeypatch):
     search = galois3._find_line_summand
     monkeypatch.setattr(galois3, "_find_line_summand",
                         lambda M, an: None if M.A == V.A else search(M, an))
-    r, _ = dispatch(V, cert, CFG)
+    r, _ = dispatch(V, cert)
     assert r.case_path == "DECOMPOSABLE(dual)"
     assert r.type_tags == ("NC",)
     assert r.flags == ()
@@ -317,7 +316,7 @@ def test_dispatch_searches_each_matrix_once(monkeypatch):
     from pdgal3 import solvers
 
     calls = _counting(monkeypatch, solvers, "hyperexponential_classes")
-    r, _ = dispatch(dual(S(PROLONGATION)), None, CFG)
+    r, _ = dispatch(dual(S(PROLONGATION)), None)
     assert r.case_path.endswith("(CQ,NC)-prolongation")
     matrices = [M.A for (M,) in calls]
     assert len(matrices) == len(set(matrices)) == 5
@@ -328,9 +327,9 @@ def test_each_dispatch_computes_afresh(monkeypatch):
 
     calls = _counting(monkeypatch, solvers, "hyperexponential_classes")
     V = dual(S(PROLONGATION))
-    first, _ = dispatch(V, None, CFG)
+    first, _ = dispatch(V, None)
     n = len(calls)
-    second, _ = dispatch(V, None, CFG)
+    second, _ = dispatch(V, None)
     assert len(calls) == 2 * n
     assert calls[n:] == calls[:n]
     assert first == second

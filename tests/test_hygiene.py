@@ -8,6 +8,7 @@ A plain `ast` scan, scope-blind on purpose: a name counts as used when any
 import ast
 import collections
 import functools
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pdgal3"
@@ -97,6 +98,25 @@ def test_no_unread_private_definitions():
                       and n.id == node.name)
             if reads[node.name] == own:
                 bad.append(f"{mod}.{node.name} is never read")
+    assert not bad, "\n".join(bad)
+
+
+ROOT = SRC.parent.parent
+
+
+def test_every_definition_is_named_elsewhere():
+    """A function, method or class of the package whose name appears in no
+    other place of the package, its tests or its benchmark is dead code.
+    Dunder methods are called by the language and are exempt."""
+    text = "\n".join(p.read_text() for d in ("src", "tests", "bench")
+                     for p in sorted((ROOT / d).rglob("*.py")))
+    words = collections.Counter(re.findall(r"\w+", text))
+    defs = collections.Counter(re.findall(r"\b(?:def|class)\s+(\w+)", text))
+    bad = sorted({f"{mod}.{node.name}" for mod, tree in _modules().items()
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and not node.name.startswith("__")
+                  and words[node.name] <= defs[node.name]})
     assert not bad, "\n".join(bad)
 
 

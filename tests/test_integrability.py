@@ -4,6 +4,7 @@ import random
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from pdgal3.errors import IncompleteSearchError
 from pdgal3.integrability import (
@@ -14,7 +15,14 @@ from pdgal3.integrability import (
     telescoper,
 )
 from pdgal3.oreops import DELTA, IDENTITY_OP, OreOp
-from pdgal3.ratfunc import RatFunc, d_x, ratfunc, rational_antiderivative
+from pdgal3.ratfunc import (
+    ZERO,
+    RatFunc,
+    d_t,
+    d_x,
+    ratfunc,
+    rational_antiderivative,
+)
 from pdgal3.systems import DiffSystem, gauge
 from util import random_invertible
 
@@ -85,10 +93,6 @@ def test_telescoper_joint_order_two():
     assert L.apply(ratfunc(t)).is_zero and L.apply(ratfunc(1)).is_zero
 
 
-def test_telescoper_order_capped():
-    assert telescoper(R("t/x + 1/(x-1)"), max_order=1) is None
-
-
 def test_telescoper_output_certifies():
     """L(f) must have a rational antiderivative in x."""
     for s in ["1/x", "1/(x-t)", "t/(x-t)", "1/x + 1/(x-t)"]:
@@ -102,12 +106,53 @@ def test_telescoper_output_certifies():
 
 
 def _dtk(f, k):
-    from pdgal3.ratfunc import d_t
-
     out = f
     for _ in range(k):
         out = d_t(out)
     return out
+
+
+def test_rank1_group_exact_order_five():
+    """sum_{i=1..5} 1/((t-i)(x-i)): the telescoper of its t-derivative has
+    order 5, the degree of the pole block, and certifies itself."""
+    a5 = R(" + ".join(f"1/((t-{i})*(x-{i}))" for i in range(1, 6)))
+    g = rank1_group(a5)
+    assert g.family == "rank1-delta" and g.flags == ()
+    L = g.data["op"]
+    assert L.order == 5
+    assert rational_antiderivative(L.apply(d_t(a5))) is not None
+
+
+#: irreducible pole factors over Q(t), with their degrees in x
+_POLES = [(x, 1), (x - 1, 1), (x - t, 1), (x**2 - t, 2)]
+_QT = st.sampled_from([sp.S.Zero, sp.S.One, sp.S(-2), t, 1 / t, 1 / (t + 1)])
+
+
+@st.composite
+def _residue_sums(draw):
+    """(f, deg q): residues drawn at poles from _POLES, perhaps with an
+    exact part and a polynomial part that carry no residue."""
+    f, deg_q = ZERO, 0
+    for p, d in draw(st.lists(st.sampled_from(_POLES), min_size=1,
+                              max_size=4, unique=True)):
+        r = sum(draw(_QT) * x**k for k in range(d))
+        if r != 0:
+            f = f + RatFunc(r / p)
+            deg_q += d
+    if draw(st.booleans()):
+        f = f + R("t/(x-2)^2 + x")
+    return f, deg_q
+
+
+@given(_residue_sums())
+@settings(max_examples=25, deadline=None)
+def test_telescoper_exact_order_property(case):
+    """The telescoper always exists, its order is at most deg q, and L(f)
+    has a rational antiderivative."""
+    f, deg_q = case
+    L = telescoper(f)
+    assert L is not None and L.order <= deg_q
+    assert rational_antiderivative(L.apply(f)) is not None
 
 
 # -- rank-1 groups ---------------------------------------------------------------------

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from pdgal3.errors import ExpressionParseError
 from pdgal3.ratfunc import (
+    COEFF_FIELD,
     FIELD,
     ONE,
     RatFunc,
@@ -19,6 +20,7 @@ from pdgal3.ratfunc import (
     _poly,
     d_t,
     d_x,
+    from_low_coeffs,
     horowitz_reduce,
     is_log_derivative,
     ratfunc,
@@ -288,6 +290,22 @@ class TestPartialFractions:
         if not h.is_zero:
             den = h.denominator
             assert sp.gcd(den, den.diff()).degree() == 0
+
+
+_QT_COEFFS = st.sampled_from([0, 1, -3, t, t**2 - 1, 1 / t, (t + 2) / (3 * t - 1),
+                              sp.Rational(5, 7) / (t**2 + 1)])
+
+
+@given(st.lists(_QT_COEFFS, max_size=4),
+       st.sampled_from([1, x, x - t, 2 * t * x**2 - 1, (x - 1) / (t + 1)]))
+@settings(max_examples=60, deadline=None)
+def test_from_low_coeffs_matches_expression_route(cs, den):
+    """The cleared build equals the sympy expression it replaced."""
+    coeffs = [COEFF_FIELD.from_sympy(sp.sympify(c)) for c in cs]
+    got = from_low_coeffs(coeffs, _poly(den, x))
+    want = RatFunc(sum((sp.sympify(c) * x**k for k, c in enumerate(cs)),
+                       sp.S.Zero) / den)
+    assert got == want
 
 
 class TestAntiderivative:
