@@ -68,12 +68,17 @@ def _load_subspace_file(path, dim):
         raise ExpressionParseError(f"cannot read subspace file {path!r}: {exc}")
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise ExpressionParseError("subspace file needs a 'matrix' field")
-    S = _parse_rows(doc["matrix"], "subspace matrix")
+    return _parse_subspace(doc["matrix"], dim, "subspace matrix")
+
+
+def _parse_subspace(rows, dim, what):
+    """The n x k column basis given by rows, for a system of dim n."""
+    S = _parse_rows(rows, what)
     if len(S) != dim:
         raise ExpressionParseError(
-            f"subspace has {len(S)} rows, the system has dimension {dim}")
+            f"{what} has {len(S)} rows, the system has dimension {dim}")
     if column_rank(S) != len(S[0]):
-        raise ExpressionParseError("subspace columns must be independent")
+        raise ExpressionParseError(f"{what} columns must be independent")
     return S
 
 
@@ -91,9 +96,13 @@ def _load_system_file(path):
         raise ExpressionParseError("'dim' does not match the matrix size")
     cert = None
     certs = doc.get("certificates") or {}
+    if not isinstance(certs, dict):
+        raise ExpressionParseError("'certificates' must be an object")
     if "flag" in certs:
+        if not isinstance(certs["flag"], list):
+            raise ExpressionParseError("'flag' must be a list of subspaces")
         subspaces = tuple(
-            tuple(tuple(RatFunc.parse(str(v)) for v in row) for row in S)
+            tuple(map(tuple, _parse_subspace(S, M.dim, "flag subspace")))
             for S in certs["flag"]
         )
         cert = FlagCertificate(subspaces=subspaces)

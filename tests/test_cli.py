@@ -140,23 +140,40 @@ def test_check_invariant(tmp_path, capsys):
     assert code == 0 and doc["invariant"] is False
 
 
-def test_max_order_removed(tmp_path, capsys, monkeypatch):
-    """Telescopers have their exact order: the flag is gone, a file that
-    still carries a config is read like any file with an unknown key, and
-    the environment variable is ignored."""
+def test_config_from_file_and_env(tmp_path, capsys, monkeypatch):
+    """Telescopers have their exact order, so nothing reads a config: a file
+    that still carries one, even a malformed one, analyzes like the file
+    without it, also with PDGAL3_MAX_ORDER set."""
     path = write(tmp_path, "sys.json", SEMISIMPLE)
-    with pytest.raises(SystemExit):
-        main(["analyze", path, "--max-order", "3"])
-    capsys.readouterr()
     code, plain = run(capsys, ["analyze", path])
     assert code == 0
     plain.pop("timing_seconds")
-    for config in ({"max_order": "abc"}, [1]):
+    monkeypatch.setenv("PDGAL3_MAX_ORDER", "2")
+    for config in ({"max_order": 3}, {"max_order": "abc"}, [1]):
         path = write(tmp_path, "cfg.json", dict(SEMISIMPLE, config=config))
         code, doc = run(capsys, ["analyze", path])
         assert code == 0
         doc.pop("timing_seconds")
         assert doc == plain
+
+
+@pytest.mark.parametrize("config", [
+    {"flag": 5},
+    {"flag": [[["1"], ["0"]]]},
+])
+def test_malformed_file_config_exit_1(tmp_path, capsys, config):
+    """A malformed flag certificate in the system file exits 1."""
+    path = write(tmp_path, "sys.json", dict(SEMISIMPLE, certificates=config))
+    assert main(["analyze", path]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_max_order_removed(tmp_path, capsys, monkeypatch):
+    """The flag is gone and the environment variable is ignored."""
+    path = write(tmp_path, "sys.json", SEMISIMPLE)
+    with pytest.raises(SystemExit):
+        main(["analyze", path, "--max-order", "3"])
+    capsys.readouterr()
     monkeypatch.setenv("PDGAL3_MAX_ORDER", "abc")
     code, doc = run(capsys, ["check", "telescoper", "--expr", "1/x"])
     assert code == 0 and doc["order"] == 1
