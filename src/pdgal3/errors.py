@@ -19,3 +19,7 @@ class IncompleteSearchError(PdgalError):
 
 class UnsupportedError(PdgalError):
     """The request is outside the supported problem class (e.g. dimension)."""
+
+
+class CertificateError(PdgalError, ValueError):
+    """A supplied certificate does not certify what it claims."""

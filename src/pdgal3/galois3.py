@@ -23,8 +23,10 @@ from .groups import (
     Pullback,
     RepMap,
     block_rep,
+    det_rep,
+    invtranspose_rep,
     jet,
-    jet_matrix,
+    torus_diagonal,
 )
 from .integrability import character_lattice, is_constant, rank1_group
 from .linalg import column_rank
@@ -123,11 +125,7 @@ def _flag_group(entries, zero_positions, cq_pairs, flags=()):
     """Triangular-case equations: zero entries, diagonal torus conditions,
     and constant-ratio conditions; all other entries unconditioned."""
     torus, _ = _torus(entries)
-    diag_eqs = [e for e in torus.to_explicit().equations
-                if not any(jet(i, j) in e.free_symbols
-                           for i in range(1, len(entries) + 1)
-                           for j in range(1, len(entries) + 1) if i != j)]
-    eqs = _zeros(zero_positions) + diag_eqs
+    eqs = _zeros(zero_positions) + torus_diagonal(torus.data)
     eqs += [_cq_equation(i, j) for (i, j) in cq_pairs]
     return Explicit(dim=len(entries), equations=tuple(eqs), flags=tuple(flags))
 
@@ -149,18 +147,6 @@ def group2(a1, a2, kind: str) -> GroupDescription:
             partial=partial,
         )
     raise ValueError(f"group2 undefined for kind {kind!r}")
-
-
-def _invtranspose_rep(n: int) -> RepMap:
-    Y = jet_matrix(n)
-    inv_t = Y.adjugate().T / Y.det()
-    return RepMap(
-        source_dim=n,
-        target_dim=n,
-        entries=tuple(tuple(sp.cancel(inv_t[i, j]) for j in range(n))
-                      for i in range(n)),
-        name="inverse-transpose",
-    )
 
 
 def _perm_rep(n: int, sigma) -> RepMap:
@@ -252,9 +238,6 @@ def _semisimple_group(blocks, free_upper=False):
         V = blocks[0]
         tr = sum((V.A[i][i] for i in range(3)), ZERO)
         tr_g = rank1_group(tr)
-        det_entries = ((jet_matrix(3).det(),),)
-        det_rep = RepMap(source_dim=3, target_dim=1, entries=det_entries,
-                         name="det")
         shifted = DiffSystem(
             tuple(
                 tuple(V.A[i][j] - (tr / 3 if i == j else ZERO)
@@ -263,7 +246,7 @@ def _semisimple_group(blocks, free_upper=False):
             )
         )
         w = _try_constant(shifted)
-        comps = [(det_rep, tr_g)]
+        comps = [(det_rep(3), tr_g)]
         flags = ()
         if w is not None:
             comps.append(
@@ -319,10 +302,10 @@ def _semisimple_group(blocks, free_upper=False):
     ambient = Explicit(dim=n, equations=tuple(_zeros(zero_pos)))
 
     trW = W.A[0][0] + W.A[1][1]
-    det_entry = (jet(wrows[0] + 1, wrows[0] + 1) * jet(wrows[1] + 1, wrows[1] + 1)
-                 - jet(wrows[0] + 1, wrows[1] + 1) * jet(wrows[1] + 1, wrows[0] + 1))
     comps = []
     if n == 3:
+        det_entry = (jet(wrows[0] + 1, wrows[0] + 1) * jet(wrows[1] + 1, wrows[1] + 1)
+                     - jet(wrows[0] + 1, wrows[1] + 1) * jet(wrows[1] + 1, wrows[0] + 1))
         ui = dims.index(1)
         uoff = offs[ui]
         aU = blocks[ui].A[0][0]
@@ -338,9 +321,7 @@ def _semisimple_group(blocks, free_upper=False):
         comps.append((rep, torus2))
         notes.append("tau=0 on wedge^2 W + U: commutative identity component")
     else:
-        rep = RepMap(source_dim=2, target_dim=1, entries=((det_entry,),),
-                     name="det")
-        comps.append((rep, rank1_group(trW)))
+        comps.append((det_rep(2), rank1_group(trW)))
 
     w = _try_constant(W, traceless=True)
     flags = ("finite-primitive-closure-unchecked",)
@@ -478,7 +459,7 @@ def _via_dual(Vd, stage, label, type_tags=()):
     report, g = stage(Vd)
     report = replace(report, case_path=label.format(report.case_path),
                      type_tags=type_tags + report.type_tags)
-    return report, _transport(g, _invtranspose_rep(3))
+    return report, _transport(g, invtranspose_rep(3))
 
 
 def _case_decomposable(V, found, certs):

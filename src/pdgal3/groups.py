@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import sympy as sp
 
-from .ratfunc import t
+from .ratfunc import COEFF_FIELD, t
 
 _JET_RE = re.compile(r"^y(\d+)_(\d+)_(\d+)$")
 
@@ -111,6 +111,19 @@ def det_rep(n: int) -> RepMap:
     )
 
 
+def invtranspose_rep(n: int) -> RepMap:
+    """Y ↦ (Y⁻¹)ᵀ, entries rational in the jets."""
+    Y = jet_matrix(n)
+    inv_t = Y.adjugate().T / Y.det()
+    return RepMap(
+        source_dim=n,
+        target_dim=n,
+        entries=tuple(tuple(sp.cancel(inv_t[i, j]) for j in range(n))
+                      for i in range(n)),
+        name="inverse-transpose",
+    )
+
+
 def block_rep(n: int, rows, name="block") -> RepMap:
     """Restriction to a block: entry (a,b) of the image is y_{rows[a],rows[b]}."""
     m = len(rows)
@@ -187,16 +200,6 @@ class Named(GroupDescription):
     def _equations(self):
         n = self.dim
         fam = self.family
-        if fam == "GL":
-            return []
-        if fam == "SL":
-            return [jet_matrix(n).det() - 1]
-        if fam == "borel":
-            return [jet(i, j) for i in range(2, n + 1) for j in range(1, i)]
-        if fam == "trivial":
-            eqs = [jet(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-            eqs += [jet(i, i) - 1 for i in range(1, n + 1)]
-            return eqs
         if fam == "finite-cyclic":
             m = self.data["order"]
             return [jet(1, 1) ** m - 1]
@@ -204,7 +207,7 @@ class Named(GroupDescription):
             op = self.data["op"]
             return [rank1_delta_equation(op)]
         if fam == "torus":
-            return torus_equations(n, self.data)
+            return off_diagonal_zeros(n) + torus_diagonal(self.data)
         if fam in ("sl2-constant-conjugate", "sl-constant-conjugate"):
             eqs = [jet_matrix(n).det() - 1]
             eqs += [jet(i, j, 1) for i in range(1, n + 1) for j in range(1, n + 1)]
@@ -219,15 +222,20 @@ def rank1_delta_equation(op, i: int = 1) -> sp.Expr:
     out = sp.S.Zero
     cur = w
     for c in op.coeffs:
-        out += c * cur
+        out += COEFF_FIELD.to_sympy(c) * cur
         cur = total_delta(cur)
     return sp.fraction(sp.together(sp.expand(out)))[0]
 
 
-def torus_equations(n: int, data: dict):
-    """Diagonal group equations: off-diagonal vanishing, lattice binomials,
-    and per-entry rank-1 delta/finite conditions."""
-    eqs = [jet(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+def off_diagonal_zeros(n: int):
+    """y_ij = 0 for every off-diagonal entry."""
+    return [jet(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+
+
+def torus_diagonal(data: dict):
+    """Diagonal-group equations on the diagonal jets: lattice binomials and
+    per-entry rank-1 delta/finite conditions."""
+    eqs = []
     for gen in data.get("lattice", ()):  # integer vectors
         pos = sp.S.One
         neg = sp.S.One
@@ -237,13 +245,13 @@ def torus_equations(n: int, data: dict):
             elif m < 0:
                 neg *= jet(i + 1, i + 1) ** int(-m)
         eqs.append(pos - neg)
-    for i, entry in enumerate(data.get("entries", ())):
-        kind = entry[0]
+    for i, (kind, value) in enumerate(data.get("entries", ())):
         if kind == "finite":
-            eqs.append(jet(i + 1, i + 1) ** int(entry[1]) - 1)
+            eqs.append(jet(i + 1, i + 1) ** int(value) - 1)
         elif kind == "delta":
-            eqs.append(rank1_delta_equation(entry[1], i + 1))
-        # kind == "full": no condition
+            eqs.append(rank1_delta_equation(value, i + 1))
+        else:
+            raise ValueError(f"unknown torus entry kind {kind!r}")
     return eqs
 
 

@@ -9,11 +9,13 @@ annihilator of the residue elements of f.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import sympy as sp
-from sympy import Poly
+from sympy import QQ, ZZ, Poly
+from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
 
 from .errors import IncompleteSearchError
 from .groups import Named
@@ -21,8 +23,10 @@ from .linalg import solve_affine
 from .oreops import IDENTITY_OP, OreOp
 from .ratfunc import (
     COEFF_FIELD,
+    ONE,
     ZERO,
     d_t,
+    from_low_coeffs,
     horowitz_reduce,
     is_log_derivative,
     low_coeffs,
@@ -30,7 +34,6 @@ from .ratfunc import (
     ratfunc,
     residue_at,
     residues,
-    t,
     x,
 )
 from .systems import (
@@ -127,7 +130,7 @@ def telescoper(f):
         row = low_coeffs(rho, n)
         part, _ = solve_affine([list(r) for r in zip(*cols)], [-c for c in row])
         if part is not None:
-            return OreOp([COEFF_FIELD.to_sympy(c) for c in part] + [1])
+            return OreOp(part + [1])
         cols.append(row)
 
 
@@ -159,57 +162,19 @@ class CharacterLattice:
     generators: tuple  # tuple of integer tuples, Hermite normal form
     witnesses: tuple  # RatFunc r per generator
 
-    def contains(self, m) -> bool:
-        """Exact membership via the generator matrix (solve over Q, check Z)."""
-        if not self.generators:
-            return all(v == 0 for v in m)
-        G = sp.Matrix(self.generators).T
-        try:
-            sol, params = G.gauss_jordan_solve(sp.Matrix([int(v) for v in m]))
-        except ValueError:
-            return False
-        sol = sol.subs({p: 0 for p in params})
-        return all(v.is_integer for v in sol) and list(G * sol) == [
-            sp.Integer(v) for v in m
-        ]
-
 
 def integer_kernel(rows):
-    """Basis of the saturated integer kernel {z ∈ Zⁿ : Mz = 0} via unimodular
-    column reduction."""
-    M = sp.Matrix([[sp.Integer(v) for v in row] for row in rows])
-    n = M.cols
-    V = sp.eye(n)
-    col = 0
-    for row in range(M.rows):
-        if col >= n:
-            break
-        while True:
-            nz = [j for j in range(col, n) if M[row, j] != 0]
-            if not nz:
-                break
-            j0 = min(nz, key=lambda j: abs(M[row, j]))
-            if j0 != col:
-                M.col_swap(col, j0)
-                V.col_swap(col, j0)
-            a = M[row, col]
-            others = [j for j in range(col + 1, n) if M[row, j] != 0]
-            if not others:
-                col += 1
-                break
-            for j in others:
-                q = M[row, j] // a
-                M[:, j] -= q * M[:, col]
-                V[:, j] -= q * V[:, col]
-    return [tuple(V[:, j]) for j in range(col, n)]
+    """Basis of the saturated integer kernel {z ∈ Zⁿ : Mz = 0}: the columns
+    of V past the rank in the Smith form U·M·V = S, V unimodular."""
+    S, _, V = smith_normal_decomp(sp.Matrix(rows), domain=ZZ)
+    rank = sum(1 for i in range(min(S.shape)) if S[i, i])
+    return [tuple(V[:, j]) for j in range(rank, V.cols)]
 
 
 def _hnf_rows(gens):
     """Row-style Hermite normal form of a generator list (deterministic basis)."""
     if not gens:
         return ()
-    from sympy.matrices.normalforms import hermite_normal_form
-
     G = sp.Matrix([list(g) for g in gens])
     # hermite_normal_form works on columns; transpose to normalize rows
     H = hermite_normal_form(G.T).T
@@ -224,36 +189,25 @@ def _hnf_rows(gens):
 
 
 def _qt_linear_rows(values):
-    """Q-linear conditions Σ mᵢ·vᵢ = 0 for vᵢ ∈ Q(t)[x]: clear denominators
-    and read off coefficient rows indexed by monomials x^a t^b."""
-    exprs = [sp.together(sp.sympify(v)) for v in values]
-    dens = [sp.fraction(e)[1] for e in exprs]
-    den = sp.lcm(dens) if dens else sp.S.One
-    cleared = [sp.expand(sp.cancel(e * den)) for e in exprs]
-    monomap = {}
-    cols = []
-    for e in cleared:
-        if e == 0:
-            cols.append({})
-            continue
-        p = sp.Poly(e, x, t)
-        cols.append({mon: c for mon, c in zip(p.monoms(), p.coeffs())})
-        for mon in p.monoms():
-            monomap.setdefault(mon, len(monomap))
-    rows = []
-    for mon in monomap:
-        rows.append([sp.Rational(c.get(mon, 0)) for c in cols])
-    return rows
+    """Q-linear conditions Σ mᵢ·vᵢ = 0 for RatFunc values vᵢ: over one common
+    Q[t, x] denominator, one row per monomial tᵃxᵇ of the numerators."""
+    pairs = [v.xt_pair() for v in values]
+    den = functools.reduce(lambda a, b: a.lcm(b), (d for _, d in pairs),
+                           ONE.xt_pair()[1])
+    cols = [dict((num * den.exquo(d)).terms()) for num, d in pairs]
+    monos = dict.fromkeys(mon for c in cols for mon in c)
+    return [[c.get(mon, QQ.zero) for c in cols] for mon in monos]
 
 
-def _t_const_part(e):
+def _t_const_part(c):
     """Q-linear projection Q(t) → Q: constant term of the polynomial part."""
-    e = sp.cancel(sp.sympify(e))
-    num, den = sp.fraction(sp.together(e))
-    pnum = sp.Poly(num, t)
-    pden = sp.Poly(den, t)
-    quo = pnum.div(pden)[0]
-    return sp.Rational(quo.nth(0)) if quo.degree() >= 0 else sp.S.Zero
+    return (c.numer // c.denom).coeff(1)
+
+
+def _int_row(row):
+    """A row of rationals times the lcm of their denominators, and that lcm."""
+    den = math.lcm(*(int(v.denominator) for v in row))
+    return [int(v.numerator) * (den // int(v.denominator)) for v in row], den
 
 
 def character_lattice(diag) -> CharacterLattice:
@@ -268,45 +222,33 @@ def character_lattice(diag) -> CharacterLattice:
     reduced = [horowitz_reduce(a) for a in entries]
     # Q-linear conditions: the ∂-exact part g and the polynomial part must
     # cancel Q-linearly (both lie in complements of the log-derivative image).
-    qrows = []
-    qrows.extend(_qt_linear_rows([g.expr for g, _, _ in reduced]))
-    qrows.extend(_qt_linear_rows([p.as_expr() for _, p, _ in reduced]))
+    qrows = _qt_linear_rows([g for g, _, _ in reduced])
+    qrows += _qt_linear_rows([from_low_coeffs(low_coeffs(p), p.one)
+                              for _, p, _ in reduced])
 
-    # residue conditions per irreducible pole factor
+    # residue conditions per irreducible pole factor: the Q(t)-part beyond
+    # the rational constant must cancel, the constants must pair to integers
     hs = [h for _, _, h in reduced]
-    cong_rows = []  # rational rows whose pairing with m must be an integer
+    cong_rows = []
     factors = pole_factors(hs)
     for f in sorted(factors, key=lambda f: sp.default_sort_key(f.as_expr())):
         consts = []
         rests = []
         for h in hs:
-            rho = residue_at(h, f)
-            c = _t_const_part(rho.nth(0)) if rho.degree() >= 0 else sp.S.Zero
+            cs = low_coeffs(residue_at(h, f)) or [COEFF_FIELD.zero]
+            c = _t_const_part(cs[0])
             consts.append(c)
-            rests.append(sp.expand(rho.as_expr() - c))
-        qrows.extend(_qt_linear_rows(rests))
+            rests.append(from_low_coeffs([cs[0] - c] + cs[1:], f.one))
+        qrows += _qt_linear_rows(rests)
         cong_rows.append(consts)
 
     # assemble integer system: R m = 0 and C m ∈ Z^s  ⇔  [R 0; D·C  -D·I](m,w)=0
-    def _int_rows(rows):
-        out = []
-        for r in rows:
-            den = math.lcm(*(sp.Rational(v).q for v in r))
-            row = [int(sp.Rational(v) * den) for v in r]
-            if any(row):
-                out.append(row)
-        return out
-
-    R = _int_rows(qrows)
     s = len(cong_rows)
-    big = []
-    for r in R:
-        big.append(r + [0] * s)
+    big = [_int_row(r)[0] + [0] * s for r in qrows]
     for i, c in enumerate(cong_rows):
-        den = math.lcm(*(sp.Rational(v).q for v in c))
-        row = [int(sp.Rational(v) * den) for v in c]
+        row, den = _int_row(c)
         tail = [0] * s
-        tail[i] = -int(den)
+        tail[i] = -den
         big.append(row + tail)
     if not big:
         big = [[0] * (n + s)]

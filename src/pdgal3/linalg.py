@@ -3,15 +3,13 @@ elimination path.
 
 Every solve, inverse, kernel, rank and basis completion is read off one
 reduced row echelon form, computed by sympy's DomainMatrix rref (sparse
-Gauss-Jordan over the field).  The Q(t) entry points take sympy expressions,
-ints or Q(t) domain elements and return Q(t) domain elements; the K entry
-points take and return RatFunc values.  They differ only in the conversion at
-the boundary.
+Gauss-Jordan over the field).  The Q(t) entry points take and return Q(t)
+domain elements (ints are converted); the K entry points take and return
+RatFunc values.  They differ only in the conversion at the boundary.
 """
 
 from __future__ import annotations
 
-import sympy as sp
 from sympy.polys.matrices import DomainMatrix
 
 from .ratfunc import COEFF_FIELD, FIELD, ONE, RatFunc, ZERO, ratfunc
@@ -42,24 +40,19 @@ def _kernel(R, pivots, n, domain):
 # -- over Q(t), Q(t) domain elements at the boundary ------------------------------
 
 
-def _qt(v):
-    if COEFF_FIELD.of_type(v):
-        return v
-    return COEFF_FIELD.from_sympy(sp.cancel(sp.sympify(v)))
-
-
 def solve_affine(A, b):
     """All solutions of A v = b over Q(t).
 
-    A: list of rows of sympy exprs in t, ints or Q(t) domain elements; b: a
-    list of the same.  Returns (particular, kernel_basis) as Q(t) domain
-    elements; particular is None when the system is inconsistent.
+    A: list of rows of Q(t) domain elements or ints; b: a list of the same.
+    Returns (particular, kernel_basis) as Q(t) domain elements; particular
+    is None when the system is inconsistent.
     """
     if not A:
         return [], []
     n = len(A[0])
     R, pivots = _rref(
-        [[_qt(v) for v in row] + [_qt(c)] for row, c in zip(A, b)],
+        [[COEFF_FIELD.convert(v) for v in row] + [COEFF_FIELD.convert(c)]
+         for row, c in zip(A, b)],
         n + 1, COEFF_FIELD,
     )
     kernel = _kernel(R, pivots, n, COEFF_FIELD)
@@ -76,7 +69,8 @@ def nullspace(A):
     if not A or not A[0]:
         return []
     n = len(A[0])
-    R, pivots = _rref([[_qt(v) for v in row] for row in A], n, COEFF_FIELD)
+    R, pivots = _rref([[COEFF_FIELD.convert(v) for v in row] for row in A],
+                      n, COEFF_FIELD)
     return _kernel(R, pivots, n, COEFF_FIELD)
 
 

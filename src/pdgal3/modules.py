@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import solvers
-from .errors import NonFuchsianError
+from .errors import CertificateError, NonFuchsianError
 from .linalg import k_nullspace, k_solve_right, mat_inv, pivot_columns
 from .ratfunc import ONE, ZERO, is_log_derivative, ratfunc
 from .solvers import SolutionSpace, is_fuchsian, rational_solutions
@@ -173,7 +173,6 @@ class FlagCertificate:
     """An increasing chain of invariant subspaces, each a basis matrix."""
 
     subspaces: tuple
-    verified: bool = False
 
     def verify(self, M: DiffSystem) -> "FlagCertificate":
         prev_dim = 0
@@ -182,15 +181,13 @@ class FlagCertificate:
             S = mat(S)
             k = len(S[0])
             if not (prev_dim < k <= M.dim):
-                raise ValueError("flag dimensions must strictly increase")
+                raise CertificateError("flag dimensions must strictly increase")
             if is_invariant(M, S) is None:
-                raise ValueError("flag subspace is not invariant")
+                raise CertificateError("flag subspace is not invariant")
             if prev is not None and k_solve_right(S, prev) is None:
-                raise ValueError("flag subspaces are not nested")
+                raise CertificateError("flag subspaces are not nested")
             prev, prev_dim = S, k
-        return FlagCertificate(
-            subspaces=tuple(mat(S) for S in self.subspaces), verified=True
-        )
+        return FlagCertificate(subspaces=tuple(mat(S) for S in self.subspaces))
 
 
 @dataclass(frozen=True)

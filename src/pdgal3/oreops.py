@@ -1,21 +1,26 @@
 """Monic operators in delta over Q(t) and their action.
 
 An OreOp c_0 + c_1*delta + ... + delta^h is the form in which telescopers
-and rank-1 delta-groups are reported; delta acts on Q(t)(x) as d/dt.
+and rank-1 delta-groups are reported; delta acts on Q(t)(x) as d/dt.  The
+coefficients are Q(t) domain elements.
 """
 
 from __future__ import annotations
 
 import sympy as sp
 
-from .ratfunc import RatFunc, d_t, ratfunc
+from .ratfunc import COEFF_FIELD, FIELD, RatFunc, d_t, ratfunc
 
 
-def _coeff(v) -> sp.Expr:
-    """Coerce a coefficient into a canonical element of Q(t)."""
-    if isinstance(v, RatFunc):
-        return v.coeff_value()
-    return sp.cancel(sp.sympify(v))
+def _coeff(v):
+    """Coerce a coefficient into an element of Q(t): a Q(t) domain element,
+    or anything `ratfunc` accepts that is free of x."""
+    if COEFF_FIELD.of_type(v):
+        return v
+    r = ratfunc(v)
+    if not r.d_x().is_zero:
+        raise ValueError(f"{r} is not x-free")
+    return COEFF_FIELD.convert_from(r._elem, FIELD)
 
 
 class OreOp:
@@ -25,14 +30,12 @@ class OreOp:
 
     def __init__(self, coeffs):
         cs = [_coeff(c) for c in coeffs]
-        while len(cs) > 1 and cs[-1] == 0:
+        while len(cs) > 1 and not cs[-1]:
             cs.pop()
-        if not cs or cs[-1] == 0:
+        if not cs or not cs[-1]:
             raise ValueError("zero operator is not representable (monic)")
         lc = cs[-1]
-        if lc != 1:
-            cs = [sp.cancel(c / lc) for c in cs]
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(c / lc for c in cs)
 
     @property
     def order(self) -> int:
@@ -50,26 +53,26 @@ class OreOp:
     def to_string(self) -> str:
         parts = []
         for i, c in enumerate(self.coeffs):
-            if c == 0:
+            if not c:
                 continue
-            mon = "1" if i == 0 else ("delta" if i == 1 else f"delta^{i}")
+            s = sp.sstr(COEFF_FIELD.to_sympy(c)).replace("**", "^")
+            mon = "delta" if i == 1 else f"delta^{i}"
             if i == 0:
-                parts.append(sp.sstr(c).replace("**", "^"))
+                parts.append(s)
             elif c == 1:
                 parts.append(mon)
             else:
-                parts.append(f"({sp.sstr(c).replace('**', '^')})*{mon}")
-        return " + ".join(parts) if parts else "0"
+                parts.append(f"({s})*{mon}")
+        return " + ".join(parts)
 
     # -- action ---------------------------------------------------------------
 
     def apply(self, f):
         """L(f) for f in Q(t)(x); delta acts as d/dt."""
-        f = ratfunc(f)
         out = ratfunc(0)
-        cur = f
+        cur = ratfunc(f)
         for c in self.coeffs:
-            out = out + RatFunc(c) * cur
+            out = out + RatFunc(FIELD.convert_from(c, COEFF_FIELD)) * cur
             cur = d_t(cur)
         return out
 

@@ -137,17 +137,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return not self._elem
 
-    def is_coeff(self) -> bool:
-        """True when the value is free of x (an element of Q(t))."""
-        return self.d_x().is_zero
-
-    def coeff_value(self) -> sp.Expr:
-        """The value as an element of Q(t); requires x-freeness."""
-        e = self.expr
-        if x in e.free_symbols:
-            raise ValueError(f"{self} is not x-free")
-        return e
-
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other):
@@ -368,7 +357,7 @@ def rational_antiderivative(a):
     g, polypart, h = horowitz_reduce(a)
     if not h.is_zero:
         return None
-    return g + RatFunc(polypart.integrate().as_expr())
+    return g + from_low_coeffs(low_coeffs(polypart.integrate()), polypart.one)
 
 
 def pole_factors(values):
@@ -444,5 +433,5 @@ def is_log_derivative(a):
     m = math.lcm(*(q.denominator for q in rho.values()))
     r = ONE
     for f, q in rho.items():
-        r = r * RatFunc(f.as_expr()) ** int(m * q)
+        r = r * from_low_coeffs(low_coeffs(f), f.one) ** int(m * q)
     return m, r

@@ -392,7 +392,7 @@ def hyperexponential_classes(M: DiffSystem):
     # all candidate characters r = sum e_f * f'/f, with their e_f
     candidates = [(ZERO, ())]
     for f, eigs in zip(factors, per_factor):
-        dlog = RatFunc(f.diff().as_expr() / f.as_expr())
+        dlog = from_low_coeffs(low_coeffs(f.diff()), f)
         candidates = [
             (c + RatFunc(FIELD.convert_from(e, COEFF_FIELD)) * dlog, es + (e,))
             for c, es in candidates for e in eigs

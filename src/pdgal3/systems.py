@@ -7,7 +7,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .linalg import mat_inv
-from .ratfunc import ONE, RatFunc, ZERO, ratfunc
+from .ratfunc import ONE, ZERO, ratfunc
 
 
 # -- plain matrix helpers over RatFunc -----------------------------------------
@@ -121,9 +121,6 @@ class DiffSystem:
     @property
     def dim(self) -> int:
         return len(self.A)
-
-    def entry(self, i, j) -> RatFunc:
-        return self.A[i][j]
 
     def __eq__(self, other):
         return isinstance(other, DiffSystem) and mat_eq(self.A, other.A)

@@ -14,7 +14,8 @@ from pdgal3.galois3 import classify2, dispatch
 from pdgal3.integrability import character_lattice, is_constant, rank1_group, telescoper
 from pdgal3.modules import FlagCertificate
 from pdgal3.oreops import DELTA
-from pdgal3.ratfunc import RatFunc, d_t, d_x, ratfunc, rational_antiderivative, residues
+from pdgal3.ratfunc import (COEFF_FIELD, FIELD, RatFunc, d_t, d_x,
+                            rational_antiderivative, residues)
 from pdgal3.series import delta_series, fundamental_series, ordinary_point, satisfies, series_block
 from pdgal3.systems import DiffSystem, dual, gauge, prolong
 from util import random_fuchsian
@@ -161,7 +162,7 @@ def test_criterion_3_telescoper_minimality():
             h = op.order
             # soundness: L(f) has a rational antiderivative
             total = sum(
-                (ratfunc(sp.sympify(c)) * _dtk(f, k)
+                (RatFunc(FIELD.convert_from(c, COEFF_FIELD)) * _dtk(f, k)
                  for k, c in enumerate(op.coeffs)),
                 RatFunc(0),
             )

@@ -160,6 +160,8 @@ def test_config_from_file_and_env(tmp_path, capsys, monkeypatch):
 @pytest.mark.parametrize("config", [
     {"flag": 5},
     {"flag": [[["1"], ["0"]]]},
+    {"flag": [[["x"], ["1"], ["0"]]]},
+    {"flag": [[["1"], ["0"], ["0"]], [["0"], ["1"], ["0"]]]},
 ])
 def test_malformed_file_config_exit_1(tmp_path, capsys, config):
     """A malformed flag certificate in the system file exits 1."""

@@ -66,11 +66,7 @@ def test_member_explicit():
 def test_identity_in_every_named_family():
     I2 = [["1", "0"], ["0", "1"]]
     for fam, data in [
-        ("GL", {}),
-        ("SL", {}),
-        ("borel", {}),
-        ("trivial", {}),
-        ("torus", {"lattice": ((1, -1),), "entries": (("full",), ("full",))}),
+        ("torus", {"lattice": ((1, -1),), "entries": ()}),
         ("sl2-constant-conjugate", {}),
     ]:
         assert Named(dim=2, family=fam, data=data).member(I2), fam
@@ -82,7 +78,7 @@ def test_named_torus_binomials():
     g = Named(
         dim=2,
         family="torus",
-        data={"lattice": ((1, -2),), "entries": (("full",), ("full",))},
+        data={"lattice": ((1, -2),), "entries": ()},
     )
     assert g.member([["t**2", "0"], ["0", "t"]])
     assert not g.member([["t", "0"], ["0", "t"]])

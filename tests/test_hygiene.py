@@ -233,3 +233,65 @@ except ValueError:
     handled = False
 """
     assert _swallowing_handlers(ast.parse(snippet), errors) == [4, 8, 12]
+
+
+#: sympy's expression normalizers; outside the parser and the group layer,
+#: Q(t) values are domain elements and need none of them
+NORMALIZERS = {"sympify", "cancel", "together"}
+#: where they may be called: a whole module, or one `Class.method`
+NORMALIZER_SCOPES = {("groups", None), ("ratfunc", "RatFunc.__init__")}
+
+
+def _normalizer_calls(mod, tree) -> list:
+    """Line numbers of calls to a sympy normalizer, as `sp.X(...)` or by an
+    imported name, outside NORMALIZER_SCOPES."""
+    if (mod, None) in NORMALIZER_SCOPES:
+        return []
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names
+                        if a.name == "sympy"}
+        elif (isinstance(node, ast.ImportFrom)
+              and (node.module or "").split(".")[0] == "sympy"):
+            names |= {a.asname or a.name for a in node.names
+                      if a.name in NORMALIZERS}
+
+    def calls(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, ast.Call) and (mod, scope) not in NORMALIZER_SCOPES:
+            f = node.func
+            if ((isinstance(f, ast.Name) and f.id in names)
+                    or (isinstance(f, ast.Attribute) and f.attr in NORMALIZERS
+                        and isinstance(f.value, ast.Name)
+                        and f.value.id in modules)):
+                yield node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from calls(child, scope)
+
+    return list(calls(tree, None))
+
+
+def test_sympy_normalizers_only_in_parser_and_groups():
+    bad = [f"{mod}:{line}" for mod, tree in _modules().items()
+           for line in _normalizer_calls(mod, tree)]
+    assert not bad, "\n".join(bad)
+
+
+def test_normalizer_rule_flags_calls():
+    snippet = """
+import sympy as sp
+from sympy import cancel as c, together
+class RatFunc:
+    def __init__(self, v):
+        sp.cancel(v)
+    def f(self, v):
+        return sp.sympify(v)
+def g(v):
+    return c(together(v)) + v.cancel() + sp.expand(v)
+"""
+    tree = ast.parse(snippet)
+    assert _normalizer_calls("ratfunc", tree) == [8, 10, 10]
+    assert _normalizer_calls("groups", tree) == []
+    assert _normalizer_calls("oreops", tree) == [6, 8, 10, 10]

@@ -67,7 +67,7 @@ class TestConstructions:
         P = prolong(M)
         for i in range(2):
             for j in range(2):
-                assert P.entry(i, 2 + j).is_zero
+                assert P.A[i][2 + j].is_zero
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
