@@ -9,7 +9,7 @@ from .errors import (
     PdgalError,
     UnsupportedError,
 )
-from .galois3 import classify2, diag_group, dispatch
+from .galois3 import classify2, dispatch
 from .groups import CaseReport, Deferred, Explicit, Named, Pullback, jet, pullback
 from .integrability import character_lattice, is_constant, rank1_group, telescoper
 from .modules import FlagCertificate, diag_decompose, is_invariant, semisimplify
@@ -33,7 +33,6 @@ __all__ = [
     "character_lattice",
     "classify2",
     "diag_decompose",
-    "diag_group",
     "direct_sum",
     "dispatch",
     "dual",

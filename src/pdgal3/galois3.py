@@ -33,7 +33,6 @@ from .linalg import column_rank
 from .modules import (
     Analysis,
     FlagCertificate,
-    ModuleDiag,
     diag_decompose,
     is_invariant,
     rank1_isomorphism,
@@ -52,21 +51,33 @@ from .ratfunc import (
     rational_antiderivative,
 )
 from .solvers import hyperexponential_solutions, rational_solutions
-from .systems import (
-    DiffSystem,
-    dual,
-    gauge,
-    mat,
-    mat_inv,
-    prolong,
-    tensor,
-)
-
-
-_E1_CERT = FlagCertificate(subspaces=((("1",), ("0",)),))
+from .systems import DiffSystem, dual, gauge, mat, prolong, tensor
 
 
 # -- 2-dimensional trichotomy ---------------------------------------------------------
+
+
+def _extension(a1, b, a2):
+    """(F, complete): the rational F with ∂F = (a1 − a2)F − b, or None, and
+    whether that answer is complete.  Gauging [[a1, b], [0, a2]] by
+    [[1, F], [0, 1]] gives diag(a1, a2)."""
+    space = rational_solutions([[a1 - a2]], [-b])
+    F = space.particular[0] if space.particular is not None else None
+    return F, space.complete
+
+
+def _pair_type(a1, b, a2) -> str:
+    """Type of the triangular system [[a1, b], [0, a2]]: CQ when δ(a1 − a2)
+    is a ∂-derivative, else CR when it splits and NC when it provably does
+    not."""
+    if rational_antiderivative(d_t(a1 - a2)) is not None:
+        return "CQ"
+    F, complete = _extension(a1, b, a2)
+    if F is None and not complete:
+        raise IncompleteSearchError(
+            "semisimplicity test of a 2-dim piece not provably complete"
+        )
+    return "CR" if F is not None else "NC"
 
 
 def classify2(W: DiffSystem, cert: FlagCertificate = None) -> str:
@@ -77,16 +88,8 @@ def classify2(W: DiffSystem, cert: FlagCertificate = None) -> str:
     D = diag_decompose(W, cert)
     if len(D.blocks) == 1:
         return "CR"  # simple, hence semisimple
-    u1 = D.blocks[0].A[0][0]
-    u2 = D.blocks[1].A[0][0]
-    if rational_antiderivative(d_t(u1 - u2)) is not None:
-        return "CQ"
-    ss, _, _ = semisimplify(W, D)
-    if ss is None:
-        raise IncompleteSearchError(
-            "classify2: semisimplicity test not provably complete"
-        )
-    return "CR" if ss else "NC"
+    T = gauge(W, D.P).A
+    return _pair_type(T[0][0], T[0][1], T[1][1])
 
 
 # -- building blocks for equation sets --------------------------------------------------
@@ -128,25 +131,6 @@ def _flag_group(entries, zero_positions, cq_pairs, flags=()):
     eqs = _zeros(zero_positions) + torus_diagonal(torus.data)
     eqs += [_cq_equation(i, j) for (i, j) in cq_pairs]
     return Explicit(dim=len(entries), equations=tuple(eqs), flags=tuple(flags))
-
-
-def group2(a1, a2, kind: str) -> GroupDescription:
-    """Group of a 2-dim triangular system [[a1, b], [0, a2]] of the given
-    type.  NC: full unipotent coordinate; CQ: Deferred with partial
-    equations (the tau=0 unipotent structure needs an external algorithm)."""
-    if kind == "NC":
-        return _flag_group((a1, a2), [(2, 1)], [])
-    if kind == "CQ":
-        partial = _flag_group(
-            (a1, a2), [(2, 1)], [(1, 2)], flags=("tau0-partial",)
-        )
-        return Deferred(
-            dim=2,
-            reduction="tau(G)=0; complete the unipotent coordinate via a "
-            "constant-system algorithm",
-            partial=partial,
-        )
-    raise ValueError(f"group2 undefined for kind {kind!r}")
 
 
 def _perm_rep(n: int, sigma) -> RepMap:
@@ -255,8 +239,7 @@ def _semisimple_group(blocks, free_upper=False):
                  Named(dim=3, family="sl-constant-conjugate",
                        flags=("up-to-conjugation",)))
             )
-            certs.append(("constancy-witness", [[v.to_string() for v in row]
-                                                for row in w.B]))
+            certs.append(("constancy-witness", w.B))
         else:
             flags = ("quasi-simple-closure-unchecked",)
         notes.append("simple 3-dim: determined by det character and the "
@@ -332,8 +315,7 @@ def _semisimple_group(blocks, free_upper=False):
              Named(dim=2, family="sl2-constant-conjugate",
                    flags=("up-to-conjugation",)))
         )
-        certs.append(("constancy-witness", [[v.to_string() for v in row]
-                                            for row in w.B]))
+        certs.append(("constancy-witness", w.B))
         notes.append("W⊗W* dichotomy: constant; SL2-conjugate-to-constants part")
     else:
         notes.append("W⊗W* dichotomy: non-constant; full SL2 part")
@@ -348,12 +330,6 @@ def _try_constant(W: DiffSystem, traceless=False):
         return is_constant(W)
     except IncompleteSearchError:
         return None
-
-
-def diag_group(D: ModuleDiag) -> GroupDescription:
-    """Group of a semisimple system presented by its diagonal blocks."""
-    g, _, _ = _semisimple_group(list(D.blocks))
-    return g
 
 
 # -- decomposability probing ------------------------------------------------------------
@@ -419,14 +395,12 @@ def _factor_stage(V, cert, an):
     certificates, and the verdict when V is semisimple, undecided or has a
     2-dim factor (None when V has a full flag)."""
     D = diag_decompose(V, cert, an)
-    certs = [("gauge", [[v.to_string() for v in row] for row in mat(D.P)]),
-             ("factors", [b.to_strings() for b in D.blocks])]
+    certs = [("gauge", D.P), ("factors", tuple(b.A for b in D.blocks))]
 
     ss, Pss, ssblocks = semisimplify(V, D)
     if ss is True:
         g, notes, more = _semisimple_group(ssblocks)
-        certs.append(("semisimple-gauge",
-                      [[v.to_string() for v in row] for row in mat(Pss)]))
+        certs.append(("semisimple-gauge", Pss))
         certs.extend(more)
         report = CaseReport(
             case_path="SEMISIMPLE",
@@ -471,10 +445,9 @@ def _case_decomposable(V, found, certs):
     w2 = DW.blocks[-1].A[0][0]
     a_u = is_invariant(V, S)[0][0]
     entries = (w1, w2, a_u)
-    certs = certs + [("summand-line", [v[0].to_string() for v in S]),
-                     ("summand-complement",
-                      [[v.to_string() for v in row] for row in comp]),
-                     ("diag-entries", [e.to_string() for e in entries])]
+    certs = certs + [("summand-line", tuple(v[0] for v in S)),
+                     ("summand-complement", comp),
+                     ("diag-entries", entries)]
     if rational_antiderivative(d_t(w1 - w2)) is not None:
         partial = _flag_group(
             entries,
@@ -532,9 +505,7 @@ def _case_indecomposable_2dim(V, D, certs):
         report = CaseReport(
             case_path="INDECOMPOSABLE-2DIM",
             type_tags=("constant",),
-            certificates=tuple(certs + [("constancy-witness",
-                                         [[v.to_string() for v in row]
-                                          for row in w.B])]),
+            certificates=tuple(certs + [("constancy-witness", w.B)]),
             flags=("deferred",),
             tau_notes=("tau(G)=0: W1*⊗W2 constant; "
                        "tau(G)=max(tau(ker),tau(image)) with both of type 0",),
@@ -571,12 +542,9 @@ def _case_full_flag(V, Vd, D, certs, an):
     Mt = gauge(V, D.P)
     a = [Mt.A[i][i] for i in range(3)]
     b12, b23 = Mt.A[0][1], Mt.A[1][2]
-    V2 = DiffSystem([[a[0], b12], [ZERO, a[1]]])
-    Q1 = DiffSystem([[a[1], b23], [ZERO, a[2]]])
-    t1 = classify2(V2, _E1_CERT)
-    t2 = classify2(Q1, _E1_CERT)
-    certs = certs + [("diag-entries", [x.to_string() for x in a]),
-                     ("pair", (t1, t2))]
+    t1 = _pair_type(a[0], b12, a[1])
+    t2 = _pair_type(a[1], b23, a[2])
+    certs = certs + [("diag-entries", tuple(a)), ("pair", (t1, t2))]
 
     if (t1, t2) in {("CQ", "CR"), ("NC", "CR"), ("NC", "CQ")}:
         return _via_dual(Vd, lambda W: _flag_stage(W, V, an),
@@ -609,33 +577,23 @@ def _case_full_flag(V, Vd, D, certs, an):
         )
 
     if t1 == "CR":
-        return _case_cr(Mt, certs, t2)
+        return _case_cr(Mt, a, certs, t2)
     if (t1, t2) == ("NC", "NC"):
         return _case_ncnc(a, b12, b23, certs)
-    if (t1, t2) == ("CQ", "NC"):
-        return _case_cqnc(Mt, a, V2, certs)
-    raise RuntimeError(f"unhandled pair ({t1},{t2})")
+    return _case_cqnc(Mt, a, certs)  # the last of the nine pairs, (CQ,NC)
 
 
 def _split_v2_basis(Mt):
-    """Gauge making the invariant complement of V1 in V2 the second basis
-    vector; returns the new system."""
-    comp, _ = split_extension(
-        DiffSystem([[Mt.A[0][0], Mt.A[0][1]], [ZERO, Mt.A[1][1]]]),
-        (("1",), ("0",)),
-    )
-    if comp is None:
-        raise RuntimeError("V2 expected to split")
-    c1, c2 = comp[0][0], comp[1][0]
-    P_cols = mat([[ONE, c1, ZERO], [ZERO, c2, ZERO], [ZERO, ZERO, ONE]])
-    return gauge(Mt, mat_inv(P_cols))
+    """Mt gauged by [[1, F, 0], [0, 1, 0], [0, 0, 1]], where F from
+    `_extension` splits V2: the (1,2) entry becomes 0 and the diagonal
+    stays."""
+    F, _ = _extension(Mt.A[0][0], Mt.A[0][1], Mt.A[1][1])
+    return gauge(Mt, [[ONE, F, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]])
 
 
-def _case_cr(Mt, certs, t2):
+def _case_cr(Mt, a, certs, t2):
     Mt2 = _split_v2_basis(Mt)
-    a = [Mt2.A[i][i] for i in range(3)]
-    VoverU = DiffSystem([[a[0], Mt2.A[0][2]], [ZERO, a[2]]])
-    t3 = classify2(VoverU, _E1_CERT)
+    t3 = _pair_type(a[0], Mt2.A[0][2], a[2])
     certs = certs + [("third-type", t3)]
     if t3 == "CR":
         return (
@@ -645,25 +603,8 @@ def _case_cr(Mt, certs, t2):
                      "inconsistent certificates"),
         )
 
-    if (t2, t3) == ("CQ", "CQ"):
-        partial = _flag_group(
-            tuple(a), [(2, 1), (3, 1), (3, 2), (1, 2)],
-            [(2, 3), (1, 3)], flags=("tau0-partial",),
-        )
-        report = CaseReport(
-            case_path="(CR,CQ,CQ)",
-            type_tags=("CR", "CQ", "CQ"),
-            certificates=tuple(certs),
-            flags=("deferred",),
-            tau_notes=("tau(G)=0: faithful action on V/V1 ⊕ V/U is of "
-                       "constant type",),
-        )
-        return report, Deferred(
-            dim=3,
-            reduction="tau(G)=0: complete via a constant-system algorithm",
-            partial=partial,
-        )
-
+    # (t2, t3) is never (CQ, CQ): CQ is additive in the diagonal, so δ(a1 − a2)
+    # = δ(a1 − a3) − δ(a2 − a3) would be a ∂-derivative, and t1 would be CQ.
     if (t2, t3) == ("CQ", "NC"):
         g = _flag_group(
             tuple(a), [(2, 1), (3, 1), (3, 2), (1, 2)], [(2, 3)],
@@ -680,12 +621,11 @@ def _case_cr(Mt, certs, t2):
         return report, g
 
     if (t2, t3) == ("NC", "CQ"):
+        # swapping V1 and U only permutes the diagonal
         sigma = [1, 0, 2]
-        Mp = gauge(Mt2, _perm_matrix(sigma))
-        ap = [Mp.A[i][i] for i in range(3)]
         gp = _flag_group(
-            tuple(ap), [(2, 1), (3, 1), (3, 2), (1, 2)], [(2, 3)],
-            flags=("tau0-partial-on-(2,3)",),
+            tuple(a[k] for k in sigma), [(2, 1), (3, 1), (3, 2), (1, 2)],
+            [(2, 3)], flags=("tau0-partial-on-(2,3)",),
         )
         g = _transport(gp, _perm_rep(3, sigma))
         report = CaseReport(
@@ -711,32 +651,17 @@ def _case_cr(Mt, certs, t2):
     return report, g
 
 
-def _perm_matrix(sigma):
-    n = len(sigma)
-    return mat([[ONE if sigma[i] == j else ZERO for j in range(n)]
-                for i in range(n)])
-
-
 def _case_ncnc(a, b12, b23, certs):
     iso = is_log_derivative(a[0] - 2 * a[1] + a[2])
     if iso is None or iso[0] != 1:
         flags = () if iso is None else ("identity-component-level",)
-        g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [], flags=flags)
-        report = CaseReport(
-            case_path="(NC,NC)-noncommutative",
-            type_tags=("NC", "NC"),
-            certificates=tuple(certs),
-            flags=flags,
-            tau_notes=("[G,G] non-commutative: [B,B] ⊂ G, so G determined "
-                       "by V^diag",),
-        )
-        return report, g
+        return _ncnc_noncommutative(a, certs, flags)
     _, s = iso
     # commutative [G,G] iff the (2,3)-class is a constant multiple of the
     # s-twisted (1,2)-class: solve d(f) = (a2-a3) f - c*(b12/s) + b23, d(c)=0
     aug = DiffSystem([[a[1] - a[2], -(b12 / s)], [ZERO, ZERO]])
     space = rational_solutions(aug, [b23, ZERO])
-    certs = certs + [("isotypic-witness", s.to_string())]
+    certs = certs + [("isotypic-witness", s)]
     if space.particular is None and not space.complete:
         g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [],
                         flags=("bound-limited",))
@@ -754,37 +679,37 @@ def _case_ncnc(a, b12, b23, certs):
             "solver bound; candidates: determined by V2 / by V^diag",
             partial=g,
         )
-    commutative = space.particular is not None
-    if commutative:
-        g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [],
-                        flags=("identity-component-level",))
-        report = CaseReport(
-            case_path="(NC,NC)-commutative",
-            type_tags=("NC", "NC"),
-            certificates=tuple(certs + [("proportionality",
-                                         [v.to_string() if hasattr(v, "to_string")
-                                          else str(v)
-                                          for v in space.particular])]),
-            flags=("identity-component-level",),
-            tau_notes=("[G,G] commutative: G determined by V2; closure "
-                       "conditions on the (2,3) entry are not computed",),
-        )
-        return report, g
-    g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [])
+    if space.particular is None:
+        return _ncnc_noncommutative(a, certs, ())
+    g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [],
+                    flags=("identity-component-level",))
+    report = CaseReport(
+        case_path="(NC,NC)-commutative",
+        type_tags=("NC", "NC"),
+        certificates=tuple(certs + [("proportionality", space.particular)]),
+        flags=("identity-component-level",),
+        tau_notes=("[G,G] commutative: G determined by V2; closure "
+                   "conditions on the (2,3) entry are not computed",),
+    )
+    return report, g
+
+
+def _ncnc_noncommutative(a, certs, flags):
+    g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [], flags=flags)
     report = CaseReport(
         case_path="(NC,NC)-noncommutative",
         type_tags=("NC", "NC"),
         certificates=tuple(certs),
-        flags=(),
+        flags=flags,
         tau_notes=("[G,G] non-commutative: [B,B] ⊂ G, so G determined by "
                    "V^diag",),
     )
     return report, g
 
 
-def _case_cqnc(Mt, a, V2, certs):
-    ss, _, _ = semisimplify(V2)
-    if ss is None:
+def _case_cqnc(Mt, a, certs):
+    F, complete = _extension(a[0], Mt.A[0][1], a[1])
+    if F is None and not complete:
         return (
             CaseReport(case_path="(CQ,NC)-undecided", type_tags=("CQ", "NC"),
                        certificates=tuple(certs),
@@ -793,10 +718,8 @@ def _case_cqnc(Mt, a, V2, certs):
                      "the solver bound",
                      flags=("deferred", "bound-limited")),
         )
-    if ss is True:
-        Mt2 = _split_v2_basis(Mt)
-        a2 = [Mt2.A[i][i] for i in range(3)]
-        g = _flag_group(tuple(a2), [(2, 1), (3, 1), (3, 2), (1, 2)],
+    if F is not None:
+        g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2), (1, 2)],
                         [(1, 2)])
         report = CaseReport(
             case_path="(CQ,NC)-V2semisimple",
@@ -849,8 +772,8 @@ def _case_cqnc(Mt, a, V2, certs):
     flags = ["structural", "prolongation-embedding-certified" if emb is not None
              else "prolongation-embedding-not-found"]
     certs = certs + [
-        ("rank1-isomorphism", riso.to_string()),
-        ("reductivity-witness", [v.to_string() for v in prol_witness]),
+        ("rank1-isomorphism", riso),
+        ("reductivity-witness", prol_witness),
     ]
     b12, b23 = Mt.A[0][1], Mt.A[1][2]
     normalized = (
@@ -859,7 +782,7 @@ def _case_cqnc(Mt, a, V2, certs):
         and Mt.A[0][2] == d_t(b23)
     )
     comps = ((block_rep(3, [1, 2], name="V/V1"),
-              group2(a[1], a[2], "NC")),)
+              _flag_group((a[1], a[2]), [(2, 1)], [])),)
     eqs = _zeros([(2, 1), (3, 1), (3, 2)])
     if normalized:
         y = jet
@@ -873,9 +796,7 @@ def _case_cqnc(Mt, a, V2, certs):
     g = Pullback(dim=3, components=comps,
                  ambient=Explicit(dim=3, equations=tuple(eqs)),
                  flags=tuple(flags))
-    certs = certs + [("embedding-into-prolongation",
-                      emb if emb is None else
-                      [[v.to_string() for v in row] for row in emb])]
+    certs = certs + [("embedding-into-prolongation", emb)]
     report = CaseReport(
         case_path="(CQ,NC)-prolongation",
         type_tags=("CQ", "NC"),

@@ -169,17 +169,9 @@ class Explicit(GroupDescription):
     flags: tuple = ()
 
     def __post_init__(self):
-        norm = tuple(
-            sorted(
-                {
-                    normalize_equation(e)
-                    for e in self.equations
-                    if normalize_equation(e) != 0
-                },
-                key=sp.default_sort_key,
-            )
-        )
-        object.__setattr__(self, "equations", norm)
+        norm = {e for e in map(normalize_equation, self.equations) if e != 0}
+        object.__setattr__(self, "equations",
+                           tuple(sorted(norm, key=sp.default_sort_key)))
 
     def to_explicit(self):
         return self

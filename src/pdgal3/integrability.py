@@ -36,16 +36,7 @@ from .ratfunc import (
     residues,
     x,
 )
-from .systems import (
-    DiffSystem,
-    mat_d_t,
-    mat_identity,
-    mat_kron,
-    mat_sub,
-    mat_transpose,
-    unvec,
-    vec,
-)
+from .systems import DiffSystem, hom, mat_d_t, unvec, vec
 
 
 # -- constancy -------------------------------------------------------------------
@@ -81,10 +72,8 @@ def is_constant(M: DiffSystem, bound: int = 10):
     from .solvers import rational_solutions
 
     n = M.dim
-    eye = mat_identity(n)
-    coeff = mat_sub(mat_kron(eye, M.A), mat_kron(mat_transpose(M.A), eye))
-    rhs = vec(mat_d_t(M.A))
-    space = rational_solutions(coeff, rhs, bound=bound)
+    # vec(B) column-major: d vecB = hom(M, M) vecB + vec(δA)
+    space = rational_solutions(hom(M, M), vec(mat_d_t(M.A)), bound=bound)
     if space.particular is None:
         if space.complete:
             return None

@@ -122,15 +122,9 @@ def split_extension(M: DiffSystem, S):
         raise ValueError("split_extension requires an invariant subspace")
     B, N, D, P = sq
     k, q = B.dim, D.dim
-    # vec(F) column-major: d vecF = (I (x) B - D^T (x) I) vecF - vecN
-    from .systems import mat_add, mat_kron, mat_neg, mat_transpose
-
-    coeff = mat_add(
-        mat_kron(mat_identity(q), B.A),
-        mat_neg(mat_kron(mat_transpose(D.A), mat_identity(k))),
-    )
-    rhs = [-v for v in vec(N)]
-    space = rational_solutions(coeff, rhs)
+    # vec(F) column-major: d vecF = hom(D, B) vecF - vecN, where
+    # hom(D, B) = I (x) B - D^T (x) I
+    space = rational_solutions(hom(D, B), [-v for v in vec(N)])
     if space.particular is None:
         return None, space.complete
     F = unvec(space.particular, k, q)

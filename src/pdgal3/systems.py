@@ -80,20 +80,6 @@ def mat_eq(A, B):
     )
 
 
-def mat_det(A):
-    n = len(A)
-    if n == 1:
-        return A[0][0]
-    if n == 2:
-        return A[0][0] * A[1][1] - A[0][1] * A[1][0]
-    out = ZERO
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1:] for row in A[1:])
-        term = A[0][j] * mat_det(minor)
-        out = out + term if j % 2 == 0 else out - term
-    return out
-
-
 def vec(U):
     """Column-stacked vector of a matrix (column-major)."""
     m, n = len(U), len(U[0])

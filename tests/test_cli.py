@@ -52,6 +52,19 @@ def test_analyze_writes_out_file(tmp_path, capsys):
     assert doc["case_path"] == "SEMISIMPLE"
 
 
+def test_analyze_cqnc_residues_outside_qt(tmp_path, capsys):
+    # a diagonal with residues outside Q(t): once a traceback and exit 1
+    doc = dict(SEMISIMPLE, matrix=[
+        ["(x+1)/(x^2-t)", "1/(x-1)", "0"],
+        ["0", "(x+1)/(x^2-t)", "1/(x+1)"],
+        ["0", "0", "t/x"],
+    ])
+    code, out = run(capsys, ["analyze", write(tmp_path, "sys.json", doc)])
+    assert code == 0
+    assert out["case_path"] == "(CQ,NC)-undecided"
+    assert out["flags"] == ["bound-limited", "deferred"]
+
+
 def test_analyze_wrong_dim_exit_2(tmp_path, capsys):
     path = write(tmp_path, "sys.json",
                  {"matrix": [["0", "1"], ["0", "0"]]})

@@ -3,11 +3,15 @@
 import sympy as sp
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pdgal3.errors import NonFuchsianError, UnsupportedError
-from pdgal3.galois3 import classify2, diag_group, dispatch
-from pdgal3.groups import Deferred, jet
-from pdgal3.modules import Analysis, FlagCertificate, diag_decompose
+from pdgal3.errors import (IncompleteSearchError, NonFuchsianError,
+                           UnsupportedError)
+from pdgal3.galois3 import classify2, dispatch
+from pdgal3.groups import Deferred, Explicit, Pullback, jet
+from pdgal3.modules import (Analysis, FlagCertificate, diag_decompose,
+                            semisimplify)
+from pdgal3.ratfunc import d_t, rational_antiderivative
 from pdgal3.systems import DiffSystem, dual, gauge
 
 t = sp.Symbol("t")
@@ -48,13 +52,59 @@ def test_classify2_dim_check():
         classify2(S([["0"]]))
 
 
-# -- diag_group --------------------------------------------------------------------------
+#: entries c*f'/f of the triangular pieces drawn below
+_DLOG_POLES = ["x", "x-1", "x+1", "x-t"]
+_DLOG_COEFFS = ["1", "-1", "2", "1/2", "-3/2", "t", "-t", "2*t"]
+_OFF_DIAGONAL = ["0", "1", "1/x", "1/(x-1)", "t/(x+1)", "x"]
+
+
+def _dlog_sum(draw):
+    terms = draw(st.lists(
+        st.tuples(st.sampled_from(_DLOG_COEFFS), st.sampled_from(_DLOG_POLES)),
+        max_size=2))
+    return " + ".join(f"({c})/({f})" for c, f in terms) or "0"
+
+
+@st.composite
+def _triangular_pieces(draw):
+    return S([[_dlog_sum(draw), draw(st.sampled_from(_OFF_DIAGONAL))],
+              ["0", _dlog_sum(draw)]])
+
+
+def _classify2_by_semisimplify(W):
+    """classify2 through semisimplify, as the dispatcher once typed its
+    pieces."""
+    D = diag_decompose(W, CERT2)
+    u1, u2 = D.blocks[0].A[0][0], D.blocks[1].A[0][0]
+    if rational_antiderivative(d_t(u1 - u2)) is not None:
+        return "CQ"
+    ss, _, _ = semisimplify(W, D)
+    if ss is None:
+        raise IncompleteSearchError("semisimplicity test not provably complete")
+    return "CR" if ss else "NC"
+
+
+def _type_or_incomplete(classify, W):
+    try:
+        return classify(W)
+    except IncompleteSearchError:
+        return "incomplete"
+
+
+@given(_triangular_pieces())
+@settings(max_examples=60, deadline=None)
+def test_classify2_matches_semisimplify_route(W):
+    assert (_type_or_incomplete(lambda V: classify2(V, CERT2), W)
+            == _type_or_incomplete(_classify2_by_semisimplify, W))
+
+
+# -- semisimple groups through dispatch ----------------------------------------------------
 
 
 def test_diag_group_torus():
-    D = diag_decompose(S([["t/x", "0", "0"], ["0", "1/x", "0"], ["0", "0", "0"]]),
-                       CERT3)
-    g = diag_group(D)
+    r, g = dispatch(
+        S([["t/x", "0", "0"], ["0", "1/x", "0"], ["0", "0", "0"]]), CERT3)
+    assert r.case_path == "SEMISIMPLE"
     assert g.family == "torus"
     assert g.data["lattice"] == ((0, 0, 1), (0, 1, 0))
     eqs = g.to_explicit().equations
@@ -63,10 +113,10 @@ def test_diag_group_torus():
 
 
 def test_diag_group_trivial_factors():
-    D = diag_decompose(S([["0", "0"], ["0", "0"]]))
-    g = diag_group(D)
+    r, g = dispatch(S([["0", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]]))
+    assert r.case_path == "SEMISIMPLE"
     eqs = g.to_explicit().equations
-    assert jet(1, 1) - 1 in eqs and jet(2, 2) - 1 in eqs
+    assert all(jet(i, i) - 1 in eqs for i in (1, 2, 3))
 
 
 # -- dispatch: structural guards ------------------------------------------------------------
@@ -201,6 +251,43 @@ def test_dispatch_cqnc_ru():
     assert r.case_path == "(CQ,NC)-Ru"
 
 
+CQNC_V2_SEMISIMPLE = [["0", "0", "1/(x-1)"], ["0", "0", "1/(x+1)"],
+                      ["0", "0", "t/x"]]
+
+
+@pytest.mark.parametrize("cert", [CERT3, None])
+def test_dispatch_cqnc_v2_semisimple(cert):
+    r, g = dispatch(S(CQNC_V2_SEMISIMPLE), cert)
+    assert r.case_path == "(CQ,NC)-V2semisimple"
+    assert r.flags == ()
+    assert isinstance(g, Explicit)
+    assert g.member([["1", "0", "5"], ["0", "1", "7"], ["0", "0", "1"]])
+    assert not g.member([["2", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]])
+
+
+def test_dispatch_simple_3dim_semisimple():
+    r, g = dispatch(
+        S([["0", "1/x", "0"], ["0", "0", "1/(x-1)"], ["t/(x+1)", "0", "0"]]))
+    assert r.case_path == "SEMISIMPLE"
+    assert r.flags == ("quasi-simple-closure-unchecked",)
+    assert isinstance(g, Pullback)
+
+
+#: the diagonal (x+1)/(x^2-t) has residues outside Q(t) at the roots of
+#: x^2 - t, so the line search on V2 alone does not find e1
+CQNC_UNDECIDED = [["(x+1)/(x^2-t)", "1/(x-1)", "0"],
+                  ["0", "(x+1)/(x^2-t)", "1/(x+1)"], ["0", "0", "t/x"]]
+
+
+def test_dispatch_cqnc_residues_outside_qt_are_undecided():
+    # the V2 test once ran its own line search, missed e1 and raised
+    # "V2 expected to split"
+    r, g = dispatch(S(CQNC_UNDECIDED), CERT3)
+    assert r.case_path == "(CQ,NC)-undecided"
+    assert r.flags == ("bound-limited", "deferred")
+    assert isinstance(g, Deferred)
+
+
 def test_dispatch_cqnc_prolongation():
     r, g = dispatch(
         S([["t/x", "1/x", "0"], ["0", "t/x", "1/(x-1)"], ["0", "0", "0"]]),
@@ -311,15 +398,16 @@ PROLONGATION = [["t/x", "1/x", "0"], ["0", "t/x", "1/(x-1)"], ["0", "0", "0"]]
 
 
 def test_dispatch_searches_each_matrix_once(monkeypatch):
-    # dispatch(dual(V)) meets 5 distinct matrices: V, dual(V) and their
-    # 2-dim blocks; before the per-dispatch Analysis it searched them 7 times
+    # dispatch(dual(V)) searches 4 distinct matrices: V, dual(V) and a 2-dim
+    # block of each.  Before the per-dispatch Analysis it searched 7 times;
+    # before the (CQ,NC) case read V2 off its entries, it also searched V2
     from pdgal3 import solvers
 
     calls = _counting(monkeypatch, solvers, "hyperexponential_classes")
     r, _ = dispatch(dual(S(PROLONGATION)), None)
     assert r.case_path.endswith("(CQ,NC)-prolongation")
     matrices = [M.A for (M,) in calls]
-    assert len(matrices) == len(set(matrices)) == 5
+    assert len(matrices) == len(set(matrices)) == 4
 
 
 def test_each_dispatch_computes_afresh(monkeypatch):
