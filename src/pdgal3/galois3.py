@@ -37,12 +37,12 @@ from .modules import (
     is_invariant,
     rank1_isomorphism,
     semisimplify,
+    split,
     split_extension,
     sub_quotient,
     morphisms,
 )
 from .ratfunc import (
-    ONE,
     RatFunc,
     ZERO,
     d_t,
@@ -50,8 +50,8 @@ from .ratfunc import (
     ratfunc,
     rational_antiderivative,
 )
-from .solvers import hyperexponential_solutions, rational_solutions
-from .systems import DiffSystem, dual, gauge, mat, prolong, tensor
+from .solvers import rational_solutions
+from .systems import DiffSystem, dual, hom, mat, prolong, tensor
 
 
 # -- 2-dimensional trichotomy ---------------------------------------------------------
@@ -61,9 +61,8 @@ def _extension(a1, b, a2):
     """(F, complete): the rational F with ∂F = (a1 − a2)F − b, or None, and
     whether that answer is complete.  Gauging [[a1, b], [0, a2]] by
     [[1, F], [0, 1]] gives diag(a1, a2)."""
-    space = rational_solutions([[a1 - a2]], [-b])
-    F = space.particular[0] if space.particular is not None else None
-    return F, space.complete
+    F, complete = split(DiffSystem([[a1]]), [[b]], DiffSystem([[a2]]))
+    return (F[0][0] if F is not None else None), complete
 
 
 def _pair_type(a1, b, a2) -> str:
@@ -86,9 +85,9 @@ def classify2(W: DiffSystem, cert: FlagCertificate = None) -> str:
     if W.dim != 2:
         raise ValueError("classify2 needs a 2-dimensional system")
     D = diag_decompose(W, cert)
-    if len(D.blocks) == 1:
+    if len(D.dims) == 1:
         return "CR"  # simple, hence semisimple
-    T = gauge(W, D.P).A
+    T = D.T.A
     return _pair_type(T[0][0], T[0][1], T[1][1])
 
 
@@ -179,8 +178,6 @@ def _transport(g: GroupDescription, rep: RepMap) -> GroupDescription:
 
 def _sl_part(W: DiffSystem):
     """Trace-zero subsystem of hom(W, W) for a 2-dim block, and its constancy."""
-    from .systems import hom
-
     H = hom(W, W)
     # columns: vec (column-major) of [[1,0],[0,-1]], [[0,0],[1,0]], [[0,1],[0,0]]
     S = mat([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"], ["-1", "0", "0"]])
@@ -196,12 +193,13 @@ def _sym_square(W: DiffSystem):
     return B
 
 
-def _semisimple_group(blocks, free_upper=False):
-    """Group of a direct sum of blocks of dims summing to <= 3.
+def _semisimple_group(blocks, an, free_upper=False):
+    """Group of a direct sum of blocks of dims summing to 3.
 
-    blocks are in coordinate order.  With free_upper the strictly
-    upper-block entries are left unconditioned (used when only the lower
-    zeros are known to cut out the ambient group).
+    blocks are in coordinate order; their line searches read and fill the
+    Analysis an.  With free_upper the strictly upper-block entries are left
+    unconditioned (used when only the lower zeros are known to cut out the
+    ambient group).
     """
     n = sum(b.dim for b in blocks)
     dims = [b.dim for b in blocks]
@@ -252,8 +250,8 @@ def _semisimple_group(blocks, free_upper=False):
     woff = offs[wi]
     wrows = [woff, woff + 1]
     try:
-        closure_fails = bool(hyperexponential_solutions(W)) or bool(
-            hyperexponential_solutions(_sym_square(W))
+        closure_fails = bool(an.hyperexponential_classes(W)[0]) or bool(
+            an.hyperexponential_classes(_sym_square(W))[0]
         )
     except PdgalError:
         closure_fails = True
@@ -285,26 +283,22 @@ def _semisimple_group(blocks, free_upper=False):
     ambient = Explicit(dim=n, equations=tuple(_zeros(zero_pos)))
 
     trW = W.A[0][0] + W.A[1][1]
-    comps = []
-    if n == 3:
-        det_entry = (jet(wrows[0] + 1, wrows[0] + 1) * jet(wrows[1] + 1, wrows[1] + 1)
-                     - jet(wrows[0] + 1, wrows[1] + 1) * jet(wrows[1] + 1, wrows[0] + 1))
-        ui = dims.index(1)
-        uoff = offs[ui]
-        aU = blocks[ui].A[0][0]
-        torus2, lat = _torus([trW, aU])
-        certs.append(("character-lattice", lat.generators))
-        rep = RepMap(
-            source_dim=3,
-            target_dim=2,
-            entries=((det_entry, sp.S.Zero),
-                     (sp.S.Zero, jet(uoff + 1, uoff + 1))),
-            name="wedge2W-plus-U",
-        )
-        comps.append((rep, torus2))
-        notes.append("tau=0 on wedge^2 W + U: commutative identity component")
-    else:
-        comps.append((det_rep(2), rank1_group(trW)))
+    det_entry = (jet(wrows[0] + 1, wrows[0] + 1) * jet(wrows[1] + 1, wrows[1] + 1)
+                 - jet(wrows[0] + 1, wrows[1] + 1) * jet(wrows[1] + 1, wrows[0] + 1))
+    ui = dims.index(1)
+    uoff = offs[ui]
+    aU = blocks[ui].A[0][0]
+    torus2, lat = _torus([trW, aU])
+    certs.append(("character-lattice", lat.generators))
+    rep = RepMap(
+        source_dim=3,
+        target_dim=2,
+        entries=((det_entry, sp.S.Zero),
+                 (sp.S.Zero, jet(uoff + 1, uoff + 1))),
+        name="wedge2W-plus-U",
+    )
+    comps = [(rep, torus2)]
+    notes.append("tau=0 on wedge^2 W + U: commutative identity component")
 
     w = _try_constant(W, traceless=True)
     flags = ("finite-primitive-closure-unchecked",)
@@ -399,7 +393,7 @@ def _factor_stage(V, cert, an):
 
     ss, Pss, ssblocks = semisimplify(V, D)
     if ss is True:
-        g, notes, more = _semisimple_group(ssblocks)
+        g, notes, more = _semisimple_group(ssblocks, an)
         certs.append(("semisimple-gauge", Pss))
         certs.extend(more)
         report = CaseReport(
@@ -421,8 +415,8 @@ def _factor_stage(V, cert, an):
             flags=("deferred", "bound-limited"),
         ))
 
-    if sorted(b.dim for b in D.blocks) == [1, 2]:
-        return D, certs, _case_indecomposable_2dim(V, D, certs)
+    if sorted(D.dims) == [1, 2]:
+        return D, certs, _case_indecomposable_2dim(V, D, certs, an)
     return D, certs, None
 
 
@@ -482,11 +476,11 @@ def _case_decomposable(V, found, certs):
     return report, g
 
 
-def _case_indecomposable_2dim(V, D, certs):
-    if D.blocks[0].dim != 2:
+def _case_indecomposable_2dim(V, D, certs, an):
+    if D.dims[0] != 2:
         Vd = dual(V)
-        Dd = diag_decompose(Vd)
-        if Dd.blocks[0].dim != 2:
+        Dd = diag_decompose(Vd, analysis=an)
+        if Dd.dims[0] != 2:
             return (
                 CaseReport(case_path="INDECOMPOSABLE-2DIM",
                            certificates=tuple(certs),
@@ -495,10 +489,9 @@ def _case_indecomposable_2dim(V, D, certs):
                          "as a submodule"),
             )
         return _via_dual(
-            Vd, lambda W: _case_indecomposable_2dim(W, Dd, certs),
+            Vd, lambda W: _case_indecomposable_2dim(W, Dd, certs, an),
             "{}(dual)")
-    W = D.blocks[0]
-    U = D.blocks[1]
+    W, U = D.blocks
     Wtest = tensor(dual(U), W)  # W1* ⊗ W2, 2-dimensional
     w = _try_constant(Wtest)
     if w is not None:
@@ -514,7 +507,7 @@ def _case_indecomposable_2dim(V, D, certs):
             dim=3,
             reduction="tau(G)=0: complete via a constant-system algorithm",
         )
-    g, notes, more = _semisimple_group([W, U], free_upper=True)
+    g, notes, more = _semisimple_group([W, U], an, free_upper=True)
     report = CaseReport(
         case_path="INDECOMPOSABLE-2DIM",
         type_tags=("non-constant",),
@@ -539,7 +532,7 @@ def _flag_stage(V, Vd, an):
 
 def _case_full_flag(V, Vd, D, certs, an):
     """V with a full flag and no line summand, nor one in Vd = dual(V)."""
-    Mt = gauge(V, D.P)
+    Mt = D.T
     a = [Mt.A[i][i] for i in range(3)]
     b12, b23 = Mt.A[0][1], Mt.A[1][2]
     t1 = _pair_type(a[0], b12, a[1])
@@ -583,17 +576,11 @@ def _case_full_flag(V, Vd, D, certs, an):
     return _case_cqnc(Mt, a, certs)  # the last of the nine pairs, (CQ,NC)
 
 
-def _split_v2_basis(Mt):
-    """Mt gauged by [[1, F, 0], [0, 1, 0], [0, 0, 1]], where F from
-    `_extension` splits V2: the (1,2) entry becomes 0 and the diagonal
-    stays."""
-    F, _ = _extension(Mt.A[0][0], Mt.A[0][1], Mt.A[1][1])
-    return gauge(Mt, [[ONE, F, ZERO], [ZERO, ONE, ZERO], [ZERO, ZERO, ONE]])
-
-
 def _case_cr(Mt, a, certs, t2):
-    Mt2 = _split_v2_basis(Mt)
-    t3 = _pair_type(a[0], Mt2.A[0][2], a[2])
+    # F splits V2: gauging by [[1, F, 0], [0, 1, 0], [0, 0, 1]] clears the
+    # (1,2) entry, keeps the diagonal and makes the (1,3) entry b13 + F*b23
+    F, _ = _extension(a[0], Mt.A[0][1], a[1])
+    t3 = _pair_type(a[0], Mt.A[0][2] + F * Mt.A[1][2], a[2])
     certs = certs + [("third-type", t3)]
     if t3 == "CR":
         return (

@@ -10,6 +10,7 @@ block B.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import solvers
@@ -19,6 +20,7 @@ from .ratfunc import ONE, ZERO, is_log_derivative, ratfunc
 from .solvers import SolutionSpace, is_fuchsian, rational_solutions
 from .systems import (
     DiffSystem,
+    direct_sum,
     dual,
     gauge,
     hom,
@@ -95,46 +97,50 @@ def is_invariant(M: DiffSystem, S):
 def sub_quotient(M: DiffSystem, S):
     """(B, N, D, P): gauge(M, P^{-1}) = [[B, N], [0, D]] for completion P of S.
 
-    Returns None when span(S) is not invariant."""
+    Returns None when span(S) is not invariant, i.e. when the lower-left
+    block of that gauge is not zero."""
     S = mat(S)
-    if is_invariant(M, S) is None:
-        return None
     P = complete_basis(S)
     k = len(S[0])
     Mt = gauge(M, mat_inv(P))
     n = M.dim
+    if any(not Mt.A[i][j].is_zero for i in range(k, n) for j in range(k)):
+        return None
     B = tuple(tuple(Mt.A[i][j] for j in range(k)) for i in range(k))
     N = tuple(tuple(Mt.A[i][j] for j in range(k, n)) for i in range(k))
     D = tuple(tuple(Mt.A[i][j] for j in range(k, n)) for i in range(k, n))
-    for i in range(k, n):
-        for j in range(k):
-            assert Mt.A[i][j].is_zero
     return DiffSystem(B), N, DiffSystem(D), P
 
 
-def split_extension(M: DiffSystem, S):
-    """(complement basis | None, complete flag) for an invariant S.
+def split(B: DiffSystem, N, D: DiffSystem):
+    """(F | None, complete flag): F over K with dF/dx = B F - F D - N, so
+    that gauging [[B, N], [0, D]] by [[I, F], [0, I]] gives diag(B, D).
 
-    The complement exists iff dF/dx = B F - F D - N has a rational solution;
-    the returned n x (n-k) basis spans an invariant complement of span(S)."""
-    sq = sub_quotient(M, S)
-    if sq is None:
-        raise ValueError("split_extension requires an invariant subspace")
-    B, N, D, P = sq
-    k, q = B.dim, D.dim
+    Such an F exists iff the extension of D by B with class N splits."""
     # vec(F) column-major: d vecF = hom(D, B) vecF - vecN, where
     # hom(D, B) = I (x) B - D^T (x) I
     space = rational_solutions(hom(D, B), [-v for v in vec(N)])
     if space.particular is None:
         return None, space.complete
-    F = unvec(space.particular, k, q)
+    return unvec(space.particular, B.dim, D.dim), space.complete
+
+
+def split_extension(M: DiffSystem, S):
+    """(complement basis | None, complete flag) for an invariant S.
+
+    The returned n x (n-k) basis spans an invariant complement of span(S)."""
+    sq = sub_quotient(M, S)
+    if sq is None:
+        raise ValueError("split_extension requires an invariant subspace")
+    B, N, D, P = sq
+    F, complete = split(B, N, D)
+    if F is None:
+        return None, complete
     # complement columns: P * [[-F], [I]]
-    block = tuple(
-        tuple(-F[i][j] for j in range(q)) for i in range(k)
-    ) + mat_identity(q)
+    block = tuple(tuple(-v for v in row) for row in F) + mat_identity(D.dim)
     comp = mat_mul(P, block)
     assert is_invariant(M, comp) is not None
-    return comp, space.complete
+    return comp, complete
 
 
 # -- morphisms ---------------------------------------------------------------------
@@ -186,11 +192,22 @@ class FlagCertificate:
 
 @dataclass(frozen=True)
 class ModuleDiag:
-    """Composition-factor data: gauge(M, P) is block upper triangular with
-    the listed diagonal blocks (in triangular order)."""
+    """Composition-factor data: T = gauge(M, P) is block upper triangular
+    with diagonal blocks of sizes dims (in triangular order, sub first)."""
 
-    blocks: tuple  # of DiffSystem, triangular order (sub first)
-    P: tuple       # gauge(M, P) block upper triangular
+    P: tuple       # the gauge
+    T: DiffSystem  # gauge(M, P)
+    dims: tuple    # block sizes, summing to M.dim
+
+    @property
+    def blocks(self):
+        """T's diagonal blocks, as systems."""
+        out, start = [], 0
+        for d in self.dims:
+            out.append(DiffSystem(tuple(
+                row[start:start + d] for row in self.T.A[start:start + d])))
+            start += d
+        return tuple(out)
 
 
 def _line_from_classes(M: DiffSystem, an: Analysis):
@@ -201,41 +218,35 @@ def _line_from_classes(M: DiffSystem, an: Analysis):
 
 
 def _decompose_blocks(M: DiffSystem, an: Analysis):
-    """(blocks, P) with gauge(M, P) block upper triangular, blocks of dim
-    <= 2 whenever lines/colines exist."""
+    """(P, dims) with gauge(M, P) block upper triangular with blocks of
+    sizes dims, each <= 2 whenever lines/colines exist."""
     n = M.dim
     if n == 1:
-        return [M], mat_identity(1)
+        return mat_identity(1), [1]
     v = _line_from_classes(M, an)
     if v is not None:
         S = tuple((val,) for val in v)
-        B, _, D, P1 = sub_quotient(M, S)
-        blocks_d, Pd = _decompose_blocks(D, an)
+        _, _, D, P1 = sub_quotient(M, S)
+        Pd, dims_d = _decompose_blocks(D, an)
         # combined: gauge by diag(1, Pd) after gauge by P1^{-1}
-        Q = _block_diag(mat_identity(1), Pd)
-        return [B] + blocks_d, mat_mul(Q, mat_inv(P1))
+        Q = direct_sum(DiffSystem(mat_identity(1)), DiffSystem(Pd)).A
+        return mat_mul(Q, mat_inv(P1)), [1] + dims_d
     if n == 2:
-        return [M], mat_identity(2)
+        return mat_identity(2), [2]
     # no invariant line: look for a coline (an invariant plane) via the dual
     w = _line_from_classes(dual(M), an)
     if w is None:
-        return [M], mat_identity(n)
+        return mat_identity(n), [n]
     S_cols = k_nullspace([tuple(w)])
     S = tuple(tuple(c[i] for c in S_cols) for i in range(n))
     B, _, D, P1 = sub_quotient(M, S)
-    blocks_b, Pb = _decompose_blocks(B, an)
-    Q = _block_diag(Pb, mat_identity(D.dim))
-    return blocks_b + [D], mat_mul(Q, mat_inv(P1))
-
-
-def _block_diag(A, B):
-    na, nb = len(A), len(B)
-    rows = [list(A[i]) + [ZERO] * nb for i in range(na)]
-    rows += [[ZERO] * na + list(B[i]) for i in range(nb)]
-    return mat(rows)
+    Pb, dims_b = _decompose_blocks(B, an)
+    Q = direct_sum(DiffSystem(Pb), DiffSystem(mat_identity(D.dim))).A
+    return mat_mul(Q, mat_inv(P1)), dims_b + [D.dim]
 
 
 def _triangularize_with_cert(M: DiffSystem, cert: FlagCertificate):
+    """(P, dims): P the inverse of the certificate's completed basis."""
     cert = cert.verify(M)
     n = M.dim
     P, _ = _pivot_basis(
@@ -244,19 +255,7 @@ def _triangularize_with_cert(M: DiffSystem, cert: FlagCertificate):
     dims = [len(S[0]) for S in cert.subspaces]
     if dims[-1] < n:
         dims.append(n)
-    Pinv = mat_inv(P)
-    Mt = gauge(M, Pinv)
-    blocks = []
-    start = 0
-    for d in dims:
-        blocks.append(
-            DiffSystem(
-                tuple(tuple(Mt.A[i][j] for j in range(start, d))
-                      for i in range(start, d))
-            )
-        )
-        start = d
-    return blocks, Pinv
+    return mat_inv(P), [b - a for a, b in zip([0] + dims, dims)]
 
 
 def diag_decompose(M: DiffSystem, cert: FlagCertificate = None,
@@ -268,40 +267,34 @@ def diag_decompose(M: DiffSystem, cert: FlagCertificate = None,
         raise ValueError("diag_decompose implemented for dim <= 3")
     an = analysis if analysis is not None else Analysis()
     if cert is not None:
-        blocks, P = _triangularize_with_cert(M, cert)
+        P, dims = _triangularize_with_cert(M, cert)
         # refine any 2-dim block that still has an invariant line
-        return _refine(ModuleDiag(blocks=tuple(blocks), P=P), an)
+        return _refine(ModuleDiag(P, gauge(M, P), tuple(dims)), an)
     try:
-        blocks, P = _decompose_blocks(M, an)
+        P, dims = _decompose_blocks(M, an)
     except NonFuchsianError:
         raise NonFuchsianError(
             "composition-factor search needs simple finite poles; supply a "
             "flag certificate"
         )
-    return ModuleDiag(blocks=tuple(blocks), P=P)
+    return ModuleDiag(P, gauge(M, P), tuple(dims))
 
 
 def _refine(D: ModuleDiag, an: Analysis) -> ModuleDiag:
     """Split 2-dim certificate blocks that do admit invariant lines."""
-    out_blocks = []
+    dims = []
     trans = []
-    changed = False
     for b in D.blocks:
+        Pb, sub = mat_identity(b.dim), [b.dim]
         if b.dim == 2 and is_fuchsian(b):
-            sub, Pb = _decompose_blocks(b, an)
-            if len(sub) > 1:
-                out_blocks.extend(sub)
-                trans.append(Pb)
-                changed = True
-                continue
-        out_blocks.append(b)
-        trans.append(mat_identity(b.dim))
-    if not changed:
+            Pb, sub = _decompose_blocks(b, an)
+        dims.extend(sub)
+        trans.append(DiffSystem(Pb))
+    if len(dims) == len(D.dims):
         return D
-    Q = trans[0]
-    for Tb in trans[1:]:
-        Q = _block_diag(Q, Tb)
-    return ModuleDiag(blocks=tuple(out_blocks), P=mat_mul(Q, D.P))
+    Q = functools.reduce(direct_sum, trans).A
+    # gauge(D.T, Q) = gauge(M, Q * D.P)
+    return ModuleDiag(mat_mul(Q, D.P), gauge(D.T, Q), tuple(dims))
 
 
 def semisimplify(M: DiffSystem, diag: ModuleDiag = None):
@@ -309,32 +302,27 @@ def semisimplify(M: DiffSystem, diag: ModuleDiag = None):
     sum of the irreducible blocks.  Second return is None when undecided
     (incomplete solver)."""
     D = diag if diag is not None else diag_decompose(M)
-    if len(D.blocks) == 1:
-        return True, mat(D.P), list(D.blocks)
-    Mt = gauge(M, D.P)
-    k = D.blocks[0].dim
-    S = tuple(tuple(ONE if i == j else ZERO for j in range(k))
-              for i in range(Mt.dim))
-    comp, complete = split_extension(Mt, S)
-    if comp is None:
+    blocks = D.blocks
+    if len(blocks) == 1:
+        return True, mat(D.P), list(blocks)
+    # T = [[B, N], [0, R]] with B the first block and R the rest
+    n, k = D.T.dim, D.dims[0]
+    A = D.T.A
+    N = tuple(row[k:] for row in A[:k])
+    R = DiffSystem(tuple(row[k:] for row in A[k:]))
+    F, complete = split(blocks[0], N, R)
+    if F is None:
         if not complete:
             return None, None, None
         return False, None, None
-    B2 = is_invariant(Mt, comp)
-    rest = DiffSystem(B2)
-    sub_ok, P2, blocks2 = semisimplify(
-        rest, ModuleDiag(blocks=D.blocks[1:], P=mat_identity(rest.dim))
+    sub_ok, U2, blocks2 = semisimplify(
+        R, ModuleDiag(mat_identity(n - k), R, D.dims[1:])
     )
     if sub_ok is not True:
         return sub_ok, None, None
-    # assemble: new basis columns [e_1..e_k | comp * P2-transport]
-    comp_t = mat_mul(comp, mat_inv(mat(P2)))
-    P_cols = tuple(
-        tuple(
-            (ONE if i == j else ZERO) if j < k else comp_t[i][j - k]
-            for j in range(Mt.dim)
-        )
-        for i in range(Mt.dim)
-    )
-    P_total = mat_mul(mat_inv(P_cols), mat(D.P))
-    return True, P_total, [D.blocks[0]] + blocks2
+    # gauge(T, [[I, F], [0, I]]) = diag(B, R), then U2 on R
+    U = tuple(
+        tuple(ONE if i == j else ZERO for j in range(k)) + F[i]
+        for i in range(k)
+    ) + tuple((ZERO,) * k + row for row in U2)
+    return True, mat_mul(U, D.P), [blocks[0]] + blocks2

@@ -46,7 +46,6 @@ from .ratfunc import (
     _as_rational,
     _poly,
     from_low_coeffs,
-    is_log_derivative,
     low_coeffs,
     pole_factors,
     ratfunc,
@@ -339,8 +338,6 @@ def _ansatz(A, b, local, bound) -> SolutionSpace:
     particular = None
     if part is not None:
         particular = to_vec(part) if not b_zero else [ZERO] * n
-    elif b_zero:
-        particular = [ZERO] * n
     return SolutionSpace(
         particular=particular, basis=basis, complete=complete, notes=tuple(notes)
     )
@@ -397,15 +394,8 @@ def hyperexponential_classes(M: DiffSystem):
             (c + RatFunc(FIELD.convert_from(e, COEFF_FIELD)) * dlog, es + (e,))
             for c, es in candidates for e in eigs
         ]
-    # dedupe modulo logarithmic derivatives
-    reps = []
-    for c, es in candidates:
-        hits = (is_log_derivative(c - r) for r, _ in reps)
-        if not any(h is not None and h[0] == 1 for h in hits):
-            reps.append((c, es))
-
     out = []
-    for r, es in reps:
+    for r, es in _class_reps(candidates):
         shifted = tuple(
             tuple(A[i][j] - (r if i == j else ZERO) for j in range(n))
             for i in range(n)
@@ -417,6 +407,18 @@ def hyperexponential_classes(M: DiffSystem):
         if not space.complete:
             notes.append("bound-limited")
     return out, tuple(notes)
+
+
+def _class_reps(candidates):
+    """The first candidate (c, es) of each class modulo logarithmic
+    derivatives.  Over distinct irreducible f, c - c' = sum (e_f - e'_f) *
+    f'/f is one exactly when every e_f - e'_f is an integer."""
+    reps = []
+    for c, es in candidates:
+        if not any(all(_as_int(e - d) is not None for e, d in zip(es, ds))
+                   for _, ds in reps):
+            reps.append((c, es))
+    return reps
 
 
 def _shifted_local(S, roots, shift):
@@ -446,9 +448,3 @@ def _as_int(c):
     """c in Q(t) as an int, or None when it is not an integer."""
     q = _as_rational(c)
     return q.numerator if q is not None and q.denominator == 1 else None
-
-
-def hyperexponential_solutions(M: DiffSystem):
-    """One representative (r, v) per hyperexponential class."""
-    classes, _ = hyperexponential_classes(M)
-    return [(r, space.basis[0]) for r, space in classes]

@@ -13,6 +13,7 @@ from pdgal3.modules import (Analysis, FlagCertificate, diag_decompose,
                             semisimplify)
 from pdgal3.ratfunc import d_t, rational_antiderivative
 from pdgal3.systems import DiffSystem, dual, gauge
+from util import FLAG_CERTS, REFINABLE, hidden_sum3
 
 t = sp.Symbol("t")
 
@@ -286,6 +287,21 @@ def test_dispatch_cqnc_residues_outside_qt_are_undecided():
     assert r.case_path == "(CQ,NC)-undecided"
     assert r.flags == ("bound-limited", "deferred")
     assert isinstance(g, Deferred)
+
+
+@pytest.mark.parametrize("cert", ["none", "line", "plane", "full"])
+def test_dispatch_refined_partial_flag(cert):
+    # with a partial flag the certificate's 2-dim piece splits into lines,
+    # and the result is the one of the full flag and of no certificate
+    r, g = dispatch(REFINABLE, FLAG_CERTS[cert])
+    assert r.case_path == "(NC,CQ)→dual→(CQ,NC)-Ru"
+    assert r.flags == g.flags == ("tau0-partial-on-(1,2)",)
+
+
+@pytest.mark.parametrize("cert", ["none", "full"])
+def test_dispatch_semisimple_under_unipotent_gauge(cert):
+    r, _ = dispatch(hidden_sum3(), FLAG_CERTS[cert])
+    assert r.case_path == "SEMISIMPLE"
 
 
 def test_dispatch_cqnc_prolongation():

@@ -8,6 +8,8 @@ A plain `ast` scan, scope-blind on purpose: a name counts as used when any
 import ast
 import collections
 import functools
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -117,6 +119,25 @@ def test_every_definition_is_named_elsewhere():
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                   and not node.name.startswith("__")
                   and words[node.name] <= defs[node.name]})
+    assert not bad, "\n".join(bad)
+
+
+def test_benchmark_trace_targets_resolve():
+    """Every function that the benchmark's tracer wraps is still defined
+    where `bench/layertrace.TARGETS` names it.  The tracer skips a missing
+    target and reports zero calls for it."""
+    spec = importlib.util.spec_from_file_location(
+        "layertrace", ROOT / "bench" / "layertrace.py")
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    bad = []
+    for name, (module, attr) in layertrace.TARGETS.items():
+        mod = importlib.import_module(f"{layertrace.PACKAGE}.{module}")
+        owner, _, member = attr.rpartition(".")
+        found = (member in vars(getattr(mod, owner, object))
+                 if owner else callable(getattr(mod, member, None)))
+        if not found:
+            bad.append(f"{name}: {module}.{attr}")
     assert not bad, "\n".join(bad)
 
 

@@ -34,7 +34,8 @@ from pdgal3.systems import (
     prolong,
     vec,
 )
-from util import random_fuchsian, random_invertible
+from util import (FLAG_CERTS, REFINABLE, hidden_sum3, random_fuchsian,
+                  random_invertible)
 
 M_TRI = DiffSystem([["t/x", "1"], ["0", "0"]])
 M_NILP = DiffSystem([["0", "1"], ["0", "0"]])
@@ -190,6 +191,30 @@ class TestDecompose:
         Vt = gauge(V, D.P)
         assert all(Vt.A[i][j].is_zero for i in range(3) for j in range(i))
 
+    @pytest.mark.parametrize("cert", ["line", "plane"])
+    def test_partial_certificate_refined(self, cert):
+        D = diag_decompose(REFINABLE, FLAG_CERTS[cert])
+        assert [b.A[0][0] for b in D.blocks] == [
+            ratfunc("t/x"), ratfunc("0"), ratfunc("1/x")]
+
+    @pytest.mark.parametrize("name, cert", [
+        ("refinable", "none"), ("refinable", "full"), ("refinable", "line"),
+        ("refinable", "plane"), ("hidden-sum", "none"), ("hidden-sum", "full"),
+    ])
+    def test_module_diag_carries_its_normal_form(self, name, cert):
+        # search, full-certificate and refined partial-certificate routes
+        M = REFINABLE if name == "refinable" else hidden_sum3()
+        D = diag_decompose(M, FLAG_CERTS[cert])
+        assert D.T == gauge(M, D.P)
+        assert sum(D.dims) == M.dim
+        start = 0
+        for d, b in zip(D.dims, D.blocks):
+            rows = range(start, start + d)
+            assert b.A == tuple(D.T.A[i][start:start + d] for i in rows)
+            assert all(D.T.A[i][j].is_zero for i in range(start + d, M.dim)
+                       for j in rows)
+            start += d
+
     def test_bad_certificate_rejected(self):
         V = DiffSystem([["0", "1", "0"], ["0", "0", "0"], ["0", "0", "0"]])
         cert = FlagCertificate(subspaces=(mat([["0"], ["1"], ["0"]]),))
@@ -209,6 +234,15 @@ class TestSemisimplify:
         assert gauge(DiffSystem([["t/x", "1"], ["0", "t/x"]]), P) == DiffSystem(
             [["t/x", "0"], ["0", "t/x"]]
         )
+
+    @pytest.mark.parametrize("cert", ["none", "full"])
+    def test_three_blocks_split_by_one_gauge(self, cert):
+        V = hidden_sum3()
+        ok, P, blocks = semisimplify(V, diag_decompose(V, FLAG_CERTS[cert]))
+        assert ok is True and len(blocks) == 3
+        Vt = gauge(V, P)
+        assert all(Vt.A[i][j].is_zero for i in range(3) for j in range(3)
+                   if i != j)
 
     def test_nonsplit(self):
         ok, _, _ = semisimplify(M_JORDAN)

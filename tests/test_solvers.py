@@ -29,7 +29,6 @@ from pdgal3.solvers import (
     _qt_roots,
     _residue_charpoly,
     hyperexponential_classes,
-    hyperexponential_solutions,
     is_fuchsian,
     rational_solutions,
 )
@@ -334,10 +333,11 @@ def test_log_derivative_residue(c, f):
 class TestHyperexponential:
     def test_diagonal(self):
         M = DiffSystem([["t/x", "0"], ["0", "1/x"]])
-        out = hyperexponential_solutions(M)
-        rs = sorted(r.to_string() for r, _ in out)
+        classes, _ = hyperexponential_classes(M)
+        rs = sorted(r.to_string() for r, _ in classes)
         assert rs == ["1/x", "t/x"]
-        for r, v in out:
+        for r, space in classes:
+            v = space.basis[0]
             # dv/dx = A v - r v
             for i in range(2):
                 lhs = d_x(v[i]) - sum(
@@ -347,22 +347,22 @@ class TestHyperexponential:
 
     def test_nilpotent(self):
         M = DiffSystem([["0", "1"], ["0", "0"]])
-        out = hyperexponential_solutions(M)
-        assert len(out) == 1
-        r, v = out[0]
-        assert r.is_zero and v == [ratfunc(1), ratfunc(0)]
+        classes, _ = hyperexponential_classes(M)
+        assert len(classes) == 1
+        r, space = classes[0]
+        assert r.is_zero and space.basis[0] == [ratfunc(1), ratfunc(0)]
 
     def test_jordan_single_class(self):
         M = DiffSystem([["t/x", "1/x"], ["0", "t/x"]])
-        out = hyperexponential_solutions(M)
-        assert len(out) == 1
-        r, v = out[0]
-        assert r == ratfunc("t/x") and v == [ratfunc(1), ratfunc(0)]
+        classes, _ = hyperexponential_classes(M)
+        assert len(classes) == 1
+        r, space = classes[0]
+        assert r == ratfunc("t/x") and space.basis[0] == [ratfunc(1), ratfunc(0)]
 
     def test_class_count_diagonal(self):
         # pairwise inequivalent characters: one class per diagonal entry
         M = DiffSystem([["t/x", "0", "0"], ["0", "t/(x-1)", "0"], ["0", "0", "0"]])
-        assert len(hyperexponential_solutions(M)) == 3
+        assert len(hyperexponential_classes(M)[0]) == 3
 
     def test_integer_shifted_characters_merged(self):
         # 1/(x-1) is a logarithmic derivative: merged into the trivial class
@@ -403,7 +403,7 @@ class TestHyperexponential:
 
     def test_non_fuchsian_rejected(self):
         with pytest.raises(NonFuchsianError):
-            hyperexponential_solutions(DiffSystem([["1/x^2"]]))
+            hyperexponential_classes(DiffSystem([["1/x^2"]]))
 
     def test_is_fuchsian(self):
         assert is_fuchsian(DiffSystem([["t/x", "0"], ["0", "1/x"]]))
@@ -579,6 +579,39 @@ class TestShiftedRoute:
         _, notes = _same_classes(
             DiffSystem([["(x+1)/(x^2-t)", "1/x"], ["0", "0"]]))
         assert notes == ("non-Q(t) local exponents at -t + x**2 skipped",)
+
+
+# -- candidate characters modulo logarithmic derivatives ----------------------
+
+CLASS_EXPONENTS = [0, 1, -1, 2, sp.Rational(1, 2), sp.Rational(-3, 2), t, t + 1,
+                   t - 2, 2 * t, t + sp.Rational(1, 2)]
+
+
+@given(st.lists(
+    st.tuples(st.sampled_from(SHIFT_POLES),
+              st.lists(st.sampled_from(CLASS_EXPONENTS), min_size=1,
+                       max_size=3, unique=True)),
+    max_size=3, unique_by=lambda p: p[0]))
+@settings(max_examples=80, deadline=None)
+def test_class_reps_match_log_derivative_dedupe(per_factor):
+    """Comparing exponent differences with `_as_int` keeps the same
+    candidates as asking `is_log_derivative` of each difference c - r."""
+    from pdgal3.ratfunc import is_log_derivative
+    from pdgal3.solvers import _class_reps
+
+    candidates = [(ZERO, ())]
+    for f, exps in per_factor:
+        dlog = RatFunc(sp.diff(f, x) / f)
+        candidates = [
+            (c + RatFunc(e) * dlog, es + (COEFF_FIELD.from_sympy(e),))
+            for c, es in candidates for e in exps
+        ]
+    ref = []
+    for c, es in candidates:
+        if not any((h := is_log_derivative(c - r)) is not None and h[0] == 1
+                   for r, _ in ref):
+            ref.append((c, es))
+    assert _class_reps(candidates) == ref
 
 
 # -- pole factors from the stored Q[t, x] form ---------------------------------

@@ -4,8 +4,9 @@ import random
 
 import sympy as sp
 
+from pdgal3.modules import FlagCertificate
 from pdgal3.ratfunc import RatFunc, t, x
-from pdgal3.systems import DiffSystem
+from pdgal3.systems import DiffSystem, gauge
 
 #: denominators used by the randomized Fuchsian generators
 FUCHSIAN_DENS = [x, x + 1, x - 1, x - t]
@@ -46,3 +47,31 @@ def random_invertible(rng: random.Random, n: int):
         E[i][j] = rng.choice(entries) * rng.randint(-2, 2)
         P = mat_mul(mat(E), P)
     return P
+
+
+# -- systems shared by the module-layer and dispatcher tests -------------------
+
+
+LINE_E1 = (("1",), ("0",), ("0",))
+PLANE_E12 = (("1", "0"), ("0", "1"), ("0", "0"))
+
+#: flag certificates on Q(t)(x)^3: none, the line e1 alone, the plane
+#: (e1, e2) alone, and the full standard flag
+FLAG_CERTS = {"none": None,
+              "line": FlagCertificate(subspaces=(LINE_E1,)),
+              "plane": FlagCertificate(subspaces=(PLANE_E12,)),
+              "full": FlagCertificate(subspaces=(LINE_E1, PLANE_E12))}
+
+#: a full flag whose 2-dim pieces, [[t/x, 1/(x-1)], [0, 0]] on (e1, e2) and
+#: [[0, 1/(x+1)], [0, 1/x]] on V/e1, each have an invariant line, so a
+#: partial flag certificate is refined to three 1-dim blocks
+REFINABLE = DiffSystem([["t/x", "1/(x-1)", "0"], ["0", "0", "1/(x+1)"],
+                        ["0", "0", "1/x"]])
+
+
+def hidden_sum3() -> DiffSystem:
+    """diag(t/x, 1/(x-1), 0) under the unipotent gauge [[1, x, 1],
+    [0, 1, x], [0, 0, 1]]: semisimple, and upper triangular but not
+    diagonal in the standard basis."""
+    D = DiffSystem([["t/x", "0", "0"], ["0", "1/(x-1)", "0"], ["0", "0", "0"]])
+    return gauge(D, [["1", "x", "1"], ["0", "1", "x"], ["0", "0", "1"]])
