@@ -9,17 +9,16 @@ element computes it once, straight from its Q[t, x] numerator and denominator.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
+import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import sympy as sp
 from sympy import Poly, QQ
-from sympy.parsing.sympy_parser import (
-    parse_expr,
-    standard_transformations,
-    convert_xor,
-)
 
 from .errors import ExpressionParseError
 
@@ -30,7 +29,13 @@ FIELD = QQ.frac_field(t, x)
 #: the coefficient field Q(t)
 COEFF_FIELD = QQ.frac_field(t)
 
-_PARSE_TRANSFORMS = standard_transformations + (convert_xor,)
+#: caps on one input expression, each checked before the work it bounds
+MAX_TEXT = 10_000       # characters
+MAX_DIGITS = 1_000      # digits of a numeric literal, decimal exponent included
+MAX_EXPONENT = 1_000    # |n| in a power
+MAX_DEGREE = 64         # total degree in t, x, predicted for each operation
+MAX_BITS = 8_192        # coefficient bit length, predicted for each operation
+MAX_WORK = 5 * 10**8    # work units of all operations together (see _Parse)
 
 
 def _poly(expr, *gens, **kw):
@@ -62,32 +67,26 @@ class RatFunc:
 
     @classmethod
     def parse(cls, text: str) -> "RatFunc":
-        """Parse the expression grammar: integers, t, x, + - * / ^, parens."""
+        """Parse the expression grammar: int and decimal literals, t, x,
+        unary + -, binary + - * /, and ^ or ** with an integer exponent.
+
+        The text goes through `ast.parse` and a whitelist of node types, each
+        evaluated in FIELD arithmetic; nothing else is accepted and nothing
+        is executed.  Every failure, the caps included, is an
+        ExpressionParseError."""
+        # ASCII keeps the node offsets, counted in UTF-8 bytes, on characters
+        if not isinstance(text, str) or not text.isascii():
+            raise _reject(text, "not an ASCII string")
+        if len(text) > MAX_TEXT:
+            raise _reject(text, f"longer than {MAX_TEXT} characters")
+        src = text.strip().replace("^", "**")
         try:
-            expr = parse_expr(
-                text,
-                local_dict={"t": t, "x": x},
-                global_dict={
-                    "Integer": sp.Integer,
-                    "Rational": sp.Rational,
-                    "Float": sp.Float,
-                    "Symbol": sp.Symbol,
-                },
-                transformations=_PARSE_TRANSFORMS,
-                evaluate=True,
-            )
-        except Exception as exc:  # sympy raises a zoo of parse errors
-            raise ExpressionParseError(f"cannot parse {text!r}: {exc}") from exc
-        if not isinstance(expr, sp.Expr):
-            raise ExpressionParseError(f"not an expression: {text!r}")
-        bad = expr.free_symbols - {t, x}
-        if bad:
-            raise ExpressionParseError(f"unknown symbols {bad} in {text!r}")
-        if expr.atoms(sp.Function):
-            raise ExpressionParseError(f"function calls not allowed in {text!r}")
-        if not expr.is_rational_function(t, x):
-            raise ExpressionParseError(f"not a rational function: {text!r}")
-        return cls(expr)
+            with warnings.catch_warnings():  # raised here, not printed
+                warnings.simplefilter("error", SyntaxWarning)
+                tree = ast.parse(src, mode="eval")
+        except (SyntaxError, ValueError, RecursionError, MemoryError) as exc:
+            raise _reject(text, str(exc) or "nested too deeply") from None
+        return cls(_evaluate(tree.body, _Parse(text, src))[0])
 
     # -- canonical accessors -------------------------------------------------
 
@@ -227,6 +226,160 @@ def _normalize(elem):
 
 def _coerce(value) -> RatFunc:
     return value if isinstance(value, RatFunc) else RatFunc(value)
+
+
+# -- the expression parser ---------------------------------------------------
+
+_FRAC = FIELD.field
+_NAMES = {"t": _GEN_T, "x": _GEN_X}
+_ARITH = {ast.Add: operator.add, ast.Sub: operator.sub,
+          ast.Mult: operator.mul, ast.Div: operator.truediv}
+
+
+def _reject(text, why) -> ExpressionParseError:
+    r = repr(text)
+    return ExpressionParseError(
+        f"{why} in {r if len(r) <= 60 else r[:57] + '...'}")
+
+
+def _degree(elem) -> int:
+    """Largest total degree in t, x of the numerator and the denominator."""
+    return max(sum(m) for p in (elem.numer, elem.denom) for m in p.itermonoms())
+
+
+def _bits(elem) -> int:
+    """Largest bit length of a numerator or denominator of a coefficient."""
+    return max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+               for p in (elem.numer, elem.denom) for c in p.itercoeffs())
+
+
+class _Parse:
+    """One parse: its text, and the work its operations have been charged.
+
+    An operation costs s * sqrt(s) work units, where s = terms * (bits + 64):
+    `terms` counts the terms of the operands (of the result, for a power)
+    and `bits` is the predicted coefficient size.  That is about the cost of
+    the integer products that a polynomial product or gcd of that size runs
+    to.  Sums, products, quotients and powers of dense fractions in t and x
+    took at most about 5 s per 10**9 units on a 2-core x86 box, so MAX_WORK
+    bounds a whole parse, not only each operation, to a few seconds."""
+
+    def __init__(self, text, src):
+        self.text, self.src, self.work = text, src, 0
+
+    def reject(self, why) -> ExpressionParseError:
+        return _reject(self.text, why)
+
+    def charge(self, degree, bits, terms):
+        """Admit an operation, or raise, before it runs."""
+        if degree > MAX_DEGREE:
+            raise self.reject(f"degree above {MAX_DEGREE}")
+        if bits > MAX_BITS:
+            raise self.reject(f"coefficients above {MAX_BITS} bits")
+        size = terms * (bits + 64)
+        self.work += size * math.isqrt(size)
+        if self.work > MAX_WORK:
+            raise self.reject(f"work above {MAX_WORK} units")
+
+
+def _evaluate(node, parse):
+    """(value in FIELD, has a decimal literal) of a parsed expression.
+
+    Children first, on an explicit stack: a chain such as 1+1+...+1 nests
+    deeper than Python's recursion limit."""
+    todo, done = [(node, False)], []
+    while todo:
+        node, ready = todo.pop()
+        if not ready and isinstance(node, ast.BinOp):
+            todo += [(node, True), (node.right, False), (node.left, False)]
+        elif not ready and isinstance(node, ast.UnaryOp):
+            todo += [(node, True), (node.operand, False)]
+        else:
+            done.append(_node_value(node, done, parse))
+    return done[0]
+
+
+def _node_value(node, done, parse):
+    """Value of one whitelisted node, its operands popped from `done`."""
+    if isinstance(node, ast.BinOp):
+        (b, b_dec), (a, a_dec) = done.pop(), done.pop()
+        op = type(node.op)
+        if op is ast.Pow:
+            if b_dec:
+                raise parse.reject("decimal exponent")
+            return _power(a, b, parse), a_dec
+        if op not in _ARITH:
+            raise parse.reject(f"operator {op.__name__} not allowed")
+        if op is ast.Div and not b:
+            raise parse.reject("division by zero")
+        return _binop(op, a, b, parse), a_dec or b_dec
+    if isinstance(node, ast.UnaryOp):
+        value, dec = done.pop()
+        if isinstance(node.op, ast.USub):
+            return -value, dec
+        if isinstance(node.op, ast.UAdd):
+            return value, dec
+        raise parse.reject(f"operator {type(node.op).__name__} not allowed")
+    if isinstance(node, ast.Name):
+        if node.id not in _NAMES:
+            raise parse.reject(f"unknown symbol {node.id!r}")
+        return _NAMES[node.id], False
+    if isinstance(node, ast.Constant):
+        return _literal(node, parse)
+    raise parse.reject(f"{type(node).__name__} not allowed")
+
+
+def _literal(node, parse):
+    """An int or decimal literal, at its exact value."""
+    if type(node.value) not in (int, float):
+        raise parse.reject(f"literal {node.value!r} not allowed")
+    if node.end_col_offset - node.col_offset > MAX_DIGITS:
+        raise parse.reject(f"literal longer than {MAX_DIGITS} digits")
+    if type(node.value) is int:
+        return _FRAC.raw_new(_TX_RING(node.value)), False
+    # the decimal the text spells, not the binary float Python reads
+    d = Decimal(ast.get_source_segment(parse.src, node))
+    if len(d.as_tuple().digits) + abs(d.as_tuple().exponent) > MAX_DIGITS:
+        raise parse.reject(f"literal longer than {MAX_DIGITS} digits")
+    q = Fraction(d)
+    return _FRAC.raw_new(_TX_RING(QQ(q.numerator, q.denominator))), True
+
+
+def _binop(op, a, b, parse):
+    """a op b in FIELD, once charged.  A value of degree <= MAX_DEGREE has at
+    most 2145 < 2**12 terms, so a coefficient of a product, or of the
+    numerator a.n*b.d + b.n*a.d of a sum, has at most 13 bits more than the
+    two it is built from."""
+    da, db = _degree(a), _degree(b)
+    poly = a.denom.is_ground and b.denom.is_ground
+    parse.charge(max(da, db) if poly and op is not ast.Mult else da + db,
+                 _bits(a) + _bits(b) + 13,
+                 sum(len(p) for p in (a.numer, a.denom, b.numer, b.denom)))
+    return _ARITH[op](a, b)
+
+
+def _power(base, exp, parse):
+    """base ** exp for an integer-valued constant exp, once charged.  A
+    polynomial of k terms to the n has at most comb(k + n - 1, n) terms,
+    and coefficients of at most n * (bits + log2 k) bits."""
+    if not (exp.numer.is_ground and exp.denom.is_ground):
+        raise parse.reject("non-constant exponent")
+    q = exp.numer.LC / exp.denom.LC
+    if q.denominator != 1:
+        raise parse.reject("non-integer exponent")
+    n = int(q.numerator)
+    if abs(n) > MAX_EXPONENT:
+        raise parse.reject(f"exponent above {MAX_EXPONENT}")
+    if n == 0:
+        return _FRAC.one  # 0^0 = 1, as sympy has it
+    if n < 0 and not base:
+        raise parse.reject("zero to a negative power")
+    m, degree = abs(n), _degree(base) * abs(n)
+    dense = (degree + 1) * (degree + 2) // 2
+    terms = [len(p) for p in (base.numer, base.denom)]
+    parse.charge(degree, m * (_bits(base) + max(terms).bit_length()),
+                 sum(min(math.comb(k + m - 1, m), dense) for k in terms))
+    return base ** n
 
 
 ZERO = RatFunc(0)

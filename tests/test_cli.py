@@ -84,6 +84,15 @@ def test_parse_error_exit_1(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_oversized_entry_exit_1(tmp_path, capsys):
+    doc = {"schema": "pdgal3/1", "dim": 3,
+           "matrix": [["t/x", "0", "0"], ["0", "x^(10^9)", "0"],
+                      ["0", "0", "0"]]}
+    assert main(["analyze", write(tmp_path, "sys.json", doc)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "exponent above" in err
+
+
 def test_construct_prolong(tmp_path, capsys):
     path = write(tmp_path, "m.json", {"matrix": [["t/x"]]})
     code, doc = run(capsys, ["construct", "prolong", path])

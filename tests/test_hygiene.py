@@ -256,10 +256,12 @@ except ValueError:
     assert _swallowing_handlers(ast.parse(snippet), errors) == [4, 8, 12]
 
 
-#: sympy's expression normalizers; outside the parser and the group layer,
-#: Q(t) values are domain elements and need none of them
+#: sympy's expression normalizers; outside the group layer, Q(t) values are
+#: domain elements and need none of them
 NORMALIZERS = {"sympify", "cancel", "together"}
-#: where they may be called: a whole module, or one `Class.method`
+#: where they may be called: a whole module, or one `Class.method`.  The
+#: parser needs none; `RatFunc.__init__` keeps its `sp.Expr` path for
+#: library callers that build elements from sympy expressions.
 NORMALIZER_SCOPES = {("groups", None), ("ratfunc", "RatFunc.__init__")}
 
 
@@ -316,3 +318,71 @@ def g(v):
     assert _normalizer_calls("ratfunc", tree) == [8, 10, 10]
     assert _normalizer_calls("groups", tree) == []
     assert _normalizer_calls("oreops", tree) == [6, 8, 10, 10]
+
+
+#: what the expression parser must not call: the normalizers, and the two
+#: ways into FIELD through a sympy expression
+PARSER_FORBIDDEN = NORMALIZERS | {"from_sympy", "parse_expr"}
+
+
+def _parser_calls(tree) -> list:
+    """`function:line` of each forbidden call in `RatFunc.parse` and in the
+    module functions it reaches by name; a class it builds by name brings in
+    all of that class's methods."""
+    defs = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    methods = {}
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        methods[cls.name] = [f"{cls.name}.{m.name}" for m in cls.body
+                             if isinstance(m, ast.FunctionDef)]
+        defs |= {f"{cls.name}.{m.name}": m for m in cls.body
+                 if isinstance(m, ast.FunctionDef)}
+    seen, todo, bad = set(), ["RatFunc.parse"], []
+    while todo:
+        name = todo.pop()
+        if name in methods and name not in seen:
+            seen.add(name)
+            todo += methods[name]
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            called = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if called in PARSER_FORBIDDEN:
+                bad.append(f"{name}:{node.lineno}")
+            elif isinstance(f, ast.Name):
+                todo.append(f.id)
+    return bad
+
+
+def test_parser_uses_no_sympy_parsing_or_normalizer():
+    tree = _modules()["ratfunc"]
+    imported = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    imported |= {a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+                 for a in n.names}
+    assert not [m for m in imported if m and m.startswith("sympy.parsing")]
+    assert not _parser_calls(tree)
+
+
+def test_parser_rule_flags_calls():
+    snippet = """
+class RatFunc:
+    def parse(cls, text):
+        return cls(_helper(text))
+    def __init__(self, v):
+        sp.cancel(v)
+def _helper(text):
+    return FIELD.from_sympy(_deeper(text, _Meter()))
+def _deeper(text, meter):
+    return sp.together(meter.charge(text))
+class _Meter:
+    def charge(self, text):
+        return sp.cancel(text)
+def _unreached(text):
+    return sp.sympify(text)
+"""
+    assert sorted(_parser_calls(ast.parse(snippet))) == ["_Meter.charge:13",
+                                                         "_deeper:10",
+                                                         "_helper:8"]

@@ -3,15 +3,26 @@ residues, antiderivatives, and logarithmic-derivative membership."""
 
 import fractions
 import math
+import time
+import warnings
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
+from sympy.parsing.sympy_parser import (
+    convert_xor,
+    parse_expr,
+    standard_transformations,
+)
 
+from pdgal3 import ratfunc as ratfunc_module
 from pdgal3.errors import ExpressionParseError
 from pdgal3.ratfunc import (
     COEFF_FIELD,
     FIELD,
+    MAX_BITS,
+    MAX_DEGREE,
+    MAX_EXPONENT,
     ONE,
     RatFunc,
     T,
@@ -233,6 +244,199 @@ class TestParsePrint:
     def test_rejects_non_rational(self):
         with pytest.raises(ExpressionParseError):
             RatFunc.parse("x^(1/2)")
+
+
+# -- the expression parser: grammar, caps, agreement with the sympy route ------
+
+
+def _reference_parse(text):
+    """The parser that RatFunc.parse replaced: sympy's parse_expr, then
+    cancel(together(.)) into FIELD.  None where it gives no element of
+    Q(t)(x): a pole such as x/0, also where a later step hides it, as
+    x/0^-1 = x/zoo = 0 does; a non-integer power; ..."""
+    kw = {"local_dict": {"t": t, "x": x},
+          "transformations": standard_transformations + (convert_xor,)}
+    try:
+        raw = parse_expr(text, evaluate=False, **kw)
+        if any(sub.doit().has(sp.zoo, sp.nan)
+               for sub in sp.preorder_traversal(raw)):
+            return None
+        expr = parse_expr(text, **kw)
+        return RatFunc(FIELD.from_sympy(sp.cancel(sp.together(expr))))
+    except Exception:
+        return None
+
+
+@st.composite
+def grammar_texts(draw):
+    """Random strings of the parser's grammar: integers, t, x, + - * /,
+    ^ and **, unary signs, parentheses, negative exponents and
+    right-associative chains such as x^2^2.  A power has a base of degree
+    at most 2 and |exponent| <= 4, and there are at most 8 atoms, so every
+    value stays under MAX_DEGREE."""
+    gap = draw(st.sampled_from(["", " "]))
+    name = st.sampled_from(["x", "t"])
+    atom = name | st.integers(0, 12).map(str)
+    base = atom | st.tuples(atom, st.sampled_from("+-*"), atom).map(
+        lambda p: f"({p[0]}{gap}{p[1]}{gap}{p[2]})")
+    e = st.integers(0, 2).map(str)
+    exponent = st.tuples(st.sampled_from(["", "-", "+"]), e,
+                         st.none() | e).map(
+        lambda p: p[0] + p[1] + ("" if p[2] is None else "^" + p[2]))
+    exponent = exponent | exponent.map(lambda s: f"({s})")
+    power = st.tuples(base, st.sampled_from(["^", "**"]), exponent).map(
+        "".join)
+
+    def extend(inner):
+        binary = st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+            lambda p: f"{p[0]}{gap}{p[1]}{gap}{p[2]}")
+        signed = st.tuples(st.sampled_from("-+"), inner).map("".join)
+        return binary | signed | inner.map(lambda s: f"({s})")
+
+    return draw(st.recursive(atom | power, extend, max_leaves=8))
+
+
+#: a fraction sum that costs 0.03 s, erased by *0, so that copies of it
+#: add work but not degree
+ERASED_SUM = "((1+x+t)^8/(1-x+t)^8 + (2+x+t)^8/(2-x-t)^8)*0"
+
+#: inputs over a cap; the first five are far over it
+OVERSIZED = [
+    pytest.param("x^(10^9)", id="exponent"),
+    pytest.param("(1+x+t)^100000", id="power-degree-huge"),
+    pytest.param("7" * 10**6, id="literal-1e6-digits"),
+    pytest.param("-" * 100000 + "x", id="unary-chain"),
+    pytest.param("+".join(["x"] * 100000), id="sum-chain"),
+    pytest.param("7" * 2000, id="literal-digits"),
+    pytest.param("0x" + "f" * 2000, id="hex-literal-digits"),
+    pytest.param("1e5000", id="decimal-exponent"),
+    pytest.param("-" * 9000 + "x", id="parser-memory"),
+    pytest.param("+".join(["x"] * 4000), id="parser-recursion"),
+    pytest.param("(1+x+t)^65", id="power-degree"),
+    pytest.param("(1+x+t)^60*(1+x+t)^60", id="product-degree"),
+    pytest.param("1/(1+x+t)^40 + 1/(1-x+t)^40", id="fraction-sum-degree"),
+    pytest.param("((10^99)^99)^99", id="power-bits"),
+    pytest.param("(10^99)^49", id="power-print-bits"),
+    pytest.param("*".join(["1e999"] * 3), id="product-bits"),
+    pytest.param(ERASED_SUM.replace("8", "32"), id="work-one-sum"),
+    pytest.param("+".join([ERASED_SUM] * 200), id="work-chain"),
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("text", OVERSIZED)
+    def test_caps_reject_before_evaluating(self, text, monkeypatch):
+        """Each is an ExpressionParseError, quickly, and no value over the
+        caps is ever built: every power and every binary operation the
+        parser runs is recorded."""
+        built = []
+        frac_pow = type(FIELD.one).__pow__
+        binop = ratfunc_module._binop
+
+        def record(value):
+            built.append(value)
+            return value
+
+        monkeypatch.setattr(type(FIELD.one), "__pow__",
+                            lambda a, n: record(frac_pow(a, n)))
+        monkeypatch.setattr(ratfunc_module, "_binop",
+                            lambda *args: record(binop(*args)))
+        start = time.perf_counter()
+        with pytest.raises(ExpressionParseError):
+            RatFunc.parse(text)
+        assert time.perf_counter() - start < 10
+        assert all(ratfunc_module._degree(v) <= MAX_DEGREE
+                   and ratfunc_module._bits(v) <= MAX_BITS
+                   for v in built)
+
+    def test_caps_admit_the_bounds(self):
+        assert RatFunc.parse("x^64") == X**64
+        assert RatFunc.parse(f"2^{MAX_EXPONENT}") == RatFunc(2**MAX_EXPONENT)
+        assert RatFunc.parse("(x+1)^64/(x+1)^63") == X + 1
+
+    def test_work_cap_bounds_the_whole_parse(self):
+        """Each copy passes the degree and bit caps; the work of all of
+        them together does not."""
+        assert RatFunc.parse("+".join([ERASED_SUM] * 5)) == ZERO
+        with pytest.raises(ExpressionParseError, match="work above"):
+            RatFunc.parse("+".join([ERASED_SUM] * 200))
+
+    def test_accepted_coefficients_print(self):
+        """MAX_BITS keeps every coefficient under the 4300 digits that
+        Python converts to a string by default."""
+        assert RatFunc.parse("(10^99)^24*x").to_string() == f"{10**2376}*x"
+        with pytest.raises(ExpressionParseError, match="bits"):
+            RatFunc.parse("(10^99)^49")
+
+    def test_zero_to_the_zero_is_one(self):
+        assert RatFunc.parse("0^0") == ONE
+        assert RatFunc.parse("(x-x)^0") == ONE
+
+    @pytest.mark.parametrize("text", ["x/0", "0^-1", "(x-x)^-1", "1/(t-t)"])
+    def test_poles_rejected(self, text):
+        with pytest.raises(ExpressionParseError):
+            RatFunc.parse(text)
+
+    @pytest.mark.parametrize("text", [
+        "True", "x*1j", "__import__('os')", "x.real", "[x]",
+        "x if t else 1", "lambda: 1", "", "x + y", "sin(x)",
+        "x // 2", "x % 2", "not x", "~x", "'x'", "x < 1", "(x, t)",
+        "x^x", "4^(1/2)", "x\u00b2",
+    ])
+    def test_rejects_outside_grammar(self, text):
+        with pytest.raises(ExpressionParseError):
+            RatFunc.parse(text)
+
+    @pytest.mark.parametrize("text, value", [
+        ("0.5", fractions.Fraction(1, 2)),
+        ("0.1", fractions.Fraction(1, 10)),
+        ("1e3", 1000),
+        ("1.5e-3", fractions.Fraction(3, 2000)),
+        ("0.3333", fractions.Fraction(3333, 10000)),
+        (".25", fractions.Fraction(1, 4)),
+    ])
+    def test_decimal_literal_is_exact(self, text, value):
+        assert RatFunc.parse(text) == RatFunc(value)
+
+    def test_decimal_coefficient(self):
+        assert RatFunc.parse("2.5*x") == RatFunc(fractions.Fraction(5, 2)) * X
+
+    @pytest.mark.parametrize("text", ["x^0.5", "x^2.0", "x^1e0"])
+    def test_decimal_exponent_rejected(self, text):
+        with pytest.raises(ExpressionParseError):
+            RatFunc.parse(text)
+
+    @pytest.mark.parametrize("text", ["1if x else 2", "0x1for"])
+    def test_tokenizer_warning_is_a_parse_error(self, text):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ExpressionParseError):
+                RatFunc.parse(text)
+        assert caught == []
+
+    def test_layout(self):
+        assert RatFunc.parse("  (x\n + t) ") == X + T
+        assert RatFunc.parse("1_000*x") == 1000 * X
+
+    @given(grammar_texts())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sympy_route(self, text):
+        ref = _reference_parse(text)
+        if ref is None:
+            with pytest.raises(ExpressionParseError):
+                RatFunc.parse(text)
+        else:
+            assert RatFunc.parse(text).xt_pair() == ref.xt_pair()
+
+    @given(st.text(alphabet="0123456789tx+-*/^() .abyzXT[]{}'\"_,e",
+                   max_size=24))
+    @settings(max_examples=300, deadline=None)
+    def test_fuzz_only_parse_errors(self, text):
+        try:
+            value = RatFunc.parse(text)
+        except ExpressionParseError:
+            return
+        assert isinstance(value, RatFunc)
 
 
 # -- derivations ---------------------------------------------------------------
