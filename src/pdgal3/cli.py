@@ -217,7 +217,7 @@ _CONSTRUCTIONS = {
     "dual": (1, dual),
     "wedge": (1, None),  # handled specially (k argument)
     "prolong": (1, prolong),
-    "gauge": (2, None),  # second input is the gauge matrix
+    "gauge": (2, None),  # second input is the basis B, Y = B·Z
     "directsum": (2, direct_sum),
 }
 
@@ -235,7 +235,11 @@ def cmd_construct(args) -> int:
                 f"wedge power -k {args.k} is not in 1..{inputs[0].dim}")
         out = wedge(inputs[0], args.k)
     elif args.op == "gauge":
-        out = gauge(inputs[0], inputs[1].A)
+        M, B = inputs
+        if B.dim != M.dim or column_rank(B.A) != B.dim:
+            raise ExpressionParseError(
+                f"gauge basis must be an invertible {M.dim}x{M.dim} matrix")
+        out = gauge(M, B.A)
     else:
         out = fn(*inputs)
     _emit(_system_doc(out), args)

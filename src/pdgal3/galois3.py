@@ -29,12 +29,11 @@ from .groups import (
     torus_diagonal,
 )
 from .integrability import character_lattice, is_constant, rank1_group
-from .linalg import column_rank
+from .linalg import column_rank, mat_inv
 from .modules import (
     Analysis,
     FlagCertificate,
     diag_decompose,
-    is_invariant,
     rank1_isomorphism,
     semisimplify,
     split,
@@ -59,8 +58,8 @@ from .systems import DiffSystem, dual, hom, mat, prolong, tensor
 
 def _extension(a1, b, a2):
     """(F, complete): the rational F with ∂F = (a1 − a2)F − b, or None, and
-    whether that answer is complete.  Gauging [[a1, b], [0, a2]] by
-    [[1, F], [0, 1]] gives diag(a1, a2)."""
+    whether that answer is complete.  Gauging [[a1, b], [0, a2]] by the
+    basis [[1, −F], [0, 1]] gives diag(a1, a2)."""
     F, complete = split(DiffSystem([[a1]]), [[b]], DiffSystem([[a2]]))
     return (F[0][0] if F is not None else None), complete
 
@@ -346,15 +345,15 @@ def _candidate_lines(M: DiffSystem, an: Analysis):
 
 
 def _find_line_summand(M: DiffSystem, an: Analysis):
-    """(line, complement) with M = line ⊕ complement, or None."""
+    """(S, comp, B, D), M = span(S) ⊕ comp with systems B and D, or None."""
     for v in _candidate_lines(M, an):
         S = tuple((x,) for x in v)
         try:
-            comp, complete = split_extension(M, S)
+            comp, B, D, _ = split_extension(M, S)
         except PdgalError:
             continue
         if comp is not None:
-            return S, comp
+            return S, comp, B, D
     return None
 
 
@@ -374,12 +373,12 @@ def dispatch(V: DiffSystem, cert: FlagCertificate = None):
         return verdict
     found = _find_line_summand(V, an)
     if found is not None:
-        return _case_decomposable(V, found, certs)
+        return _case_decomposable(found, certs)
     Vd = dual(V)
     dual_found = _find_line_summand(Vd, an)
     if dual_found is not None:
         return _via_dual(
-            Vd, lambda W: _case_decomposable(W, dual_found, certs),
+            Vd, lambda _: _case_decomposable(dual_found, certs),
             "{}(dual)")
     return _case_full_flag(V, Vd, D, certs, an)
 
@@ -389,12 +388,14 @@ def _factor_stage(V, cert, an):
     certificates, and the verdict when V is semisimple, undecided or has a
     2-dim factor (None when V has a full flag)."""
     D = diag_decompose(V, cert, an)
-    certs = [("gauge", D.P), ("factors", tuple(b.A for b in D.blocks))]
+    # a printed gauge P is the inverse of its basis: Z = P*Y
+    certs = [("gauge", mat_inv(D.basis)),
+             ("factors", tuple(b.A for b in D.blocks))]
 
-    ss, Pss, ssblocks = semisimplify(V, D)
+    ss, basis, ssblocks = semisimplify(V, D)
     if ss is True:
         g, notes, more = _semisimple_group(ssblocks, an)
-        certs.append(("semisimple-gauge", Pss))
+        certs.append(("semisimple-gauge", mat_inv(basis)))
         certs.extend(more)
         report = CaseReport(
             case_path="SEMISIMPLE",
@@ -430,14 +431,13 @@ def _via_dual(Vd, stage, label, type_tags=()):
     return report, _transport(g, invtranspose_rep(3))
 
 
-def _case_decomposable(V, found, certs):
-    S, comp = found
+def _case_decomposable(found, certs):
+    S, comp, BU, BW = found
     # W = complement, non-semisimple (else V would be semisimple)
-    BW = DiffSystem(is_invariant(V, comp))
     DW = diag_decompose(BW)
     w1 = DW.blocks[0].A[0][0]
     w2 = DW.blocks[-1].A[0][0]
-    a_u = is_invariant(V, S)[0][0]
+    a_u = BU.A[0][0]
     entries = (w1, w2, a_u)
     certs = certs + [("summand-line", tuple(v[0] for v in S)),
                      ("summand-complement", comp),
@@ -577,7 +577,7 @@ def _case_full_flag(V, Vd, D, certs, an):
 
 
 def _case_cr(Mt, a, certs, t2):
-    # F splits V2: gauging by [[1, F, 0], [0, 1, 0], [0, 0, 1]] clears the
+    # F splits V2: the basis [[1, −F, 0], [0, 1, 0], [0, 0, 1]] clears the
     # (1,2) entry, keeps the diagonal and makes the (1,3) entry b13 + F*b23
     F, _ = _extension(a[0], Mt.A[0][1], a[1])
     t3 = _pair_type(a[0], Mt.A[0][2] + F * Mt.A[1][2], a[2])

@@ -3,20 +3,21 @@ systems.
 
 A subspace given by a basis matrix S (independent columns over K) is invariant
 for dY/dx = A Y exactly when A*S - dS/dx = S*B for some matrix B over K; B is
-then the system induced on the subspace, and gauging by the inverse of any
-completion [S | E] puts A in block upper-triangular form with upper-left
-block B.
+then the system induced on the subspace.  A basis P means Y = P*Z, and
+`gauge(M, P)` is the system of Z: any completion P = [S | E] gives A block
+upper-triangular form with upper-left block B.  Bases compose by products.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import solvers
 from .errors import CertificateError, NonFuchsianError
-from .linalg import k_nullspace, k_solve_right, mat_inv, pivot_columns
-from .ratfunc import ONE, ZERO, is_log_derivative, ratfunc
+from .linalg import column_rank, k_nullspace, k_solve_right, pivot_columns
+from .ratfunc import ZERO, is_log_derivative, ratfunc
 from .solvers import SolutionSpace, is_fuchsian, rational_solutions
 from .systems import (
     DiffSystem,
@@ -94,27 +95,31 @@ def is_invariant(M: DiffSystem, S):
     return k_solve_right(S, C)
 
 
+def _lower_left_zero(T, k):
+    """Whether the rows from k on of T are zero in the columns before k."""
+    return all(v.is_zero for row in T[k:] for v in row[:k])
+
+
 def sub_quotient(M: DiffSystem, S):
-    """(B, N, D, P): gauge(M, P^{-1}) = [[B, N], [0, D]] for completion P of S.
+    """(B, N, D, P): gauge(M, P) = [[B, N], [0, D]] for completion P of S.
 
     Returns None when span(S) is not invariant, i.e. when the lower-left
     block of that gauge is not zero."""
     S = mat(S)
     P = complete_basis(S)
     k = len(S[0])
-    Mt = gauge(M, mat_inv(P))
-    n = M.dim
-    if any(not Mt.A[i][j].is_zero for i in range(k, n) for j in range(k)):
+    T = gauge(M, P).A
+    if not _lower_left_zero(T, k):
         return None
-    B = tuple(tuple(Mt.A[i][j] for j in range(k)) for i in range(k))
-    N = tuple(tuple(Mt.A[i][j] for j in range(k, n)) for i in range(k))
-    D = tuple(tuple(Mt.A[i][j] for j in range(k, n)) for i in range(k, n))
+    B = tuple(row[:k] for row in T[:k])
+    N = tuple(row[k:] for row in T[:k])
+    D = tuple(row[k:] for row in T[k:])
     return DiffSystem(B), N, DiffSystem(D), P
 
 
 def split(B: DiffSystem, N, D: DiffSystem):
     """(F | None, complete flag): F over K with dF/dx = B F - F D - N, so
-    that gauging [[B, N], [0, D]] by [[I, F], [0, I]] gives diag(B, D).
+    that the basis [[I, -F], [0, I]] gauges [[B, N], [0, D]] to diag(B, D).
 
     Such an F exists iff the extension of D by B with class N splits."""
     # vec(F) column-major: d vecF = hom(D, B) vecF - vecN, where
@@ -126,21 +131,21 @@ def split(B: DiffSystem, N, D: DiffSystem):
 
 
 def split_extension(M: DiffSystem, S):
-    """(complement basis | None, complete flag) for an invariant S.
-
-    The returned n x (n-k) basis spans an invariant complement of span(S)."""
+    """(complement basis | None, B, D, complete flag) for an invariant S,
+    with B the system on span(S) and D the one on the quotient.  The n x (n-k)
+    complement basis spans an invariant complement, where the system is D."""
     sq = sub_quotient(M, S)
     if sq is None:
         raise ValueError("split_extension requires an invariant subspace")
     B, N, D, P = sq
     F, complete = split(B, N, D)
     if F is None:
-        return None, complete
+        return None, B, D, complete
     # complement columns: P * [[-F], [I]]
     block = tuple(tuple(-v for v in row) for row in F) + mat_identity(D.dim)
     comp = mat_mul(P, block)
-    assert is_invariant(M, comp) is not None
-    return comp, complete
+    assert is_invariant(M, comp) == D.A
+    return comp, B, D, complete
 
 
 # -- morphisms ---------------------------------------------------------------------
@@ -169,34 +174,12 @@ def rank1_isomorphism(a, b):
 
 
 @dataclass(frozen=True)
-class FlagCertificate:
-    """An increasing chain of invariant subspaces, each a basis matrix."""
-
-    subspaces: tuple
-
-    def verify(self, M: DiffSystem) -> "FlagCertificate":
-        prev_dim = 0
-        prev = None
-        for S in self.subspaces:
-            S = mat(S)
-            k = len(S[0])
-            if not (prev_dim < k <= M.dim):
-                raise CertificateError("flag dimensions must strictly increase")
-            if is_invariant(M, S) is None:
-                raise CertificateError("flag subspace is not invariant")
-            if prev is not None and k_solve_right(S, prev) is None:
-                raise CertificateError("flag subspaces are not nested")
-            prev, prev_dim = S, k
-        return FlagCertificate(subspaces=tuple(mat(S) for S in self.subspaces))
-
-
-@dataclass(frozen=True)
 class ModuleDiag:
-    """Composition-factor data: T = gauge(M, P) is block upper triangular
-    with diagonal blocks of sizes dims (in triangular order, sub first)."""
+    """Composition-factor data: T = gauge(M, basis) is block upper
+    triangular, with diagonal blocks of sizes dims in order, sub first."""
 
-    P: tuple       # the gauge
-    T: DiffSystem  # gauge(M, P)
+    basis: tuple   # Y = basis * Z
+    T: DiffSystem  # gauge(M, basis)
     dims: tuple    # block sizes, summing to M.dim
 
     @property
@@ -210,6 +193,37 @@ class ModuleDiag:
         return tuple(out)
 
 
+@dataclass(frozen=True)
+class FlagCertificate:
+    """An increasing chain of invariant subspaces, each a basis matrix."""
+
+    subspaces: tuple
+
+    def triangularize(self, M: DiffSystem) -> ModuleDiag:
+        """M in the basis of pivot columns of [S1 | S2 | ... | I], whose
+        first dim(Sj) columns span Sj.  Raises CertificateError unless the
+        flag is one: T's zeros below its diagonal blocks show invariance."""
+        n = M.dim
+        subspaces = [mat(S) for S in self.subspaces]
+        if any(len(S) != n for S in subspaces):
+            raise CertificateError(f"flag subspaces must have {n} rows")
+        dims = [len(S[0]) for S in subspaces]
+        if any(a >= b for a, b in zip([0] + dims, dims + [n + 1])):
+            raise CertificateError("flag dimensions must strictly increase")
+        if any(column_rank(S) != k for S, k in zip(subspaces, dims)):
+            raise CertificateError("flag subspace columns must be independent")
+        basis, keep = _pivot_basis(
+            tuple(tuple(v for S in subspaces for v in S[i]) for i in range(n)))
+        # [S1 | ... | Sj] has rank dim(Sj) exactly when S(j-1) lies in Sj
+        if [sum(p < e for p in keep) for e in accumulate(dims)] != dims:
+            raise CertificateError("flag subspaces are not nested")
+        T = gauge(M, basis)
+        if not all(_lower_left_zero(T.A, k) for k in dims):
+            raise CertificateError("flag subspace is not invariant")
+        sizes = [b - a for a, b in zip([0] + dims, dims + [n]) if b > a]
+        return ModuleDiag(basis, T, tuple(sizes))
+
+
 def _line_from_classes(M: DiffSystem, an: Analysis):
     classes, _ = an.hyperexponential_classes(M)
     if not classes:
@@ -218,8 +232,8 @@ def _line_from_classes(M: DiffSystem, an: Analysis):
 
 
 def _decompose_blocks(M: DiffSystem, an: Analysis):
-    """(P, dims) with gauge(M, P) block upper triangular with blocks of
-    sizes dims, each <= 2 whenever lines/colines exist."""
+    """(basis, dims) with gauge(M, basis) block upper triangular with blocks
+    of sizes dims, each <= 2 whenever lines/colines exist."""
     n = M.dim
     if n == 1:
         return mat_identity(1), [1]
@@ -227,10 +241,9 @@ def _decompose_blocks(M: DiffSystem, an: Analysis):
     if v is not None:
         S = tuple((val,) for val in v)
         _, _, D, P1 = sub_quotient(M, S)
-        Pd, dims_d = _decompose_blocks(D, an)
-        # combined: gauge by diag(1, Pd) after gauge by P1^{-1}
-        Q = direct_sum(DiffSystem(mat_identity(1)), DiffSystem(Pd)).A
-        return mat_mul(Q, mat_inv(P1)), [1] + dims_d
+        Bd, dims_d = _decompose_blocks(D, an)
+        Q = direct_sum(DiffSystem(mat_identity(1)), DiffSystem(Bd)).A
+        return mat_mul(P1, Q), [1] + dims_d
     if n == 2:
         return mat_identity(2), [2]
     # no invariant line: look for a coline (an invariant plane) via the dual
@@ -240,22 +253,9 @@ def _decompose_blocks(M: DiffSystem, an: Analysis):
     S_cols = k_nullspace([tuple(w)])
     S = tuple(tuple(c[i] for c in S_cols) for i in range(n))
     B, _, D, P1 = sub_quotient(M, S)
-    Pb, dims_b = _decompose_blocks(B, an)
-    Q = direct_sum(DiffSystem(Pb), DiffSystem(mat_identity(D.dim))).A
-    return mat_mul(Q, mat_inv(P1)), dims_b + [D.dim]
-
-
-def _triangularize_with_cert(M: DiffSystem, cert: FlagCertificate):
-    """(P, dims): P the inverse of the certificate's completed basis."""
-    cert = cert.verify(M)
-    n = M.dim
-    P, _ = _pivot_basis(
-        tuple(tuple(v for S in cert.subspaces for v in S[i]) for i in range(n))
-    )
-    dims = [len(S[0]) for S in cert.subspaces]
-    if dims[-1] < n:
-        dims.append(n)
-    return mat_inv(P), [b - a for a, b in zip([0] + dims, dims)]
+    Bb, dims_b = _decompose_blocks(B, an)
+    Q = direct_sum(DiffSystem(Bb), DiffSystem(mat_identity(D.dim))).A
+    return mat_mul(P1, Q), dims_b + [D.dim]
 
 
 def diag_decompose(M: DiffSystem, cert: FlagCertificate = None,
@@ -267,44 +267,42 @@ def diag_decompose(M: DiffSystem, cert: FlagCertificate = None,
         raise ValueError("diag_decompose implemented for dim <= 3")
     an = analysis if analysis is not None else Analysis()
     if cert is not None:
-        P, dims = _triangularize_with_cert(M, cert)
         # refine any 2-dim block that still has an invariant line
-        return _refine(ModuleDiag(P, gauge(M, P), tuple(dims)), an)
+        return _refine(cert.triangularize(M), an)
     try:
-        P, dims = _decompose_blocks(M, an)
+        basis, dims = _decompose_blocks(M, an)
     except NonFuchsianError:
         raise NonFuchsianError(
             "composition-factor search needs simple finite poles; supply a "
             "flag certificate"
         )
-    return ModuleDiag(P, gauge(M, P), tuple(dims))
+    return ModuleDiag(basis, gauge(M, basis), tuple(dims))
 
 
 def _refine(D: ModuleDiag, an: Analysis) -> ModuleDiag:
     """Split 2-dim certificate blocks that do admit invariant lines."""
-    dims = []
-    trans = []
+    dims, trans = [], []
     for b in D.blocks:
-        Pb, sub = mat_identity(b.dim), [b.dim]
+        Bb, sub = mat_identity(b.dim), [b.dim]
         if b.dim == 2 and is_fuchsian(b):
-            Pb, sub = _decompose_blocks(b, an)
+            Bb, sub = _decompose_blocks(b, an)
         dims.extend(sub)
-        trans.append(DiffSystem(Pb))
+        trans.append(DiffSystem(Bb))
     if len(dims) == len(D.dims):
         return D
     Q = functools.reduce(direct_sum, trans).A
-    # gauge(D.T, Q) = gauge(M, Q * D.P)
-    return ModuleDiag(mat_mul(Q, D.P), gauge(D.T, Q), tuple(dims))
+    # gauge(D.T, Q) = gauge(M, D.basis * Q)
+    return ModuleDiag(mat_mul(D.basis, Q), gauge(D.T, Q), tuple(dims))
 
 
 def semisimplify(M: DiffSystem, diag: ModuleDiag = None):
-    """(is_semisimple, P, blocks): when semisimple, gauge(M, P) is the direct
-    sum of the irreducible blocks.  Second return is None when undecided
-    (incomplete solver)."""
+    """(is_semisimple, basis, blocks): when semisimple, gauge(M, basis) is
+    the direct sum of the irreducible blocks.  Second return is None when
+    undecided (incomplete solver)."""
     D = diag if diag is not None else diag_decompose(M)
     blocks = D.blocks
     if len(blocks) == 1:
-        return True, mat(D.P), list(blocks)
+        return True, D.basis, list(blocks)
     # T = [[B, N], [0, R]] with B the first block and R the rest
     n, k = D.T.dim, D.dims[0]
     A = D.T.A
@@ -320,9 +318,8 @@ def semisimplify(M: DiffSystem, diag: ModuleDiag = None):
     )
     if sub_ok is not True:
         return sub_ok, None, None
-    # gauge(T, [[I, F], [0, I]]) = diag(B, R), then U2 on R
-    U = tuple(
-        tuple(ONE if i == j else ZERO for j in range(k)) + F[i]
-        for i in range(k)
-    ) + tuple((ZERO,) * k + row for row in U2)
-    return True, mat_mul(U, D.P), [blocks[0]] + blocks2
+    # the basis [[I, -F], [0, I]] takes T to diag(B, R), then U2 acts on R
+    U = tuple(e + tuple(-v for v in row)
+              for e, row in zip(mat_identity(k), mat_mul(F, U2)))
+    U += tuple((ZERO,) * k + row for row in U2)
+    return True, mat_mul(D.basis, U), [blocks[0]] + blocks2

@@ -187,10 +187,8 @@ def prolong(M: DiffSystem) -> DiffSystem:
     return DiffSystem(rows)
 
 
-def gauge(M: DiffSystem, P) -> DiffSystem:
-    """Basis change Z = P*Y: returns P A P^{-1} + (dP/dx) P^{-1}."""
-    P = mat(P)
-    Pinv = mat_inv(P)
-    return DiffSystem(
-        mat_add(mat_mul(mat_mul(P, M.A), Pinv), mat_mul(mat_d_x(P), Pinv))
-    )
+def gauge(M: DiffSystem, B) -> DiffSystem:
+    """Basis change Y = B*Z: the system dZ/dx = B^{-1} (A B - dB/dx) Z.
+    Gauging by B and then by C is gauging by B*C."""
+    B = mat(B)
+    return DiffSystem(mat_mul(mat_inv(B), mat_sub(mat_mul(M.A, B), mat_d_x(B))))

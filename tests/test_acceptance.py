@@ -17,7 +17,7 @@ from pdgal3.oreops import DELTA
 from pdgal3.ratfunc import (COEFF_FIELD, FIELD, RatFunc, d_t, d_x,
                             rational_antiderivative, residues)
 from pdgal3.series import delta_series, fundamental_series, ordinary_point, satisfies, series_block
-from pdgal3.systems import DiffSystem, dual, gauge, prolong
+from pdgal3.systems import DiffSystem, dual, gauge, mat_inv, prolong
 from util import random_fuchsian
 
 t, x = sp.symbols("t x")
@@ -108,7 +108,7 @@ def test_criterion_2_constancy():
         for i in range(30):
             A0 = _random_qx_system(rng, 2)
             P = _mild_invertible(rng, 2, xdep=(i % 2 == 0))
-            M = gauge(A0, P)
+            M = gauge(A0, mat_inv(P))
             w = is_constant(M, bound=2)
             assert w is not None, f"gauged sample {i}"
             assert w.verify(M), f"witness identity failed on sample {i}"
@@ -224,7 +224,7 @@ def test_criterion_4_classify2_trichotomy():
         for V, label in fixtures:
             up, low = _xfree_gauge(rng)
             P = rng.choice([up, low])
-            assert classify2(gauge(V, P)) == label, (V.to_strings(), P)
+            assert classify2(gauge(V, mat_inv(P))) == label, (V.to_strings(), P)
 
 
 # -- 5: dispatcher branch correctness ---------------------------------------------------

@@ -120,6 +120,27 @@ def test_construct_tensor_dims(tmp_path, capsys):
     assert code == 0 and doc["dim"] == 2
 
 
+def test_construct_gauge_by_basis(tmp_path, capsys):
+    # Y = x*Z turns dY/dx = 0 into dZ/dx = -Z/x
+    m = write(tmp_path, "m.json", {"matrix": [["0"]]})
+    b = write(tmp_path, "b.json", {"matrix": [["x"]]})
+    code, doc = run(capsys, ["construct", "gauge", m, b])
+    assert code == 0 and doc["matrix"] == [["-1/x"]]
+
+
+@pytest.mark.parametrize("basis", [
+    [["1", "1"], ["1", "1"]],
+    [["1"]],
+])
+def test_construct_gauge_bad_basis_exit_1(tmp_path, capsys, basis):
+    m = write(tmp_path, "m.json", M2)
+    b = write(tmp_path, "b.json", {"matrix": basis})
+    assert main(["construct", "gauge", m, b]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: gauge basis must be an invertible 2x2")
+    assert "Traceback" not in captured.err
+
+
 def test_construct_arity_error(tmp_path, capsys):
     a = write(tmp_path, "a.json", {"matrix": [["t/x"]]})
     assert main(["construct", "tensor", a]) == 1

@@ -12,7 +12,7 @@ from pdgal3.groups import Deferred, Explicit, Pullback, jet
 from pdgal3.modules import (Analysis, FlagCertificate, diag_decompose,
                             semisimplify)
 from pdgal3.ratfunc import d_t, rational_antiderivative
-from pdgal3.systems import DiffSystem, dual, gauge
+from pdgal3.systems import DiffSystem, dual, gauge, mat_inv
 from util import FLAG_CERTS, REFINABLE, hidden_sum3
 
 t = sp.Symbol("t")
@@ -304,6 +304,18 @@ def test_dispatch_semisimple_under_unipotent_gauge(cert):
     assert r.case_path == "SEMISIMPLE"
 
 
+@pytest.mark.parametrize("cert", ["none", "full"])
+def test_printed_gauges_are_inverse_bases(cert):
+    # a report prints P with Z = P*Y: its inverse is the basis of the normal form
+    V = hidden_sum3()
+    r, _ = dispatch(V, FLAG_CERTS[cert])
+    certs = dict(r.certificates)
+    T = gauge(V, mat_inv(certs["gauge"])).A
+    assert all(T[i][j].is_zero for i in range(3) for j in range(i))
+    T = gauge(V, mat_inv(certs["semisimple-gauge"])).A
+    assert all(T[i][j].is_zero for i in range(3) for j in range(3) if i != j)
+
+
 def test_dispatch_cqnc_prolongation():
     r, g = dispatch(
         S([["t/x", "1/x", "0"], ["0", "t/x", "1/(x-1)"], ["0", "0", "0"]]),
@@ -322,7 +334,8 @@ def test_dispatch_cqnc_prolongation():
 def test_dispatch_gauge_invariant_label():
     V = S([["t/x", "1/(x-1)", "0"], ["0", "0", "0"], ["0", "0", "1/x"]])
     r1, _ = dispatch(V, CERT3)
-    P = [["1", "0", "0"], ["0", "t", "0"], ["0", "1", "1"]]
+    # the inverse of [[1, 0, 0], [0, t, 0], [0, 1, 1]]
+    P = [["1", "0", "0"], ["0", "1/t", "0"], ["0", "-1/t", "1"]]
     r2, _ = dispatch(gauge(V, P), None)
     assert r1.case_path == r2.case_path == "DECOMPOSABLE"
 

@@ -386,3 +386,32 @@ def _unreached(text):
     assert sorted(_parser_calls(ast.parse(snippet))) == ["_Meter.charge:13",
                                                          "_deeper:10",
                                                          "_helper:8"]
+
+
+def _inverse_gauges(tree) -> list:
+    """Line numbers of calls `gauge(..., mat_inv(...))`: a gauge takes the
+    basis B of Y = B*Z, so handing it an inverse undoes its own inversion."""
+
+    def name(f):
+        return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and name(node.func) == "gauge"
+            and any(isinstance(a, ast.Call) and name(a.func) == "mat_inv"
+                    for a in node.args[1:])]
+
+
+def test_no_gauge_by_an_inverse():
+    bad = [f"{mod}:{line}" for mod, tree in _modules().items()
+           for line in _inverse_gauges(tree)]
+    assert not bad, "\n".join(bad)
+
+
+def test_inverse_gauge_rule_flags_calls():
+    snippet = """
+def f(M, P):
+    T = gauge(M, mat_inv(P))
+    U = systems.gauge(M, linalg.mat_inv(P))
+    return gauge(M, P), gauge(mat_inv(P), P), mat_inv(gauge(M, P))
+"""
+    assert _inverse_gauges(ast.parse(snippet)) == [3, 4]

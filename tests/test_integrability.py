@@ -31,7 +31,7 @@ from pdgal3.ratfunc import (
     rational_antiderivative,
     residue_at,
 )
-from pdgal3.systems import DiffSystem, gauge
+from pdgal3.systems import DiffSystem, gauge, mat_inv
 from util import random_invertible
 
 t, x = sp.symbols("t x")
@@ -55,7 +55,7 @@ def test_constant_gauge_of_t_free():
     rng = random.Random(7)
     M0 = DiffSystem([["1/x", "1/(x-1)"], ["0", "2/x"]])
     P = random_invertible(rng, 2)
-    M = gauge(M0, P)
+    M = gauge(M0, mat_inv(P))
     w = is_constant(M)
     assert w is not None and w.verify(M)
 

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pdgal3.errors import CertificateError
 from pdgal3.galois3 import classify2
 from pdgal3.linalg import column_rank
 from pdgal3.modules import (
@@ -34,8 +35,8 @@ from pdgal3.systems import (
     prolong,
     vec,
 )
-from util import (FLAG_CERTS, REFINABLE, hidden_sum3, random_fuchsian,
-                  random_invertible)
+from util import (FLAG_CERTS, LINE_E1, PLANE_E12, REFINABLE, hidden_sum3,
+                  random_fuchsian, random_invertible)
 
 M_TRI = DiffSystem([["t/x", "1"], ["0", "0"]])
 M_NILP = DiffSystem([["0", "1"], ["0", "0"]])
@@ -62,30 +63,31 @@ class TestInvariant:
     def test_block_triangular_gauge(self):
         # the defining identity implies the triangular gauge form
         B, N, D, P = sub_quotient(M_TRI, [["1"], ["0"]])
-        Mt = gauge(M_TRI, mat_inv(P))
+        Mt = gauge(M_TRI, P)
         assert Mt.A[1][0].is_zero
         assert Mt.A[0][0] == B.A[0][0]
 
 
 class TestSplitExtension:
     def test_nilpotent_splits(self):
-        comp, complete = split_extension(M_NILP, [["1"], ["0"]])
+        comp, B, D, complete = split_extension(M_NILP, [["1"], ["0"]])
         assert complete and comp is not None
-        assert is_invariant(M_NILP, comp) is not None
+        assert is_invariant(M_NILP, comp) == D.A
+        assert is_invariant(M_NILP, [["1"], ["0"]]) == B.A
 
     def test_log_extension_does_not_split(self):
-        comp, complete = split_extension(
+        comp, _, _, complete = split_extension(
             DiffSystem([["1/x", "1"], ["0", "0"]]), [["1"], ["0"]]
         )
         assert comp is None and complete
 
     def test_prolongation_does_not_split(self):
-        comp, complete = split_extension(M_JORDAN, [["1"], ["0"]])
+        comp, _, _, complete = split_extension(M_JORDAN, [["1"], ["0"]])
         assert comp is None and complete
 
     def test_scalar_self_extension_splits(self):
         # [[t/x, 1],[0, t/x]]: dF/dx = -1 is rationally solvable
-        comp, complete = split_extension(
+        comp, _, _, complete = split_extension(
             DiffSystem([["t/x", "1"], ["0", "t/x"]]), [["1"], ["0"]]
         )
         assert complete and comp is not None
@@ -140,7 +142,7 @@ class TestDecompose:
         D = diag_decompose(V)
         facs = sorted(b.to_strings() for b in D.blocks)
         assert facs == [[["0"]], [["t/x"]], [["t/x"]]]
-        Vt = gauge(V, D.P)
+        Vt = gauge(V, D.basis)
         assert all(Vt.A[i][j].is_zero for i in range(3) for j in range(i))
 
     def test_direct_sum_of_simple(self):
@@ -162,7 +164,7 @@ class TestDecompose:
         V = DiffSystem([["t/x", "1", "0"], ["0", "0", "1"], ["0", "0", "1/x"]])
         P = random_invertible(rng, 3)
         D0 = diag_decompose(V)
-        D1 = diag_decompose(gauge(V, P))
+        D1 = diag_decompose(gauge(V, mat_inv(P)))
         f0 = [b.A[0][0] for b in D0.blocks]
         f1 = [b.A[0][0] for b in D1.blocks]
         # 1-dim factors pair up via rank-1 isomorphisms
@@ -188,7 +190,7 @@ class TestDecompose:
         )
         D = diag_decompose(V, cert)
         assert len(D.blocks) == 3
-        Vt = gauge(V, D.P)
+        Vt = gauge(V, D.basis)
         assert all(Vt.A[i][j].is_zero for i in range(3) for j in range(i))
 
     @pytest.mark.parametrize("cert", ["line", "plane"])
@@ -205,7 +207,7 @@ class TestDecompose:
         # search, full-certificate and refined partial-certificate routes
         M = REFINABLE if name == "refinable" else hidden_sum3()
         D = diag_decompose(M, FLAG_CERTS[cert])
-        assert D.T == gauge(M, D.P)
+        assert D.T == gauge(M, D.basis)
         assert sum(D.dims) == M.dim
         start = 0
         for d, b in zip(D.dims, D.blocks):
@@ -220,6 +222,27 @@ class TestDecompose:
         cert = FlagCertificate(subspaces=(mat([["0"], ["1"], ["0"]]),))
         with pytest.raises(ValueError):
             diag_decompose(V, cert)
+
+    @pytest.mark.parametrize("subspaces, message", [
+        ((PLANE_E12, LINE_E1), "strictly increase"),
+        ((LINE_E1, LINE_E1), "strictly increase"),
+        ((LINE_E1, (("1",), ("0",))), "3 rows"),
+        # the pivot count of [S1 | S2] alone would pass S2 = (e2, e2)
+        ((LINE_E1, (("0", "0"), ("1", "1"), ("0", "0"))), "independent"),
+        ((LINE_E1, (("0", "0"), ("1", "0"), ("0", "1"))), "not nested"),
+        (((("0",), ("1",), ("0",)),), "not invariant"),
+    ])
+    def test_each_bad_certificate_has_its_message(self, subspaces, message):
+        # every coordinate subspace of the diagonal system is invariant, and
+        # e2 is not invariant for the triangular one
+        V = (REFINABLE if message == "not invariant" else
+             DiffSystem([["t/x", "0", "0"], ["0", "1/x", "0"], ["0", "0", "0"]]))
+        with pytest.raises(CertificateError, match=message):
+            diag_decompose(V, FlagCertificate(subspaces=subspaces))
+
+    def test_empty_certificate_is_the_trivial_flag(self):
+        D = diag_decompose(REFINABLE, FlagCertificate(subspaces=()))
+        assert D.dims == (3,) and D.T == REFINABLE
 
 
 class TestSemisimplify:
@@ -252,10 +275,10 @@ class TestSemisimplify:
         rng = random.Random(5)
         P = random_invertible(rng, 2)
         ok1, _, _ = semisimplify(M_JORDAN)
-        ok2, _, _ = semisimplify(gauge(M_JORDAN, P))
+        ok2, _, _ = semisimplify(gauge(M_JORDAN, mat_inv(P)))
         assert ok1 == ok2 is False
         D = DiffSystem([["t/x", "0"], ["0", "1/x"]])
-        assert semisimplify(gauge(D, P))[0] is True
+        assert semisimplify(gauge(D, mat_inv(P)))[0] is True
 
 
 class TestLinearAlgebraHelpers:

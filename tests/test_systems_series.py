@@ -81,12 +81,13 @@ class TestGauge:
         assert gauge(A2, mat_identity(2)) == A2
 
     def test_scalar_example(self):
-        assert gauge(DiffSystem([["0"]]), [["x"]]) == DiffSystem([["1/x"]])
+        # Y = x*Z: x*dZ/dx + Z = 0
+        assert gauge(DiffSystem([["0"]]), [["x"]]) == DiffSystem([["-1/x"]])
 
     def test_action_law(self):
         P = [["x", "1"], ["0", "x-t"]]
         Q = [["1", "t"], ["x", "1"]]
-        assert gauge(gauge(A2, P), Q) == gauge(A2, mat_mul(mat(Q), mat(P)))
+        assert gauge(gauge(A2, P), Q) == gauge(A2, mat_mul(mat(P), mat(Q)))
 
     def test_inverse_gauge_roundtrip(self):
         P = mat([["x", "1"], ["t", "x-t"]])

@@ -70,8 +70,9 @@ REFINABLE = DiffSystem([["t/x", "1/(x-1)", "0"], ["0", "0", "1/(x+1)"],
 
 
 def hidden_sum3() -> DiffSystem:
-    """diag(t/x, 1/(x-1), 0) under the unipotent gauge [[1, x, 1],
-    [0, 1, x], [0, 0, 1]]: semisimple, and upper triangular but not
-    diagonal in the standard basis."""
+    """diag(t/x, 1/(x-1), 0) in the unipotent basis [[1, -x, x^2-1],
+    [0, 1, -x], [0, 0, 1]], the inverse of [[1, x, 1], [0, 1, x], [0, 0, 1]]:
+    semisimple, and upper triangular but not diagonal in the standard
+    basis."""
     D = DiffSystem([["t/x", "0", "0"], ["0", "1/(x-1)", "0"], ["0", "0", "0"]])
-    return gauge(D, [["1", "x", "1"], ["0", "1", "x"], ["0", "0", "1"]])
+    return gauge(D, [["1", "-x", "x^2-1"], ["0", "1", "-x"], ["0", "0", "1"]])
