@@ -20,7 +20,7 @@ from .errors import (
     UnsupportedError,
 )
 from .galois3 import classify2, dispatch
-from .groups import Deferred, Explicit, Named, Pullback
+from .groups import Deferred, Explicit, Named, Pullback, to_string
 from .integrability import is_constant, telescoper
 from .linalg import column_rank
 from .modules import FlagCertificate, is_invariant
@@ -135,7 +135,7 @@ def _group_to_json(g) -> dict:
         return {
             "kind": "explicit",
             "dim": g.dim,
-            "equations": [str(e) + " = 0" for e in g.equations],
+            "equations": [to_string(e) + " = 0" for e in g.equations],
             "flags": list(g.flags),
         }
     if isinstance(g, Named):
@@ -155,7 +155,8 @@ def _group_to_json(g) -> dict:
                 {
                     "representation": {
                         "name": rep.name,
-                        "entries": [[str(v) for v in row] for row in rep.entries],
+                        "entries": [[to_string(v, rep.denom) for v in row]
+                                    for row in rep.entries],
                     },
                     "group": _group_to_json(sub),
                 }
@@ -275,6 +276,8 @@ def cmd_check(args) -> int:
         if B is not None:
             doc["restriction"] = [[v.to_string() for v in row] for row in B]
     elif args.kind == "telescoper":
+        if args.expr is None:
+            raise ExpressionParseError("check telescoper needs --expr")
         f = RatFunc.parse(args.expr)
         op = telescoper(f)
         doc["operator"] = op.to_string()

@@ -10,8 +10,7 @@ machine-checkable CaseReport.
 from __future__ import annotations
 
 from dataclasses import replace
-
-import sympy as sp
+from itertools import combinations
 
 from .errors import IncompleteSearchError, PdgalError, UnsupportedError
 from .groups import (
@@ -26,6 +25,7 @@ from .groups import (
     det_rep,
     invtranspose_rep,
     jet,
+    pullback,
     torus_diagonal,
 )
 from .integrability import character_lattice, is_constant, rank1_group
@@ -131,43 +131,15 @@ def _flag_group(entries, zero_positions, cq_pairs, flags=()):
     return Explicit(dim=len(entries), equations=tuple(eqs), flags=tuple(flags))
 
 
-def _perm_rep(n: int, sigma) -> RepMap:
-    """Conjugation by the permutation matrix of sigma (0-based)."""
-    return RepMap(
-        source_dim=n,
-        target_dim=n,
-        entries=tuple(
-            tuple(jet(sigma[i] + 1, sigma[j] + 1) for j in range(n))
-            for i in range(n)
-        ),
-        name="permute",
-    )
-
-
-def _rep_is_renaming(rep: RepMap) -> bool:
-    return all(
-        v == 0 or (v.is_Symbol and str(v).startswith("y"))
-        for row in rep.entries for v in row
-    )
-
-
 def _transport(g: GroupDescription, rep: RepMap) -> GroupDescription:
     """Express a group computed in transformed coordinates in the original
     ones, by pulling it back along the coordinate representation.  Rational
     reps (inverse-transpose) stay structural: flattening their pulled-back
     delta-equations is infeasible, while membership stays cheap."""
-    from .groups import pullback
-
     if isinstance(g, Deferred):
         partial = _transport(g.partial, rep) if g.partial is not None else None
-        return Deferred(
-            dim=rep.source_dim,
-            reduction=g.reduction,
-            data=g.data,
-            partial=partial,
-            flags=g.flags,
-        )
-    if _rep_is_renaming(rep):
+        return replace(g, dim=rep.source_dim, partial=partial)
+    if rep.denom == 1:
         return pullback(rep, g.to_explicit())
     return Pullback(dim=rep.source_dim, components=((rep, g),), flags=g.flags)
 
@@ -203,11 +175,7 @@ def _semisimple_group(blocks, an, free_upper=False):
     n = sum(b.dim for b in blocks)
     dims = [b.dim for b in blocks]
     notes, certs = [], []
-    offs = []
-    o = 0
-    for d in dims:
-        offs.append(o)
-        o += d
+    offs = [sum(dims[:k]) for k in range(len(dims))]
 
     if all(d == 1 for d in dims):
         g, lat = _torus([b.A[0][0] for b in blocks])
@@ -231,8 +199,7 @@ def _semisimple_group(blocks, an, free_upper=False):
         flags = ()
         if w is not None:
             comps.append(
-                (RepMap(3, 3, tuple(tuple(jet(i + 1, j + 1) for j in range(3))
-                                    for i in range(3)), name="id"),
+                (block_rep(3, range(3), name="id"),
                  Named(dim=3, family="sl-constant-conjugate",
                        flags=("up-to-conjugation",)))
             )
@@ -292,8 +259,8 @@ def _semisimple_group(blocks, an, free_upper=False):
     rep = RepMap(
         source_dim=3,
         target_dim=2,
-        entries=((det_entry, sp.S.Zero),
-                 (sp.S.Zero, jet(uoff + 1, uoff + 1))),
+        entries=((det_entry, 0),
+                 (0, jet(uoff + 1, uoff + 1))),
         name="wedge2W-plus-U",
     )
     comps = [(rep, torus2)]
@@ -335,12 +302,8 @@ def _candidate_lines(M: DiffSystem, an: Analysis):
         return []
     out = []
     for _, space in classes:
-        basis = space.basis
-        for v in basis:
-            out.append(v)
-        for i in range(len(basis)):
-            for j in range(i + 1, len(basis)):
-                out.append(tuple(a + b for a, b in zip(basis[i], basis[j])))
+        out += list(space.basis) + [tuple(a + b for a, b in zip(u, v))
+                                    for u, v in combinations(space.basis, 2)]
     return out
 
 
@@ -455,25 +418,23 @@ def _case_decomposable(found, certs):
             "constant-system algorithm",
             partial=partial,
         )
-        report = CaseReport(
+        return CaseReport(
             case_path="DECOMPOSABLE",
             type_tags=("CQ",),
             certificates=tuple(certs),
             flags=("deferred",),
             tau_notes=("tau(G)=0 by the constant-quotient premise and the "
                        "type inequality tau(G)=max(tau(H),tau(G/H))",),
-        )
-        return report, g
+        ), g
     g = _flag_group(entries, [(2, 1), (3, 1), (3, 2), (1, 3), (2, 3)], [])
-    report = CaseReport(
+    return CaseReport(
         case_path="DECOMPOSABLE",
         type_tags=("NC",),
         certificates=tuple(certs),
         flags=(),
         tau_notes=("G determined by V^diag within the stabilizer of W0; the "
                    "G_a kernel block (1,2) is unconditioned",),
-    )
-    return report, g
+    ), g
 
 
 def _case_indecomposable_2dim(V, D, certs, an):
@@ -495,20 +456,19 @@ def _case_indecomposable_2dim(V, D, certs, an):
     Wtest = tensor(dual(U), W)  # W1* ⊗ W2, 2-dimensional
     w = _try_constant(Wtest)
     if w is not None:
-        report = CaseReport(
+        return CaseReport(
             case_path="INDECOMPOSABLE-2DIM",
             type_tags=("constant",),
             certificates=tuple(certs + [("constancy-witness", w.B)]),
             flags=("deferred",),
             tau_notes=("tau(G)=0: W1*⊗W2 constant; "
                        "tau(G)=max(tau(ker),tau(image)) with both of type 0",),
-        )
-        return report, Deferred(
+        ), Deferred(
             dim=3,
             reduction="tau(G)=0: complete via a constant-system algorithm",
         )
     g, notes, more = _semisimple_group([W, U], an, free_upper=True)
-    report = CaseReport(
+    return CaseReport(
         case_path="INDECOMPOSABLE-2DIM",
         type_tags=("non-constant",),
         certificates=tuple(certs + more),
@@ -517,8 +477,7 @@ def _case_indecomposable_2dim(V, D, certs, an):
             "R_u(G) is the full 2-dim unipotent block; G determined by "
             "V^diag",
         ),
-    )
-    return report, g
+    ), g
 
 
 def _flag_stage(V, Vd, an):
@@ -548,14 +507,13 @@ def _case_full_flag(V, Vd, D, certs, an):
             tuple(a), [(2, 1), (3, 1), (3, 2)],
             [(1, 2), (2, 3), (1, 3)], flags=("tau0-partial",),
         )
-        report = CaseReport(
+        return CaseReport(
             case_path="(CQ,CQ)",
             type_tags=(t1, t2),
             certificates=tuple(certs),
             flags=("deferred",),
             tau_notes=("tau(G)=0: V^diag constant",),
-        )
-        return report, Deferred(
+        ), Deferred(
             dim=3,
             reduction="tau(G)=0: complete via a constant-system algorithm",
             partial=partial,
@@ -597,15 +555,14 @@ def _case_cr(Mt, a, certs, t2):
             tuple(a), [(2, 1), (3, 1), (3, 2), (1, 2)], [(2, 3)],
             flags=("tau0-partial-on-(2,3)",),
         )
-        report = CaseReport(
+        return CaseReport(
             case_path="(CR,CQ,NC)",
             type_tags=("CR", "CQ", "NC"),
             certificates=tuple(certs),
             flags=g.flags,
             tau_notes=("G determined by (B', V1 ⊕ V/V1); the G_a kernel "
                        "block (1,3) is unconditioned",),
-        )
-        return report, g
+        ), g
 
     if (t2, t3) == ("NC", "CQ"):
         # swapping V1 and U only permutes the diagonal
@@ -614,28 +571,27 @@ def _case_cr(Mt, a, certs, t2):
             tuple(a[k] for k in sigma), [(2, 1), (3, 1), (3, 2), (1, 2)],
             [(2, 3)], flags=("tau0-partial-on-(2,3)",),
         )
-        g = _transport(gp, _perm_rep(3, sigma))
-        report = CaseReport(
+        # conjugation by the permutation matrix of sigma
+        g = _transport(gp, block_rep(3, sigma, name="permute"))
+        return CaseReport(
             case_path="(CR,NC,CQ)→permute→(CR,CQ,NC)",
             type_tags=("CR", "NC", "CQ"),
             certificates=tuple(certs),
             flags=gp.flags,
             tau_notes=("permuted V1 and U, then: G determined by "
                        "(B', V1 ⊕ V/V1)",),
-        )
-        return report, g
+        ), g
 
     # (CR,NC,NC)
     g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2), (1, 2)], [])
-    report = CaseReport(
+    return CaseReport(
         case_path="(CR,NC,NC)",
         type_tags=("CR", "NC", "NC"),
         certificates=tuple(certs),
         flags=(),
         tau_notes=("G determined by V2 ⊕ V/V2; the full unipotent Y block "
                    "(1,3),(2,3) is unconditioned",),
-    )
-    return report, g
+    ), g
 
 
 def _case_ncnc(a, b12, b23, certs):
@@ -652,15 +608,14 @@ def _case_ncnc(a, b12, b23, certs):
     if space.particular is None and not space.complete:
         g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [],
                         flags=("bound-limited",))
-        report = CaseReport(
+        return CaseReport(
             case_path="(NC,NC)-undecided",
             type_tags=("NC", "NC"),
             certificates=tuple(certs),
             flags=("bound-limited", "deferred"),
             tau_notes=("commutator dichotomy inconclusive: both candidates "
                        "share these equations",),
-        )
-        return report, Deferred(
+        ), Deferred(
             dim=3,
             reduction="(NC,NC) commutator dichotomy inconclusive within the "
             "solver bound; candidates: determined by V2 / by V^diag",
@@ -670,28 +625,26 @@ def _case_ncnc(a, b12, b23, certs):
         return _ncnc_noncommutative(a, certs, ())
     g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [],
                     flags=("identity-component-level",))
-    report = CaseReport(
+    return CaseReport(
         case_path="(NC,NC)-commutative",
         type_tags=("NC", "NC"),
         certificates=tuple(certs + [("proportionality", space.particular)]),
         flags=("identity-component-level",),
         tau_notes=("[G,G] commutative: G determined by V2; closure "
                    "conditions on the (2,3) entry are not computed",),
-    )
-    return report, g
+    ), g
 
 
 def _ncnc_noncommutative(a, certs, flags):
     g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [], flags=flags)
-    report = CaseReport(
+    return CaseReport(
         case_path="(NC,NC)-noncommutative",
         type_tags=("NC", "NC"),
         certificates=tuple(certs),
         flags=flags,
         tau_notes=("[G,G] non-commutative: [B,B] ⊂ G, so G determined by "
                    "V^diag",),
-    )
-    return report, g
+    ), g
 
 
 def _case_cqnc(Mt, a, certs):
@@ -708,15 +661,14 @@ def _case_cqnc(Mt, a, certs):
     if F is not None:
         g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2), (1, 2)],
                         [(1, 2)])
-        report = CaseReport(
+        return CaseReport(
             case_path="(CQ,NC)-V2semisimple",
             type_tags=("CQ", "NC"),
             certificates=tuple(certs),
             flags=(),
             tau_notes=("V2 semisimple: G determined by V2 ⊕ V/V2 with the "
                        "Y block unconditioned",),
-        )
-        return report, g
+        ), g
 
     # R_u(G') = 1 iff V1 ≅ V2/V1 (witness u) and the extension class of
     # V2 ⊗ (V/V2)* lies on the prolongation line: for some lambda in Q(t)
@@ -744,15 +696,14 @@ def _case_cqnc(Mt, a, certs):
     if not reductive:
         g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [(1, 2)],
                         flags=("tau0-partial-on-(1,2)",))
-        report = CaseReport(
+        return CaseReport(
             case_path="(CQ,NC)-Ru",
             type_tags=("CQ", "NC"),
             certificates=tuple(certs),
             flags=g.flags,
             tau_notes=("R_u(G') nontrivial: Z ⊂ G, so G determined by "
                        "V2 ⊕ V/V2 with the Y block unconditioned",),
-        )
-        return report, g
+        ), g
 
     # prolongation branch: V1 ≅ V2/V1, G' reductive
     emb = _prolongation_embedding(Mt, a)
@@ -784,15 +735,14 @@ def _case_cqnc(Mt, a, certs):
                  ambient=Explicit(dim=3, equations=tuple(eqs)),
                  flags=tuple(flags))
     certs = certs + [("embedding-into-prolongation", emb)]
-    report = CaseReport(
+    return CaseReport(
         case_path="(CQ,NC)-prolongation",
         type_tags=("CQ", "NC"),
         certificates=tuple(certs),
         flags=tuple(flags),
         tau_notes=("V lies in the tensor category generated by the first "
                    "prolongation of V/V1",),
-    )
-    return report, g
+    ), g
 
 
 def _prolongation_embedding(Mt, a):
@@ -808,13 +758,9 @@ def _prolongation_embedding(Mt, a):
         space = morphisms(Vsh, prolong(Wsh))
     except PdgalError:
         return None
-    cands = list(space.basis)
-    for i in range(len(space.basis)):
-        for j in range(i + 1, len(space.basis)):
-            cands.append(tuple(
-                tuple(x + y for x, y in zip(r1, r2))
-                for r1, r2 in zip(space.basis[i], space.basis[j])
-            ))
+    cands = list(space.basis) + [
+        tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(U1, U2))
+        for U1, U2 in combinations(space.basis, 2)]
     for U in cands:
         if column_rank(tuple(tuple(row) for row in U)) == 3:
             return U

@@ -1,7 +1,14 @@
 """Data model for differential-algebraic subgroups of GL_n.
 
-Equations are delta-polynomials in jet symbols y{i}{j}_{k} (the k-th
-t-derivative of the matrix entry (i,j), 1-based) with Q(t) coefficients.
+Equations are delta-polynomials over Q(t) in the jets y{i}_{j}_{k}, the k-th
+t-derivative of the matrix entry (i, j), 1-based.  They live in sparse rings
+over COEFF_FIELD whose generators are the jets with i, j <= n and k <= order,
+sorted by name, in lex order: one ring per (n, order), built on first use.
+Both grow with the equations from (3, 2), so the jets that the equation
+builders combine share a ring.  An equation is kept monic in lex order, and
+`as_expr` is the one place where it becomes a sympy expression, for printing
+and sorting.
+
 Groups are Explicit equation sets, Named standard families, pullbacks of
 groups along representations intersected with an ambient closure, or Deferred
 reductions (honest hand-offs carrying the exact remaining statement).
@@ -9,74 +16,141 @@ reductions (honest hand-offs carrying the exact remaining statement).
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
+from itertools import product
+from math import prod
 
 import sympy as sp
+from sympy import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyElement, PolyRing
 
-from .ratfunc import COEFF_FIELD, t
+from .ratfunc import COEFF_FIELD, t, to_coeff
 
-_JET_RE = re.compile(r"^y(\d+)_(\d+)_(\d+)$")
+_T = COEFF_FIELD.field.gens[0]
+_name = "y%d_%d_%d".__mod__
+#: the jet polynomials of one (n, order) must share one ring object, so the
+#: rings are kept for the process; they hold no analysis state
+_RINGS = {}  # (n, order) -> jet ring
+_JETS = {}   # jet ring -> (the (i, j, k) of each generator, their positions)
 
 
-def jet(i: int, j: int, k: int = 0) -> sp.Symbol:
+def _ring(n: int, order: int) -> PolyRing:
+    key = (max(n, 3), max(order, 2))
+    if key not in _RINGS:
+        r = range(1, key[0] + 1)
+        jets = sorted(product(r, r, range(key[1] + 1)), key=_name)
+        ring = _RINGS[key] = PolyRing(list(map(_name, jets)), COEFF_FIELD, lex)
+        _JETS[ring] = jets, {jet: g for g, jet in enumerate(jets)}
+    return _RINGS[key]
+
+
+def jet(i: int, j: int, k: int = 0) -> PolyElement:
     """The k-th delta-derivative of entry (i, j), 1-based indices."""
-    return sp.Symbol(f"y{i}_{j}_{k}")
+    ring = _ring(max(i, j), k)
+    return ring.gens[_JETS[ring][1][(i, j, k)]]
 
 
-def jet_matrix(n: int, k: int = 0):
-    return sp.Matrix([[jet(i + 1, j + 1, k) for j in range(n)] for i in range(n)])
+def jet_matrix(n: int):
+    return tuple(tuple(jet(i + 1, j + 1) for j in range(n)) for i in range(n))
 
 
-def _jet_info(s: sp.Symbol):
-    m = _JET_RE.match(s.name)
-    if not m:
-        return None
-    return tuple(int(g) for g in m.groups())
+def _poly(e) -> PolyElement:
+    """A jet polynomial, or a Q(t) constant as one."""
+    return e if isinstance(e, PolyElement) else _ring(0, 0)(COEFF_FIELD.convert(e))
 
 
-def total_delta(expr: sp.Expr) -> sp.Expr:
-    """Formal t-derivative: jets are shifted, explicit t is differentiated."""
-    expr = sp.sympify(expr)
-    out = expr.diff(t)
-    for s in expr.free_symbols:
-        info = _jet_info(s)
-        if info is not None:
-            i, j, k = info
-            out += expr.diff(s) * jet(i, j, k + 1)
+def _present(p) -> list:
+    """The (i, j, k) of the jets in p."""
+    return [_JETS[p.ring][0][g] for g, e in enumerate(p.degrees()) if e > 0]
+
+
+def _lift(polys, extra: int = 0) -> list:
+    """The polys in the smallest jet ring that holds their jets and `extra`
+    orders more."""
+    jets = [jet for p in polys for jet in _present(p)]
+    ring = _ring(max((max(i, j) for i, j, _ in jets), default=0),
+                 max((k for _, _, k in jets), default=0) + extra)
+    return [p.set_ring(ring) for p in polys]
+
+
+def _delta(p) -> PolyElement:
+    """δp in p's own ring, which must hold the jets one order above p's."""
+    jets, index = _JETS[p.ring]
+    out = p.ring.from_dict({m: c.diff(_T) for m, c in p.iterterms()})
+    for g, e in enumerate(p.degrees()):
+        if e > 0:
+            i, j, k = jets[g]
+            out += p.diff(g) * p.ring.gens[index[(i, j, k + 1)]]
     return out
 
 
-def normalize_equation(e: sp.Expr) -> sp.Expr:
-    """Canonical form: cleared t-denominators, expanded, scaled monic on the
-    leading jet monomial."""
-    e = sp.cancel(sp.sympify(e))
-    num = sp.fraction(e)[0]
-    num = sp.expand(num)
-    if num == 0:
-        return sp.S.Zero
-    jets = sorted(
-        (s for s in num.free_symbols if _jet_info(s) is not None),
-        key=sp.default_sort_key,
-    )
-    if not jets:
-        return sp.S.One  # a nonzero constant equation: inconsistent marker
-    p = sp.Poly(num, *jets)
-    lc = p.coeffs()[0]
-    return sp.expand(sp.cancel(num / lc))
+def total_delta(e) -> PolyElement:
+    """Formal t-derivative: jets are shifted, explicit t is differentiated."""
+    return _delta(_lift([_poly(e)], extra=1)[0])
 
 
-def _subs_jets_for_matrix(equations, M):
-    """Substitution map sending jets to t-derivatives of the entries of M."""
-    subs = {}
-    for e in equations:
-        for s in sp.sympify(e).free_symbols:
-            info = _jet_info(s)
-            if info is None:
-                continue
-            i, j, k = info
-            subs[s] = sp.diff(sp.sympify(M[i - 1][j - 1]), t, k)
-    return subs
+def normalize_equation(e) -> PolyElement:
+    """Canonical form: divided by the lex-leading coefficient; 0 stays 0."""
+    return _poly(e).monic()
+
+
+def _quotient_derivatives(num, den, k: int):
+    """([N_0, ..., N_k], den), one ring, with δʲ(num/den) = N_j / den^(j+1)."""
+    num, den = _lift([num, den], extra=k)
+    out = [num]
+    dden = _delta(den) if k else None
+    for j in range(k):
+        out.append(_delta(out[j]) * den - (j + 1) * out[j] * dden)
+    return out, den
+
+
+def _substituted(p, value):
+    """(c·∏ value(jet)^e, ∑ (k + 1)·e) for each term c·∏ jet^e of p, k the
+    order of each jet."""
+    jets = _JETS[p.ring][0]
+    for m, c in p.iterterms():
+        w = 0
+        for jet, e in zip(jets, m):
+            if e:
+                c, w = value(jet) ** e * c, w + (jet[2] + 1) * e
+        yield c, w
+
+
+def _at(M):
+    """value(jet) = δᵏ M[i-1][j-1] for a matrix M over Q(t), computed once."""
+    cache = {}
+
+    def value(jet):
+        i, j, k = jet
+        if jet not in cache:
+            cache[jet] = value((i, j, k - 1)).diff(_T) if k else M[i - 1][j - 1]
+        return cache[jet]
+
+    return value
+
+
+def _evaluate(p, value):
+    return sum((c for c, _ in _substituted(p, value)), COEFF_FIELD.zero)
+
+
+def _det(rows):
+    """Expansion along the first row, in any commutative ring; 1 if empty."""
+    return sum((-1) ** j * rows[0][j] * _det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(len(rows))) if rows else 1
+
+
+def as_expr(p) -> sp.Expr:
+    """p as a sympy expression: the numerator of each coefficient expanded
+    over its denominator term by term, as sympy's `expand` writes it."""
+    return sp.Add(*(QQ.to_sympy(q) * t ** i / c.denom.as_expr()
+                    * sp.Mul(*(s ** e for s, e in zip(p.ring.symbols, m) if e))
+                    for m, c in p.iterterms() for (i,), q in c.numer.iterterms()))
+
+
+def to_string(p, den=1) -> str:
+    """The printed form of p / den, for jet polynomials p and den."""
+    return str(as_expr(p) / as_expr(_poly(den)))
 
 
 # -- representations ------------------------------------------------------------
@@ -84,58 +158,44 @@ def _subs_jets_for_matrix(equations, M):
 
 @dataclass(frozen=True)
 class RepMap:
-    """A matrix of expressions in source jets defining a homomorphism into
-    GL(target_dim)."""
+    """A homomorphism into GL(target_dim): Y ↦ entries / denom, jet
+    polynomials in the source jets."""
 
     source_dim: int
     target_dim: int
-    entries: tuple  # target_dim x target_dim of sympy Exprs in source jets
+    entries: tuple  # target_dim x target_dim
     name: str = "rep"
+    denom: PolyElement = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries",
+                           tuple(tuple(map(_poly, row)) for row in self.entries))
+        object.__setattr__(self, "denom", _poly(self.denom))
 
     def apply_to_matrix(self, M):
-        """Evaluate on a concrete matrix over Q(t) (entries sympy exprs)."""
-        subs = _subs_jets_for_matrix(
-            [e for row in self.entries for e in row], M
-        )
-        return [
-            [sp.cancel(sp.sympify(e).subs(subs)) for e in row]
-            for row in self.entries
-        ]
+        """Evaluate on a concrete matrix over Q(t), into Q(t) elements."""
+        value = _at([[to_coeff(v) for v in row] for row in M])
+        d = _evaluate(self.denom, value)
+        return [[_evaluate(e, value) / d for e in row] for row in self.entries]
+
 
 def det_rep(n: int) -> RepMap:
-    return RepMap(
-        source_dim=n,
-        target_dim=1,
-        entries=((jet_matrix(n).det(),),),
-        name="det",
-    )
+    return RepMap(n, 1, ((_det(jet_matrix(n)),),), name="det")
 
 
 def invtranspose_rep(n: int) -> RepMap:
-    """Y ↦ (Y⁻¹)ᵀ, entries rational in the jets."""
+    """Y ↦ (Y⁻¹)ᵀ: the cofactors of Y over det Y."""
     Y = jet_matrix(n)
-    inv_t = Y.adjugate().T / Y.det()
-    return RepMap(
-        source_dim=n,
-        target_dim=n,
-        entries=tuple(tuple(sp.cancel(inv_t[i, j]) for j in range(n))
-                      for i in range(n)),
-        name="inverse-transpose",
-    )
+    cof = tuple(tuple((-1) ** (i + j) * _det([r[:j] + r[j + 1:] for a, r in enumerate(Y)
+                                              if a != i]) for j in range(n))
+                for i in range(n))
+    return RepMap(n, n, cof, name="inverse-transpose", denom=_det(Y))
 
 
 def block_rep(n: int, rows, name="block") -> RepMap:
     """Restriction to a block: entry (a,b) of the image is y_{rows[a],rows[b]}."""
-    m = len(rows)
-    return RepMap(
-        source_dim=n,
-        target_dim=m,
-        entries=tuple(
-            tuple(jet(rows[a] + 1, rows[b] + 1) for b in range(m))
-            for a in range(m)
-        ),
-        name=name,
-    )
+    return RepMap(n, len(rows), tuple(tuple(jet(a + 1, b + 1) for b in rows)
+                                      for a in rows), name=name)
 
 
 # -- group descriptions ----------------------------------------------------------
@@ -148,18 +208,24 @@ class GroupDescription:
         raise NotImplementedError
 
     def member(self, M) -> bool:
-        """Evaluate all delta-equations at a concrete invertible matrix over
-        Q(t), with delta = d/dt."""
-        M = [[sp.sympify(v) for v in row] for row in M]
-        det = sp.cancel(sp.Matrix(M).det())
-        if det == 0:
-            raise ValueError("membership test requires an invertible matrix")
-        return self._member(M)
+        """Evaluate all delta-equations at a concrete invertible dim x dim
+        matrix over Q(t), with delta = d/dt.  Entries are read by
+        `to_coeff`: text is parsed, never evaluated."""
+        rows = [[to_coeff(v) for v in row] for row in M]
+        n = len(rows)
+        if any(len(row) != n for row in rows):
+            raise ValueError("membership test requires a square matrix")
+        if n != self.dim:
+            raise ValueError(f"membership test requires a {self.dim}x{self.dim} "
+                             f"matrix, not {n}x{n}")
+        if not _det(rows):
+            raise ValueError("membership test requires an invertible matrix; "
+                             "this one is singular")
+        return self._member(rows)
 
     def _member(self, M) -> bool:
-        ex = self.to_explicit()
-        subs = _subs_jets_for_matrix(ex.equations, M)
-        return all(sp.cancel(sp.sympify(e).subs(subs)) == 0 for e in ex.equations)
+        value = _at(M)
+        return all(not _evaluate(e, value) for e in self.to_explicit().equations)
 
 
 @dataclass(frozen=True)
@@ -169,9 +235,9 @@ class Explicit(GroupDescription):
     flags: tuple = ()
 
     def __post_init__(self):
-        norm = {e for e in map(normalize_equation, self.equations) if e != 0}
-        object.__setattr__(self, "equations",
-                           tuple(sorted(norm, key=sp.default_sort_key)))
+        eqs = [e for e in map(normalize_equation, self.equations) if e]
+        object.__setattr__(self, "equations", tuple(sorted(
+            set(_lift(eqs)), key=lambda e: sp.default_sort_key(as_expr(e)))))
 
     def to_explicit(self):
         return self
@@ -185,43 +251,32 @@ class Named(GroupDescription):
     flags: tuple = ()
 
     def to_explicit(self) -> Explicit:
-        return Explicit(
-            dim=self.dim, equations=tuple(self._equations()), flags=self.flags
-        )
+        return Explicit(dim=self.dim, equations=tuple(self._equations()),
+                        flags=self.flags)
 
     def _equations(self):
         n = self.dim
         fam = self.family
         if fam == "finite-cyclic":
-            m = self.data["order"]
-            return [jet(1, 1) ** m - 1]
+            return [jet(1, 1) ** self.data["order"] - 1]
         if fam == "rank1-delta":
-            op = self.data["op"]
-            return [rank1_delta_equation(op)]
-        if fam == "torus":
-            return off_diagonal_zeros(n) + torus_diagonal(self.data)
+            return [rank1_delta_equation(self.data["op"])]
+        if fam == "torus":  # off the diagonal, zeros
+            return [jet(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
+                    if i != j] + torus_diagonal(self.data)
         if fam in ("sl2-constant-conjugate", "sl-constant-conjugate"):
-            eqs = [jet_matrix(n).det() - 1]
+            eqs = [_det(jet_matrix(n)) - 1]
             eqs += [jet(i, j, 1) for i in range(1, n + 1) for j in range(1, n + 1)]
             return eqs
         raise ValueError(f"unknown family {fam!r}")
 
 
-def rank1_delta_equation(op, i: int = 1) -> sp.Expr:
-    """The delta-polynomial numerator of L(delta(z)/z) for z = y{i}_{i}."""
-    z0, z1 = jet(i, i, 0), jet(i, i, 1)
-    w = z1 / z0
-    out = sp.S.Zero
-    cur = w
-    for c in op.coeffs:
-        out += COEFF_FIELD.to_sympy(c) * cur
-        cur = total_delta(cur)
-    return sp.fraction(sp.together(sp.expand(out)))[0]
-
-
-def off_diagonal_zeros(n: int):
-    """y_ij = 0 for every off-diagonal entry."""
-    return [jet(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+def rank1_delta_equation(op, i: int = 1) -> PolyElement:
+    """The numerator of L(δz/z) for z = y{i}_{i}: with δᵏ(δz/z) = N_k/z^(k+1),
+    it is ∑ c_k N_k z^(h-k), h the order of L."""
+    nums, z = _quotient_derivatives(jet(i, i, 1), jet(i, i, 0), op.order)
+    return sum(n * c * z ** (op.order - k)
+               for k, (n, c) in enumerate(zip(nums, op.coeffs)))
 
 
 def torus_diagonal(data: dict):
@@ -229,14 +284,9 @@ def torus_diagonal(data: dict):
     per-entry rank-1 delta/finite conditions."""
     eqs = []
     for gen in data.get("lattice", ()):  # integer vectors
-        pos = sp.S.One
-        neg = sp.S.One
-        for i, m in enumerate(gen):
-            if m > 0:
-                pos *= jet(i + 1, i + 1) ** int(m)
-            elif m < 0:
-                neg *= jet(i + 1, i + 1) ** int(-m)
-        eqs.append(pos - neg)
+        y = [jet(i + 1, i + 1) for i in range(len(gen))]
+        eqs.append(prod(y[i] ** int(m) for i, m in enumerate(gen) if m > 0)
+                   - prod(y[i] ** int(-m) for i, m in enumerate(gen) if m < 0))
     for i, (kind, value) in enumerate(data.get("entries", ())):
         if kind == "finite":
             eqs.append(jet(i + 1, i + 1) ** int(value) - 1)
@@ -298,21 +348,23 @@ class Deferred(GroupDescription):
 
 
 def pullback(rep: RepMap, g: GroupDescription) -> Explicit:
-    """Substitute the representation entries into the target equations."""
+    """g's equations with each target jet y{i}_{j}_{k} replaced at once by
+    δᵏ of the entry (i, j) of rep, and multiplied by the power of rep.denom
+    that clears their denominators."""
     ex = g.to_explicit()
-    subs = {}
+    top = {}
+    for i, j, k in (jet for e in ex.equations for jet in _present(e)):
+        top[(i, j)] = max(top.get((i, j), 0), k)
+    nums = {(i, j, k): n for (i, j), h in top.items() for k, n in enumerate(
+        _quotient_derivatives(rep.entries[i - 1][j - 1], rep.denom, h)[0])}
+    *lifted, den = _lift([*nums.values(), rep.denom])
+    value = dict(zip(nums, lifted)).__getitem__
+    eqs = []
     for e in ex.equations:
-        for s in sp.sympify(e).free_symbols:
-            info = _jet_info(s)
-            if info is None:
-                continue
-            i, j, k = info
-            v = sp.sympify(rep.entries[i - 1][j - 1])
-            for _ in range(k):
-                v = total_delta(v)
-            subs[s] = v
-    eqs = tuple(sp.sympify(e).xreplace(subs) for e in ex.equations)
-    return Explicit(dim=rep.source_dim, equations=eqs, flags=ex.flags)
+        terms = list(_substituted(e, value))
+        w_top = max(w for _, w in terms)
+        eqs.append(sum((den ** (w_top - w) * c for c, w in terms), den.ring.zero))
+    return Explicit(dim=rep.source_dim, equations=tuple(eqs), flags=ex.flags)
 
 
 @dataclass(frozen=True)

@@ -9,18 +9,7 @@ from __future__ import annotations
 
 import sympy as sp
 
-from .ratfunc import COEFF_FIELD, FIELD, RatFunc, d_t, ratfunc
-
-
-def _coeff(v):
-    """Coerce a coefficient into an element of Q(t): a Q(t) domain element,
-    or anything `ratfunc` accepts that is free of x."""
-    if COEFF_FIELD.of_type(v):
-        return v
-    r = ratfunc(v)
-    if not r.d_x().is_zero:
-        raise ValueError(f"{r} is not x-free")
-    return COEFF_FIELD.convert_from(r._elem, FIELD)
+from .ratfunc import COEFF_FIELD, FIELD, RatFunc, d_t, ratfunc, to_coeff
 
 
 class OreOp:
@@ -29,7 +18,7 @@ class OreOp:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        cs = [_coeff(c) for c in coeffs]
+        cs = [to_coeff(c) for c in coeffs]
         while len(cs) > 1 and not cs[-1]:
             cs.pop()
         if not cs or not cs[-1]:

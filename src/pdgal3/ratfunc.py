@@ -395,6 +395,17 @@ def ratfunc(value) -> RatFunc:
     return _coerce(value)
 
 
+def to_coeff(v):
+    """v as an element of Q(t): a Q(t) domain element, or anything `ratfunc`
+    accepts that is free of x; a ValueError when it depends on x."""
+    if COEFF_FIELD.of_type(v):
+        return v
+    r = ratfunc(v)
+    if not r.d_x().is_zero:
+        raise ValueError(f"{r} is not x-free")
+    return COEFF_FIELD.convert_from(r._elem, FIELD)
+
+
 def d_x(a) -> RatFunc:
     return _coerce(a).d_x()
 

@@ -172,6 +172,13 @@ def test_check_telescoper(capsys):
     assert doc["order"] == 1 and "1/t" in doc["operator"].replace(" ", "")
 
 
+def test_check_telescoper_without_expr_exit_1(capsys):
+    assert main(["check", "telescoper"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: check telescoper needs --expr\n"
+    assert captured.out == ""
+
+
 def test_check_invariant(tmp_path, capsys):
     m = write(tmp_path, "m.json",
               {"matrix": [["t/x", "1/(x-1)"], ["0", "0"]]})

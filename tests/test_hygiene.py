@@ -256,20 +256,18 @@ except ValueError:
     assert _swallowing_handlers(ast.parse(snippet), errors) == [4, 8, 12]
 
 
-#: sympy's expression normalizers; outside the group layer, Q(t) values are
-#: domain elements and need none of them
+#: sympy's expression normalizers; Q(t) values are domain elements and group
+#: equations are jet polynomials, so the package needs none of them
 NORMALIZERS = {"sympify", "cancel", "together"}
-#: where they may be called: a whole module, or one `Class.method`.  The
-#: parser needs none; `RatFunc.__init__` keeps its `sp.Expr` path for
-#: library callers that build elements from sympy expressions.
-NORMALIZER_SCOPES = {("groups", None), ("ratfunc", "RatFunc.__init__")}
+#: the `(module, Class.method)` where they may be called: only
+#: `RatFunc.__init__`, which keeps its `sp.Expr` path for library callers
+#: that build elements from sympy expressions.
+NORMALIZER_SCOPES = {("ratfunc", "RatFunc.__init__")}
 
 
 def _normalizer_calls(mod, tree) -> list:
     """Line numbers of calls to a sympy normalizer, as `sp.X(...)` or by an
     imported name, outside NORMALIZER_SCOPES."""
-    if (mod, None) in NORMALIZER_SCOPES:
-        return []
     modules, names = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -296,7 +294,7 @@ def _normalizer_calls(mod, tree) -> list:
     return list(calls(tree, None))
 
 
-def test_sympy_normalizers_only_in_parser_and_groups():
+def test_sympy_normalizers_only_in_ratfunc_init():
     bad = [f"{mod}:{line}" for mod, tree in _modules().items()
            for line in _normalizer_calls(mod, tree)]
     assert not bad, "\n".join(bad)
@@ -316,8 +314,28 @@ def g(v):
 """
     tree = ast.parse(snippet)
     assert _normalizer_calls("ratfunc", tree) == [8, 10, 10]
-    assert _normalizer_calls("groups", tree) == []
+    assert _normalizer_calls("groups", tree) == [6, 8, 10, 10]
     assert _normalizer_calls("oreops", tree) == [6, 8, 10, 10]
+
+
+#: the sympy rewrites that the group layer, which holds its equations as
+#: jet polynomials, must not call, under any name
+GROUP_FORBIDDEN = NORMALIZERS | {"fraction", "expand", "xreplace", "subs"}
+
+
+def test_group_layer_calls_no_sympy_rewrite():
+    bad = []
+    for mod in ("groups", "galois3"):
+        for node in ast.walk(_modules()[mod]):
+            f = getattr(node, "func", None)
+            if (isinstance(node, ast.Call)
+                    and getattr(f, "attr", getattr(f, "id", None)) in GROUP_FORBIDDEN):
+                bad.append(f"{mod}:{node.lineno}")
+    assert not bad, "\n".join(bad)
+    assert not [src for node in ast.walk(_modules()["galois3"])
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for (_, src, _), _ in _imported(node)
+                if (src or "").split(".")[0] == "sympy"]
 
 
 #: what the expression parser must not call: the normalizers, and the two
