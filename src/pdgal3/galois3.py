@@ -64,18 +64,18 @@ def _extension(a1, b, a2):
     return (F[0][0] if F is not None else None), complete
 
 
-def _pair_type(a1, b, a2) -> str:
-    """Type of the triangular system [[a1, b], [0, a2]]: CQ when δ(a1 − a2)
-    is a ∂-derivative, else CR when it splits and NC when it provably does
-    not."""
+def _pair_type(a1, b, a2):
+    """(type, F) of the triangular system [[a1, b], [0, a2]]: CQ when
+    δ(a1 − a2) is a ∂-derivative, else CR when it splits and NC when it
+    provably does not.  F is the splitting of `_extension` for CR, else None."""
     if rational_antiderivative(d_t(a1 - a2)) is not None:
-        return "CQ"
+        return "CQ", None
     F, complete = _extension(a1, b, a2)
     if F is None and not complete:
         raise IncompleteSearchError(
             "semisimplicity test of a 2-dim piece not provably complete"
         )
-    return "CR" if F is not None else "NC"
+    return ("CR" if F is not None else "NC"), F
 
 
 def classify2(W: DiffSystem, cert: FlagCertificate = None) -> str:
@@ -87,7 +87,7 @@ def classify2(W: DiffSystem, cert: FlagCertificate = None) -> str:
     if len(D.dims) == 1:
         return "CR"  # simple, hence semisimple
     T = D.T.A
-    return _pair_type(T[0][0], T[0][1], T[1][1])
+    return _pair_type(T[0][0], T[0][1], T[1][1])[0]
 
 
 # -- building blocks for equation sets --------------------------------------------------
@@ -140,7 +140,7 @@ def _transport(g: GroupDescription, rep: RepMap) -> GroupDescription:
         partial = _transport(g.partial, rep) if g.partial is not None else None
         return replace(g, dim=rep.source_dim, partial=partial)
     if rep.denom == 1:
-        return pullback(rep, g.to_explicit())
+        return pullback(rep, g)
     return Pullback(dim=rep.source_dim, components=((rep, g),), flags=g.flags)
 
 
@@ -295,21 +295,17 @@ def _try_constant(W: DiffSystem, traceless=False):
 # -- decomposability probing ------------------------------------------------------------
 
 
-def _candidate_lines(M: DiffSystem, an: Analysis):
+def _find_line_summand(M: DiffSystem, an: Analysis):
+    """(S, comp, B, D), M = span(S) ⊕ comp with systems B and D, or None.
+
+    The candidates are the basis vectors of M's hyperexponential classes: in
+    one class space the vectors without an invariant complement form a
+    subspace, so if any vector of it splits off, some basis vector does."""
     try:
         classes, _ = an.hyperexponential_classes(M)
     except PdgalError:
-        return []
-    out = []
-    for _, space in classes:
-        out += list(space.basis) + [tuple(a + b for a, b in zip(u, v))
-                                    for u, v in combinations(space.basis, 2)]
-    return out
-
-
-def _find_line_summand(M: DiffSystem, an: Analysis):
-    """(S, comp, B, D), M = span(S) ⊕ comp with systems B and D, or None."""
-    for v in _candidate_lines(M, an):
+        return None
+    for v in [v for _, space in classes for v in space.basis]:
         S = tuple((x,) for x in v)
         try:
             comp, B, D, _ = split_extension(M, S)
@@ -326,8 +322,9 @@ def _find_line_summand(M: DiffSystem, an: Analysis):
 def dispatch(V: DiffSystem, cert: FlagCertificate = None):
     """(CaseReport, GroupDescription) for a 3-dim system.
 
-    One Analysis serves the whole call, so the line search runs once on
-    each matrix it meets: V, dual(V) and their blocks."""
+    The line search runs on V alone: dual(V) = L* ⊕ W* exactly when
+    V = L ⊕ W.  One Analysis serves the whole call, so the classes of each
+    matrix it meets are computed once."""
     if V.dim != 3:
         raise UnsupportedError("dispatch requires a 3-dimensional system")
     an = Analysis()
@@ -337,13 +334,7 @@ def dispatch(V: DiffSystem, cert: FlagCertificate = None):
     found = _find_line_summand(V, an)
     if found is not None:
         return _case_decomposable(found, certs)
-    Vd = dual(V)
-    dual_found = _find_line_summand(Vd, an)
-    if dual_found is not None:
-        return _via_dual(
-            Vd, lambda _: _case_decomposable(dual_found, certs),
-            "{}(dual)")
-    return _case_full_flag(V, Vd, D, certs, an)
+    return _case_full_flag(V, D, certs, an)
 
 
 def _factor_stage(V, cert, an):
@@ -480,26 +471,26 @@ def _case_indecomposable_2dim(V, D, certs, an):
     ), g
 
 
-def _flag_stage(V, Vd, an):
-    """dispatch on V without a certificate, once the line search on V and on
-    Vd = dual(V) has found nothing."""
+def _flag_stage(V, an):
+    """dispatch on V without a certificate, once the line search on its dual
+    has found nothing (so none on V would find anything either)."""
     D, certs, verdict = _factor_stage(V, None, an)
     if verdict is not None:
         return verdict
-    return _case_full_flag(V, Vd, D, certs, an)
+    return _case_full_flag(V, D, certs, an)
 
 
-def _case_full_flag(V, Vd, D, certs, an):
-    """V with a full flag and no line summand, nor one in Vd = dual(V)."""
+def _case_full_flag(V, D, certs, an):
+    """V with a full flag and no line summand."""
     Mt = D.T
     a = [Mt.A[i][i] for i in range(3)]
     b12, b23 = Mt.A[0][1], Mt.A[1][2]
-    t1 = _pair_type(a[0], b12, a[1])
-    t2 = _pair_type(a[1], b23, a[2])
+    t1, F12 = _pair_type(a[0], b12, a[1])
+    t2, _ = _pair_type(a[1], b23, a[2])
     certs = certs + [("diag-entries", tuple(a)), ("pair", (t1, t2))]
 
     if (t1, t2) in {("CQ", "CR"), ("NC", "CR"), ("NC", "CQ")}:
-        return _via_dual(Vd, lambda W: _flag_stage(W, V, an),
+        return _via_dual(dual(V), lambda W: _flag_stage(W, an),
                          f"({t1},{t2})→dual→{{}}", (t1, t2))
 
     if (t1, t2) == ("CQ", "CQ"):
@@ -528,17 +519,16 @@ def _case_full_flag(V, Vd, D, certs, an):
         )
 
     if t1 == "CR":
-        return _case_cr(Mt, a, certs, t2)
+        return _case_cr(Mt, a, F12, certs, t2)
     if (t1, t2) == ("NC", "NC"):
         return _case_ncnc(a, b12, b23, certs)
     return _case_cqnc(Mt, a, certs)  # the last of the nine pairs, (CQ,NC)
 
 
-def _case_cr(Mt, a, certs, t2):
+def _case_cr(Mt, a, F, certs, t2):
     # F splits V2: the basis [[1, −F, 0], [0, 1, 0], [0, 0, 1]] clears the
     # (1,2) entry, keeps the diagonal and makes the (1,3) entry b13 + F*b23
-    F, _ = _extension(a[0], Mt.A[0][1], a[1])
-    t3 = _pair_type(a[0], Mt.A[0][2] + F * Mt.A[1][2], a[2])
+    t3, _ = _pair_type(a[0], Mt.A[0][2] + F * Mt.A[1][2], a[2])
     certs = certs + [("third-type", t3)]
     if t3 == "CR":
         return (

@@ -17,6 +17,7 @@ reductions (honest hand-offs carrying the exact remaining statement).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product
 from math import prod
 
@@ -251,6 +252,10 @@ class Named(GroupDescription):
     flags: tuple = ()
 
     def to_explicit(self) -> Explicit:
+        return self._explicit
+
+    @cached_property
+    def _explicit(self) -> Explicit:  # built once; `member` reads it
         return Explicit(dim=self.dim, equations=tuple(self._equations()),
                         flags=self.flags)
 

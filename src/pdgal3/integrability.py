@@ -36,6 +36,7 @@ from .ratfunc import (
     residues,
     x,
 )
+from .solvers import rational_solutions
 from .systems import DiffSystem, hom, mat_d_t, unvec, vec
 
 
@@ -69,8 +70,6 @@ def is_constant(M: DiffSystem, bound: int = 10):
     Raises IncompleteSearchError when the bounded search finds nothing but is
     not provably complete.
     """
-    from .solvers import rational_solutions
-
     n = M.dim
     # vec(B) column-major: d vecB = hom(M, M) vecB + vec(δA)
     space = rational_solutions(hom(M, M), vec(mat_d_t(M.A)), bound=bound)

@@ -59,8 +59,10 @@ class RatFunc:
             elem = FIELD.from_sympy(sp.Rational(value))
         elif isinstance(value, sp.Expr):
             elem = FIELD.from_sympy(sp.cancel(sp.together(value)))
+        elif FIELD.of_type(value):
+            elem = value
         else:
-            elem = value  # assumed FracElement of FIELD
+            raise TypeError(f"not an element of Q(t)(x): {value!r}")
         self._elem = _normalize(elem)
 
     # -- construction helpers ------------------------------------------------

@@ -1,16 +1,18 @@
 """Case dispatch for 3-dim systems: typing, branch selection, emitted groups."""
 
+from itertools import combinations
+
 import sympy as sp
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pdgal3.errors import (IncompleteSearchError, NonFuchsianError,
-                           UnsupportedError)
+                           PdgalError, UnsupportedError)
 from pdgal3.galois3 import classify2, dispatch
 from pdgal3.groups import Deferred, Explicit, Pullback, jet
 from pdgal3.modules import (Analysis, FlagCertificate, diag_decompose,
-                            semisimplify)
+                            semisimplify, split_extension)
 from pdgal3.ratfunc import d_t, rational_antiderivative
 from pdgal3.systems import DiffSystem, dual, gauge, mat_inv
 from util import FLAG_CERTS, REFINABLE, hidden_sum3
@@ -353,8 +355,8 @@ def _counting(monkeypatch, module, name):
 
 
 def test_dispatch_dual_label(monkeypatch):
-    # the →dual→ route enters after the line search: each of V and dual(V)
-    # is searched once, and dispatch does not re-enter itself
+    # the →dual→ route enters after the line search, which runs on the input
+    # alone, and dispatch does not re-enter itself
     from pdgal3 import galois3
 
     searches = _counting(monkeypatch, galois3, "_find_line_summand")
@@ -363,7 +365,7 @@ def test_dispatch_dual_label(monkeypatch):
     r, _ = galois3.dispatch(dual(V), None)
     assert r.case_path.endswith("(CQ,NC)-prolongation")
     assert "→dual→" in r.case_path
-    assert len(searches) == 2
+    assert len(searches) == 1
     assert len(dispatches) == 1
 
 
@@ -387,18 +389,18 @@ def test_dispatch_indecomposable_2dim_dual():
 
 
 def test_dispatch_decomposable_dual(monkeypatch):
-    # with no line summand found in V itself, the one in dual(V) is used
+    # dual(V) = L* ⊕ W* exactly when V = L ⊕ W: the line search on dual(V)
+    # finds its own summand, with no route through V
     from pdgal3 import galois3
     from test_acceptance import BRANCH_FIXTURES
 
-    V, cert, _, _ = BRANCH_FIXTURES["DECOMPOSABLE"]
-    search = galois3._find_line_summand
-    monkeypatch.setattr(galois3, "_find_line_summand",
-                        lambda M, an: None if M.A == V.A else search(M, an))
-    r, _ = dispatch(V, cert)
-    assert r.case_path == "DECOMPOSABLE(dual)"
+    V, _, _, _ = BRANCH_FIXTURES["DECOMPOSABLE"]
+    searches = _counting(monkeypatch, galois3, "_find_line_summand")
+    r, _ = dispatch(dual(V), None)
+    assert r.case_path == "DECOMPOSABLE"
     assert r.type_tags == ("NC",)
     assert r.flags == ()
+    assert [M.A for M, _ in searches] == [dual(V).A]
 
 
 def test_candidate_lines_propagates_bugs(monkeypatch):
@@ -413,11 +415,83 @@ def test_candidate_lines_propagates_bugs(monkeypatch):
     M = S([["t/x", "0"], ["0", "0"]])
     monkeypatch.setattr(solvers, "hyperexponential_classes",
                         raising(NonFuchsianError("irregular")))
-    assert galois3._candidate_lines(M, Analysis()) == []
+    assert galois3._find_line_summand(M, Analysis()) is None
     monkeypatch.setattr(solvers, "hyperexponential_classes",
                         raising(RuntimeError("bug")))
     with pytest.raises(RuntimeError):
-        galois3._candidate_lines(M, Analysis())
+        galois3._find_line_summand(M, Analysis())
+
+
+#: diagonal entries of the drawn systems; a small pool, so that a class
+#: space is sometimes 2- or 3-dimensional
+_DIAGONAL = ["0", "t/x", "1/(x-1)", "-t/(x+1)"]
+_SIMPLE_POLES = ["0", "1/x", "1/(x-1)", "t/(x+1)"]
+
+
+@st.composite
+def _scrambled_triangular(draw):
+    """An upper triangular system, decomposable (only b12 nonzero) or with a
+    full flag, in the basis P·G for a permutation P and G = L·U in GL3(Q)."""
+    a = [draw(st.sampled_from(_DIAGONAL)) for _ in range(3)]
+    b12, b13, b23 = (draw(st.sampled_from(_SIMPLE_POLES)) for _ in range(3))
+    if draw(st.booleans()):  # decomposable: span(e1, e2) ⊕ span(e3)
+        b13 = b23 = "0"
+    V = S([[a[0], b12, b13], ["0", a[1], b23], ["0", "0", a[2]]])
+    small = st.integers(-2, 2)
+    L = sp.Matrix(3, 3, lambda i, j: 1 if i == j else
+                  (draw(small) if i > j else 0))
+    U = sp.Matrix(3, 3, lambda i, j: draw(st.sampled_from([1, -1, 2])) if i == j
+                  else (draw(small) if i < j else 0))
+    perm = draw(st.permutations(range(3)))
+    P = sp.Matrix(3, 3, lambda i, j: 1 if perm[i] == j else 0)
+    return gauge(V, (P * L * U).tolist())
+
+
+def _ref_find_line_summand(V, an):
+    """The line search as it once was: each class's basis vectors and their
+    pairwise sums, first on V and then on dual(V).  Returns the summand
+    found, whether it was found on dual(V), and whether the class searches
+    and every split that was rejected on the way were complete."""
+    complete = True
+    for on_dual, M in ((False, V), (True, dual(V))):
+        try:
+            classes, notes = an.hyperexponential_classes(M)
+        except PdgalError:
+            complete = False
+            continue
+        complete = complete and not notes
+        for _, space in classes:
+            sums = [tuple(a + b for a, b in zip(u, v))
+                    for u, v in combinations(space.basis, 2)]
+            for v in list(space.basis) + sums:
+                S_ = tuple((x,) for x in v)
+                try:
+                    comp, B, D, ok = split_extension(M, S_)
+                except PdgalError:
+                    complete = False
+                    continue
+                if comp is not None:
+                    return (S_, comp, B, D), on_dual, complete
+                complete = complete and ok
+    return None, False, complete
+
+
+@given(_scrambled_triangular())
+@settings(max_examples=25, deadline=None)
+def test_line_search_on_class_bases_matches_reference(V):
+    # a summand found by pairwise sums or on dual(V) is found by the basis
+    # vectors of V's own classes; and where no split was left undecided the
+    # two searches pick the same line
+    from pdgal3 import galois3
+
+    found = galois3._find_line_summand(V, Analysis())
+    ref, on_dual, complete = _ref_find_line_summand(V, Analysis())
+    if ref is not None:
+        assert found is not None
+    if complete:
+        assert not on_dual
+        assert (found is None) == (ref is None)
+        assert found is None or found[0] == ref[0]
 
 
 # -- one line search per matrix per dispatch ------------------------------------

@@ -200,6 +200,26 @@ def test_member_rejects_bad_matrices(M, message):
         g.member(M)
 
 
+@pytest.mark.parametrize("entry", [None, 1.5])
+def test_member_rejects_unknown_entries(entry):
+    # None was once read as 0 ("singular"), and 1.5 raised AttributeError
+    g = Explicit(dim=1, equations=(jet(1, 1) - 1,))
+    with pytest.raises(TypeError):
+        g.member([[entry]])
+
+
+def test_named_builds_its_equations_once(monkeypatch):
+    calls = []
+    init = Explicit.__init__
+    monkeypatch.setattr(Explicit, "__init__",
+                        lambda self, *a, **kw: calls.append(1) or init(self, *a, **kw))
+    g = Named(dim=2, family="torus", data={"lattice": ((1, -2),), "entries": ()})
+    assert g.member([["t**2", "0"], ["0", "t"]])
+    assert not g.member([["t", "0"], ["0", "t"]])
+    assert len(calls) == 1
+    assert g.to_explicit() is g.to_explicit()
+
+
 # -- the jet ring against the sympy route it replaced ---------------------------------
 
 _JET = re.compile(r"^y(\d+)_(\d+)_(\d+)$")

@@ -433,3 +433,67 @@ def f(M, P):
     return gauge(M, P), gauge(mat_inv(P), P), mat_inv(gauge(M, P))
 """
     assert _inverse_gauges(ast.parse(snippet)) == [3, 4]
+
+
+def _package_targets(node, package):
+    """The modules of `package` that an import statement names."""
+    for (level, module, name), _ in _imported(node):
+        parts = (module or "").split(".")
+        if level == 0 and parts[0] == "pdgal3":
+            parts = parts[1:]
+        elif level != 1:
+            continue
+        target = parts[0] if parts and parts[0] else name
+        if target in package:
+            yield target
+
+
+def _local_imports_without_cycle(package) -> list:
+    """`module:line` of each function-local import of a package module N
+    that could sit at module level: N does not reach the importing module
+    through module-level imports, so hoisting it would close no cycle."""
+    top = {mod: {n for node in tree.body
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 for n in _package_targets(node, package)}
+           for mod, tree in package.items()}
+
+    def reaches(src, dst):
+        seen, todo = set(), [src]
+        while todo:
+            mod = todo.pop()
+            if mod == dst:
+                return True
+            if mod not in seen:
+                seen.add(mod)
+                todo += top[mod]
+        return False
+
+    bad = []
+    for mod, tree in package.items():
+        outer = set(map(id, tree.body))
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.Import, ast.ImportFrom))
+                    and id(node) not in outer):
+                bad += [f"{mod}:{node.lineno}: {n}"
+                        for n in _package_targets(node, package)
+                        if not reaches(n, mod)]
+    return bad
+
+
+def test_function_local_imports_only_break_cycles():
+    """A package module is imported inside a function only where importing
+    it at module level would close an import cycle (ratfunc's `linalg`,
+    which imports ratfunc)."""
+    bad = _local_imports_without_cycle(_modules())
+    assert not bad, "\n".join(bad)
+
+
+def test_local_import_rule_flags_hoistable_imports():
+    package = {mod: ast.parse(src) for mod, src in {
+        "a": "from . import b\n",
+        "b": "from .c import f\ndef g():\n    from .a import h\n",
+        "c": "def f():\n    from .b import g\n    from pdgal3.d import k\n"
+             "    import sympy\n",
+        "d": "def k():\n    from pdgal3 import a\n",
+    }.items()}
+    assert _local_imports_without_cycle(package) == ["c:3: d", "d:2: a"]

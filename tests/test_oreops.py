@@ -24,6 +24,11 @@ class TestNormalization:
         with pytest.raises(ValueError):
             OreOp([])
 
+    def test_unknown_coefficients_rejected(self):
+        # None was once read as 0, so OreOp([None, 1]) == DELTA
+        with pytest.raises(TypeError):
+            OreOp([None, 1])
+
     def test_coefficients_must_be_x_free(self):
         assert OreOp([RatFunc(t), 1]) == OreOp([t, 1])
         with pytest.raises(ValueError):

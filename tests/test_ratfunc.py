@@ -131,6 +131,18 @@ class TestArith:
         with pytest.raises(ZeroDivisionError):
             ONE / ZERO
 
+    @pytest.mark.parametrize("value", [None, 1.5, [1], COEFF_FIELD.one])
+    def test_unknown_values_rejected(self, value):
+        # None once became 0, and a float or a list escaped as AttributeError
+        with pytest.raises(TypeError, match="not an element of Q"):
+            RatFunc(value)
+
+    def test_accepted_values(self):
+        for value in (RatFunc(2), 2, fractions.Fraction(4, 2), sp.Integer(2),
+                      FIELD(2)):
+            assert RatFunc(value) == rf("2")
+        assert RatFunc(x / (x - t)) == rf("x/(x-t)")
+
     def test_canonical_equal_values_identical(self):
         a = rf("1/(1-x)")
         b = rf("-1/(x-1)")
