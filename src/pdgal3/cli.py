@@ -2,8 +2,11 @@
 
 Files and reports are JSON with the fixed schema tag "pdgal3/1"; matrix
 entries are rational-expression strings in t and x.  Exit codes: 0 success,
-1 parse error, 2 unsupported input (wrong dimension, or an irregular
-singularity without a flag certificate).
+1 parse error, a certificate that certifies nothing (CertificateError) or a
+`check constancy`/`check classify2` search that finds nothing without proof
+(IncompleteSearchError; `analyze` reports such a search as undecided), 2
+unsupported input (wrong dimension, or an irregular singularity without a
+flag certificate).
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import replace
 from itertools import combinations
 
-from .errors import IncompleteSearchError, PdgalError, UnsupportedError
+from .errors import (IncompleteSearchError, NonFuchsianError, PdgalError,
+                     UnsupportedError)
 from .groups import (
     CaseReport,
     Deferred,
@@ -33,6 +34,7 @@ from .linalg import column_rank, mat_inv
 from .modules import (
     Analysis,
     FlagCertificate,
+    ModuleDiag,
     diag_decompose,
     rank1_isomorphism,
     semisimplify,
@@ -49,19 +51,19 @@ from .ratfunc import (
     ratfunc,
     rational_antiderivative,
 )
-from .solvers import rational_solutions
-from .systems import DiffSystem, dual, hom, mat, prolong, tensor
+from .solvers import particular_solution
+from .systems import DiffSystem, dual, hom, mat, mat_transpose, prolong, tensor
 
 
 # -- 2-dimensional trichotomy ---------------------------------------------------------
 
 
 def _extension(a1, b, a2):
-    """(F, complete): the rational F with ∂F = (a1 − a2)F − b, or None, and
-    whether that answer is complete.  Gauging [[a1, b], [0, a2]] by the
-    basis [[1, −F], [0, 1]] gives diag(a1, a2)."""
-    F, complete = split(DiffSystem([[a1]]), [[b]], DiffSystem([[a2]]))
-    return (F[0][0] if F is not None else None), complete
+    """The rational F with ∂F = (a1 − a2)F − b, or None when none exists;
+    raises as `split` does.  Gauging [[a1, b], [0, a2]] by the basis
+    [[1, −F], [0, 1]] gives diag(a1, a2)."""
+    F = split(DiffSystem([[a1]]), [[b]], DiffSystem([[a2]]))
+    return F[0][0] if F is not None else None
 
 
 def _pair_type(a1, b, a2):
@@ -70,11 +72,7 @@ def _pair_type(a1, b, a2):
     provably does not.  F is the splitting of `_extension` for CR, else None."""
     if rational_antiderivative(d_t(a1 - a2)) is not None:
         return "CQ", None
-    F, complete = _extension(a1, b, a2)
-    if F is None and not complete:
-        raise IncompleteSearchError(
-            "semisimplicity test of a 2-dim piece not provably complete"
-        )
+    F = _extension(a1, b, a2)
     return ("CR" if F is not None else "NC"), F
 
 
@@ -194,7 +192,7 @@ def _semisimple_group(blocks, an, free_upper=False):
                 for i in range(3)
             )
         )
-        w = _try_constant(shifted)
+        w = is_constant(shifted)
         comps = [(det_rep(3), tr_g)]
         flags = ()
         if w is not None:
@@ -219,7 +217,7 @@ def _semisimple_group(blocks, an, free_upper=False):
         closure_fails = bool(an.hyperexponential_classes(W)[0]) or bool(
             an.hyperexponential_classes(_sym_square(W))[0]
         )
-    except PdgalError:
+    except NonFuchsianError:
         closure_fails = True
     if closure_fails:
         return (
@@ -266,7 +264,7 @@ def _semisimple_group(blocks, an, free_upper=False):
     comps = [(rep, torus2)]
     notes.append("tau=0 on wedge^2 W + U: commutative identity component")
 
-    w = _try_constant(W, traceless=True)
+    w = _sl_part(W)
     flags = ("finite-primitive-closure-unchecked",)
     if w is not None:
         flags = flags + ("up-to-conjugation",)
@@ -283,15 +281,6 @@ def _semisimple_group(blocks, an, free_upper=False):
                     flags=flags), notes, certs
 
 
-def _try_constant(W: DiffSystem, traceless=False):
-    try:
-        if traceless:
-            return _sl_part(W)
-        return is_constant(W)
-    except IncompleteSearchError:
-        return None
-
-
 # -- decomposability probing ------------------------------------------------------------
 
 
@@ -300,19 +289,25 @@ def _find_line_summand(M: DiffSystem, an: Analysis):
 
     The candidates are the basis vectors of M's hyperexponential classes: in
     one class space the vectors without an invariant complement form a
-    subspace, so if any vector of it splits off, some basis vector does."""
+    subspace, so if any vector of it splits off, some basis vector does.
+    Every candidate is tried: when none splits and the split of one was
+    undecided, the first such split's IncompleteSearchError is raised."""
     try:
         classes, _ = an.hyperexponential_classes(M)
-    except PdgalError:
+    except NonFuchsianError:
         return None
+    undecided = None
     for v in [v for _, space in classes for v in space.basis]:
         S = tuple((x,) for x in v)
         try:
-            comp, B, D, _ = split_extension(M, S)
-        except PdgalError:
+            comp, B, D = split_extension(M, S)
+        except IncompleteSearchError as exc:
+            undecided = undecided or exc
             continue
         if comp is not None:
             return S, comp, B, D
+    if undecided is not None:
+        raise undecided
     return None
 
 
@@ -324,55 +319,69 @@ def dispatch(V: DiffSystem, cert: FlagCertificate = None):
 
     The line search runs on V alone: dual(V) = L* ⊕ W* exactly when
     V = L ⊕ W.  One Analysis serves the whole call, so the classes of each
-    matrix it meets are computed once."""
+    matrix it meets are computed once.  A search that finds nothing without
+    proof that nothing exists makes the report undecided."""
     if V.dim != 3:
         raise UnsupportedError("dispatch requires a 3-dimensional system")
     an = Analysis()
-    D, certs, verdict = _factor_stage(V, cert, an)
-    if verdict is not None:
-        return verdict
+    D = diag_decompose(V, cert, an)
+    certs = _factor_certs(D)
+    return _or_undecided("UNDECIDED", (), certs,
+                         lambda: _classify(V, D, certs, an, cert is not None))
+
+
+def _or_undecided(label, tags, certs, stage):
+    """stage(), or the undecided report with case path label when a search
+    in it raised IncompleteSearchError: the one place where incompleteness
+    becomes a report, a Deferred group whose reduction is the error."""
+    try:
+        return stage()
+    except IncompleteSearchError as exc:
+        flags = ("bound-limited", "deferred")
+        return (CaseReport(case_path=label, type_tags=tags,
+                           certificates=tuple(certs), flags=flags),
+                Deferred(dim=3, reduction=str(exc), flags=flags))
+
+
+def _factor_certs(D):
+    """The certificates of the composition factors D of a system."""
+    # a printed gauge P is the inverse of its basis: Z = P*Y
+    return [("gauge", mat_inv(D.basis)),
+            ("factors", tuple(b.A for b in D.blocks))]
+
+
+def _classify(V, D, certs, an, certified):
+    """The verdict on V, whose composition factors are D: semisimple, with a
+    2-dim factor, with a line summand, or with a full flag."""
+    ss, basis, ssblocks = semisimplify(V, D)
+    if ss:
+        g, notes, more = _semisimple_group(ssblocks, an)
+        return CaseReport(
+            case_path="SEMISIMPLE",
+            type_tags=(),
+            certificates=tuple(
+                certs + [("semisimple-gauge", mat_inv(basis))] + more),
+            flags=tuple(g.flags),
+            tau_notes=tuple(notes),
+        ), g
+    if sorted(D.dims) == [1, 2]:
+        return _case_indecomposable_2dim(V, D, certs, an)
     found = _find_line_summand(V, an)
     if found is not None:
         return _case_decomposable(found, certs)
-    return _case_full_flag(V, D, certs, an)
+    return _case_full_flag(V, D, certs, an, certified)
 
 
-def _factor_stage(V, cert, an):
-    """(D, certs, verdict): the composition factors of V, their
-    certificates, and the verdict when V is semisimple, undecided or has a
-    2-dim factor (None when V has a full flag)."""
-    D = diag_decompose(V, cert, an)
-    # a printed gauge P is the inverse of its basis: Z = P*Y
-    certs = [("gauge", mat_inv(D.basis)),
-             ("factors", tuple(b.A for b in D.blocks))]
-
-    ss, basis, ssblocks = semisimplify(V, D)
-    if ss is True:
-        g, notes, more = _semisimple_group(ssblocks, an)
-        certs.append(("semisimple-gauge", mat_inv(basis)))
-        certs.extend(more)
-        report = CaseReport(
-            case_path="SEMISIMPLE",
-            type_tags=(),
-            certificates=tuple(certs),
-            flags=tuple(g.flags),
-            tau_notes=tuple(notes),
-        )
-        return D, certs, (report, g)
-    if ss is None:
-        report = CaseReport(
-            case_path="UNDECIDED",
-            certificates=tuple(certs),
-            flags=("bound-limited",),
-        )
-        return D, certs, (report, Deferred(
-            dim=3, reduction="semisimplicity test not provably complete",
-            flags=("deferred", "bound-limited"),
-        ))
-
-    if sorted(D.dims) == [1, 2]:
-        return D, certs, _case_indecomposable_2dim(V, D, certs, an)
-    return D, certs, None
+def _dual_diag(V, D):
+    """(dual(V), its decomposition read off D).  With T = gauge(V, B),
+    gauge(dual(V), (B⁻¹)ᵀ) = −Tᵀ; the anti-diagonal permutation J turns
+    that into −J·Tᵀ·J = gauge(dual(V), (B⁻¹)ᵀ·J), block upper triangular
+    with D's blocks in reverse order."""
+    n = V.dim
+    basis = tuple(row[::-1] for row in mat_transpose(mat_inv(D.basis)))
+    T = tuple(tuple(-D.T.A[n - 1 - j][n - 1 - i] for j in range(n))
+              for i in range(n))
+    return dual(V), ModuleDiag(basis, DiffSystem(T), D.dims[::-1])
 
 
 def _via_dual(Vd, stage, label, type_tags=()):
@@ -430,22 +439,13 @@ def _case_decomposable(found, certs):
 
 def _case_indecomposable_2dim(V, D, certs, an):
     if D.dims[0] != 2:
-        Vd = dual(V)
-        Dd = diag_decompose(Vd, analysis=an)
-        if Dd.dims[0] != 2:
-            return (
-                CaseReport(case_path="INDECOMPOSABLE-2DIM",
-                           certificates=tuple(certs),
-                           flags=("bound-limited",)),
-                Deferred(dim=3, reduction="could not realize the 2-dim factor "
-                         "as a submodule"),
-            )
+        Vd, Dd = _dual_diag(V, D)
         return _via_dual(
             Vd, lambda W: _case_indecomposable_2dim(W, Dd, certs, an),
             "{}(dual)")
     W, U = D.blocks
     Wtest = tensor(dual(U), W)  # W1* ⊗ W2, 2-dimensional
-    w = _try_constant(Wtest)
+    w = is_constant(Wtest)
     if w is not None:
         return CaseReport(
             case_path="INDECOMPOSABLE-2DIM",
@@ -471,36 +471,51 @@ def _case_indecomposable_2dim(V, D, certs, an):
     ), g
 
 
-def _flag_stage(V, an):
-    """dispatch on V without a certificate, once the line search on its dual
-    has found nothing (so none on V would find anything either)."""
-    D, certs, verdict = _factor_stage(V, None, an)
-    if verdict is not None:
-        return verdict
-    return _case_full_flag(V, D, certs, an)
+def _case_full_flag(V, D, certs, an, certified):
+    """V with a full flag and no line summand.  Once the types (t1, t2) of
+    its two pieces are known, an incomplete search makes it
+    (t1,t2)-undecided."""
+    A = D.T.A
+    t1, F12 = _pair_type(A[0][0], A[0][1], A[1][1])
+    t2, _ = _pair_type(A[1][1], A[1][2], A[2][2])
+    certs = certs + [("diag-entries", tuple(A[i][i] for i in range(3))),
+                     ("pair", (t1, t2))]
+    return _or_undecided(
+        f"({t1},{t2})-undecided", (t1, t2), certs,
+        lambda: _case_pair(V, D, (t1, t2), F12, certs, an, certified))
 
 
-def _case_full_flag(V, D, certs, an):
-    """V with a full flag and no line summand."""
+def _case_pair(V, D, types, F12, certs, an, certified):
+    """The full-flag case of V by the types of its two pieces."""
     Mt = D.T
     a = [Mt.A[i][i] for i in range(3)]
-    b12, b23 = Mt.A[0][1], Mt.A[1][2]
-    t1, F12 = _pair_type(a[0], b12, a[1])
-    t2, _ = _pair_type(a[1], b23, a[2])
-    certs = certs + [("diag-entries", tuple(a)), ("pair", (t1, t2))]
+    t1, t2 = types
 
-    if (t1, t2) in {("CQ", "CR"), ("NC", "CR"), ("NC", "CQ")}:
-        return _via_dual(dual(V), lambda W: _flag_stage(W, an),
-                         f"({t1},{t2})→dual→{{}}", (t1, t2))
+    if types in {("CQ", "CR"), ("NC", "CR"), ("NC", "CQ")}:
+        # a certified flag of V gives one of dual(V); without a certificate
+        # dual(V) is searched for a flag of its own, the one whose basis the
+        # reports are written in
+        if certified:
+            Vd, Dd = _dual_diag(V, D)
+        else:
+            Vd = dual(V)
+            Dd = diag_decompose(Vd, analysis=an)
+            if Dd.dims != (1, 1, 1):
+                raise IncompleteSearchError(
+                    "the class search found no full flag of dual(V)")
+        return _via_dual(
+            Vd, lambda W: _case_full_flag(W, Dd, _factor_certs(Dd), an,
+                                          certified),
+            f"({t1},{t2})→dual→{{}}", types)
 
-    if (t1, t2) == ("CQ", "CQ"):
+    if types == ("CQ", "CQ"):
         partial = _flag_group(
             tuple(a), [(2, 1), (3, 1), (3, 2)],
             [(1, 2), (2, 3), (1, 3)], flags=("tau0-partial",),
         )
         return CaseReport(
             case_path="(CQ,CQ)",
-            type_tags=(t1, t2),
+            type_tags=types,
             certificates=tuple(certs),
             flags=("deferred",),
             tau_notes=("tau(G)=0: V^diag constant",),
@@ -510,18 +525,13 @@ def _case_full_flag(V, D, certs, an):
             partial=partial,
         )
 
-    if (t1, t2) == ("CR", "CR"):
-        return (
-            CaseReport(case_path="(CR,CR)", type_tags=(t1, t2),
-                       certificates=tuple(certs), flags=("bound-limited",)),
-            Deferred(dim=3, reduction="(CR,CR) forces decomposability but no "
-                     "splitting was found within the search bound"),
-        )
-
+    if types == ("CR", "CR"):
+        raise IncompleteSearchError(
+            "(CR,CR) forces a line summand that the line search did not find")
     if t1 == "CR":
         return _case_cr(Mt, a, F12, certs, t2)
-    if (t1, t2) == ("NC", "NC"):
-        return _case_ncnc(a, b12, b23, certs)
+    if types == ("NC", "NC"):
+        return _case_ncnc(a, Mt.A[0][1], Mt.A[1][2], certs)
     return _case_cqnc(Mt, a, certs)  # the last of the nine pairs, (CQ,NC)
 
 
@@ -531,12 +541,9 @@ def _case_cr(Mt, a, F, certs, t2):
     t3, _ = _pair_type(a[0], Mt.A[0][2] + F * Mt.A[1][2], a[2])
     certs = certs + [("third-type", t3)]
     if t3 == "CR":
-        return (
-            CaseReport(case_path=f"(CR,{t2},CR)", certificates=tuple(certs),
-                       flags=("inconsistent",)),
-            Deferred(dim=3, reduction="(CR,*,CR) would force decomposability; "
-                     "inconsistent certificates"),
-        )
+        raise IncompleteSearchError(
+            f"(CR,{t2},CR) forces a line summand that the line search did "
+            "not find")
 
     # (t2, t3) is never (CQ, CQ): CQ is additive in the diagonal, so δ(a1 − a2)
     # = δ(a1 − a3) − δ(a2 − a3) would be a ∂-derivative, and t1 would be CQ.
@@ -593,32 +600,16 @@ def _case_ncnc(a, b12, b23, certs):
     # commutative [G,G] iff the (2,3)-class is a constant multiple of the
     # s-twisted (1,2)-class: solve d(f) = (a2-a3) f - c*(b12/s) + b23, d(c)=0
     aug = DiffSystem([[a[1] - a[2], -(b12 / s)], [ZERO, ZERO]])
-    space = rational_solutions(aug, [b23, ZERO])
+    f = particular_solution(aug, [b23, ZERO], "(NC,NC) commutator test")
     certs = certs + [("isotypic-witness", s)]
-    if space.particular is None and not space.complete:
-        g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [],
-                        flags=("bound-limited",))
-        return CaseReport(
-            case_path="(NC,NC)-undecided",
-            type_tags=("NC", "NC"),
-            certificates=tuple(certs),
-            flags=("bound-limited", "deferred"),
-            tau_notes=("commutator dichotomy inconclusive: both candidates "
-                       "share these equations",),
-        ), Deferred(
-            dim=3,
-            reduction="(NC,NC) commutator dichotomy inconclusive within the "
-            "solver bound; candidates: determined by V2 / by V^diag",
-            partial=g,
-        )
-    if space.particular is None:
+    if f is None:
         return _ncnc_noncommutative(a, certs, ())
     g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [],
                     flags=("identity-component-level",))
     return CaseReport(
         case_path="(NC,NC)-commutative",
         type_tags=("NC", "NC"),
-        certificates=tuple(certs + [("proportionality", space.particular)]),
+        certificates=tuple(certs + [("proportionality", f)]),
         flags=("identity-component-level",),
         tau_notes=("[G,G] commutative: G determined by V2; closure "
                    "conditions on the (2,3) entry are not computed",),
@@ -638,17 +629,7 @@ def _ncnc_noncommutative(a, certs, flags):
 
 
 def _case_cqnc(Mt, a, certs):
-    F, complete = _extension(a[0], Mt.A[0][1], a[1])
-    if F is None and not complete:
-        return (
-            CaseReport(case_path="(CQ,NC)-undecided", type_tags=("CQ", "NC"),
-                       certificates=tuple(certs),
-                       flags=("bound-limited", "deferred")),
-            Deferred(dim=3, reduction="semisimplicity of V2 undecided within "
-                     "the solver bound",
-                     flags=("deferred", "bound-limited")),
-        )
-    if F is not None:
+    if _extension(a[0], Mt.A[0][1], a[1]) is not None:
         g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2), (1, 2)],
                         [(1, 2)])
         return CaseReport(
@@ -664,26 +645,12 @@ def _case_cqnc(Mt, a, certs):
     # V2 ⊗ (V/V2)* lies on the prolongation line: for some lambda in Q(t)
     # and rational f, df/dx = b12*u - lambda * delta(a1 - a3).
     riso = rank1_isomorphism(a[0], a[1])
-    reductive = False
     prol_witness = None
     if riso is not None:
         coeff = [[ZERO, -d_t(a[0] - a[2])], [ZERO, ZERO]]
         rhs = [Mt.A[0][1] * riso, ZERO]
-        space = rational_solutions(coeff, rhs)
-        if space.particular is None and not space.complete:
-            return (
-                CaseReport(case_path="(CQ,NC)-undecided",
-                           type_tags=("CQ", "NC"),
-                           certificates=tuple(certs),
-                           flags=("bound-limited", "deferred")),
-                Deferred(dim=3, reduction="reductivity of the restricted "
-                         "group undecided within the solver bound",
-                         flags=("deferred", "bound-limited")),
-            )
-        if space.particular is not None:
-            reductive = True
-            prol_witness = space.particular
-    if not reductive:
+        prol_witness = particular_solution(coeff, rhs, "reductivity test")
+    if prol_witness is None:
         g = _flag_group(tuple(a), [(2, 1), (3, 1), (3, 2)], [(1, 2)],
                         flags=("tau0-partial-on-(1,2)",))
         return CaseReport(

@@ -17,7 +17,6 @@ import sympy as sp
 from sympy import QQ, ZZ, Poly
 from sympy.matrices.normalforms import hermite_normal_form, smith_normal_decomp
 
-from .errors import IncompleteSearchError
 from .groups import Named
 from .linalg import solve_affine
 from .oreops import IDENTITY_OP, OreOp
@@ -36,7 +35,7 @@ from .ratfunc import (
     residues,
     x,
 )
-from .solvers import rational_solutions
+from .solvers import particular_solution
 from .systems import DiffSystem, hom, mat_d_t, unvec, vec
 
 
@@ -72,14 +71,11 @@ def is_constant(M: DiffSystem, bound: int = 10):
     """
     n = M.dim
     # vec(B) column-major: d vecB = hom(M, M) vecB + vec(δA)
-    space = rational_solutions(hom(M, M), vec(mat_d_t(M.A)), bound=bound)
-    if space.particular is None:
-        if space.complete:
-            return None
-        raise IncompleteSearchError(
-            "constancy search not provably complete: " + "; ".join(space.notes)
-        )
-    w = ConstancyWitness(B=tuple(tuple(r) for r in unvec(space.particular, n, n)))
+    sol = particular_solution(hom(M, M), vec(mat_d_t(M.A)), "constancy search",
+                              bound=bound)
+    if sol is None:
+        return None
+    w = ConstancyWitness(B=tuple(tuple(r) for r in unvec(sol, n, n)))
     if not w.verify(M):
         raise RuntimeError("constancy witness failed verification")
     return w

@@ -18,7 +18,8 @@ from . import solvers
 from .errors import CertificateError, NonFuchsianError
 from .linalg import column_rank, k_nullspace, k_solve_right, pivot_columns
 from .ratfunc import ZERO, is_log_derivative, ratfunc
-from .solvers import SolutionSpace, is_fuchsian, rational_solutions
+from .solvers import (SolutionSpace, is_fuchsian, particular_solution,
+                      rational_solutions)
 from .systems import (
     DiffSystem,
     direct_sum,
@@ -118,34 +119,35 @@ def sub_quotient(M: DiffSystem, S):
 
 
 def split(B: DiffSystem, N, D: DiffSystem):
-    """(F | None, complete flag): F over K with dF/dx = B F - F D - N, so
+    """F over K with dF/dx = B F - F D - N, or None when none exists, so
     that the basis [[I, -F], [0, I]] gauges [[B, N], [0, D]] to diag(B, D).
 
-    Such an F exists iff the extension of D by B with class N splits."""
+    Such an F exists iff the extension of D by B with class N splits.
+    Raises IncompleteSearchError when the search for F is not complete."""
     # vec(F) column-major: d vecF = hom(D, B) vecF - vecN, where
     # hom(D, B) = I (x) B - D^T (x) I
-    space = rational_solutions(hom(D, B), [-v for v in vec(N)])
-    if space.particular is None:
-        return None, space.complete
-    return unvec(space.particular, B.dim, D.dim), space.complete
+    sol = particular_solution(hom(D, B), [-v for v in vec(N)],
+                              "splitting search")
+    return None if sol is None else unvec(sol, B.dim, D.dim)
 
 
 def split_extension(M: DiffSystem, S):
-    """(complement basis | None, B, D, complete flag) for an invariant S,
-    with B the system on span(S) and D the one on the quotient.  The n x (n-k)
-    complement basis spans an invariant complement, where the system is D."""
+    """(complement basis | None, B, D) for an invariant S, with B the system
+    on span(S) and D the one on the quotient.  The n x (n-k) complement
+    basis spans an invariant complement, where the system is D.  Raises
+    IncompleteSearchError as `split` does."""
     sq = sub_quotient(M, S)
     if sq is None:
         raise ValueError("split_extension requires an invariant subspace")
     B, N, D, P = sq
-    F, complete = split(B, N, D)
+    F = split(B, N, D)
     if F is None:
-        return None, B, D, complete
+        return None, B, D
     # complement columns: P * [[-F], [I]]
     block = tuple(tuple(-v for v in row) for row in F) + mat_identity(D.dim)
     comp = mat_mul(P, block)
     assert is_invariant(M, comp) == D.A
-    return comp, B, D, complete
+    return comp, B, D
 
 
 # -- morphisms ---------------------------------------------------------------------
@@ -297,8 +299,8 @@ def _refine(D: ModuleDiag, an: Analysis) -> ModuleDiag:
 
 def semisimplify(M: DiffSystem, diag: ModuleDiag = None):
     """(is_semisimple, basis, blocks): when semisimple, gauge(M, basis) is
-    the direct sum of the irreducible blocks.  Second return is None when
-    undecided (incomplete solver)."""
+    the direct sum of the irreducible blocks, else basis and blocks are
+    None.  Raises IncompleteSearchError as `split` does."""
     D = diag if diag is not None else diag_decompose(M)
     blocks = D.blocks
     if len(blocks) == 1:
@@ -308,16 +310,14 @@ def semisimplify(M: DiffSystem, diag: ModuleDiag = None):
     A = D.T.A
     N = tuple(row[k:] for row in A[:k])
     R = DiffSystem(tuple(row[k:] for row in A[k:]))
-    F, complete = split(blocks[0], N, R)
+    F = split(blocks[0], N, R)
     if F is None:
-        if not complete:
-            return None, None, None
         return False, None, None
     sub_ok, U2, blocks2 = semisimplify(
         R, ModuleDiag(mat_identity(n - k), R, D.dims[1:])
     )
-    if sub_ok is not True:
-        return sub_ok, None, None
+    if not sub_ok:
+        return False, None, None
     # the basis [[I, -F], [0, I]] takes T to diag(B, R), then U2 acts on R
     U = tuple(e + tuple(-v for v in row)
               for e, row in zip(mat_identity(k), mat_mul(F, U2)))

@@ -3,7 +3,9 @@
 Complete answers are produced for systems with simple finite poles and a
 regular or regular-singular point at infinity (universal denominator from
 integer local exponents, polynomial degree from exponents at infinity);
-anything else falls back to a configured bound with complete=False.
+anything else falls back to a configured bound with complete=False.  A
+caller that needs a decision asks `particular_solution`, which raises
+IncompleteSearchError where such a bounded search finds nothing.
 
 A solve has two steps: the local data of A (its pole factors, the integer
 local exponents at each, omega and the leading matrix at infinity), then
@@ -35,7 +37,7 @@ import sympy as sp
 from sympy import Poly, ZZ
 from sympy.polys.matrices import DomainMatrix
 
-from .errors import NonFuchsianError
+from .errors import IncompleteSearchError, NonFuchsianError
 from .linalg import solve_affine
 from .ratfunc import (
     COEFF_FIELD,
@@ -219,6 +221,20 @@ def rational_solutions(A, b=None, bound=_BOUND) -> SolutionSpace:
         A = A.A
     A = tuple(tuple(ratfunc(v) for v in row) for row in A)
     return _ansatz(A, b, _local_data(A), bound)
+
+
+def particular_solution(A, b, what, bound=_BOUND):
+    """A rational solution of dY/dx = A Y + b, or None when none exists.
+
+    Raises IncompleteSearchError, naming the search `what`, when the bounded
+    search finds none but is not provably complete: a decision procedure
+    reads "none found" as "none exists" only when the search was complete.
+    """
+    space = rational_solutions(A, b, bound)
+    if space.particular is None and not space.complete:
+        raise IncompleteSearchError(
+            f"{what} not provably complete: " + "; ".join(space.notes))
+    return space.particular
 
 
 def _ansatz(A, b, local, bound) -> SolutionSpace:

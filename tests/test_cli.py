@@ -72,6 +72,24 @@ def test_analyze_wrong_dim_exit_2(tmp_path, capsys):
     assert "unsupported" in capsys.readouterr().err
 
 
+def test_analyze_certified_flag_without_simple_poles(tmp_path, capsys):
+    # the →dual→ route reads dual(V)'s flag off the certified one; it once
+    # searched dual(V) and exited 2 on the double pole
+    doc = dict(SEMISIMPLE, matrix=[["t/x", "1/(x-1)", "1/x^2"],
+                                   ["0", "0", "1/x"], ["0", "0", "0"]])
+    code, out = run(capsys, ["analyze", write(tmp_path, "sys.json", doc)])
+    assert code == 0
+    assert out["case_path"].startswith("(NC,CQ)→dual→")
+
+
+def test_check_constancy_incomplete_search_exit_1(tmp_path, capsys):
+    # [[0, 1], [x^2 + t, 0]] is irregular at infinity: the bounded search
+    # for a witness finds none, which proves nothing
+    path = write(tmp_path, "m.json", {"matrix": [["0", "1"], ["x^2+t", "0"]]})
+    assert main(["check", "constancy", path]) == 1
+    assert "not provably complete" in capsys.readouterr().err
+
+
 def test_parse_error_exit_1(tmp_path, capsys):
     path = write(tmp_path, "sys.json",
                  {"matrix": [["1/("], ["0"]]})

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from pdgal3.errors import (IncompleteSearchError, NonFuchsianError,
                            PdgalError, UnsupportedError)
-from pdgal3.galois3 import classify2, dispatch
+from pdgal3.galois3 import _dual_diag, classify2, dispatch
 from pdgal3.groups import Deferred, Explicit, Pullback, jet
 from pdgal3.modules import (Analysis, FlagCertificate, diag_decompose,
                             semisimplify, split_extension)
 from pdgal3.ratfunc import d_t, rational_antiderivative
-from pdgal3.systems import DiffSystem, dual, gauge, mat_inv
+from pdgal3.systems import DiffSystem, dual, gauge, mat, mat_inv, mat_mul
 from util import FLAG_CERTS, REFINABLE, hidden_sum3
 
 t = sp.Symbol("t")
@@ -82,8 +82,6 @@ def _classify2_by_semisimplify(W):
     if rational_antiderivative(d_t(u1 - u2)) is not None:
         return "CQ"
     ss, _, _ = semisimplify(W, D)
-    if ss is None:
-        raise IncompleteSearchError("semisimplicity test not provably complete")
     return "CR" if ss else "NC"
 
 
@@ -276,6 +274,18 @@ def test_dispatch_simple_3dim_semisimple():
     assert isinstance(g, Pullback)
 
 
+def test_dispatch_incomplete_constancy_search_is_undecided():
+    # W = [[0, 1], [x^2 + t, 0]] is irregular at infinity, so the search for
+    # a constancy witness of its trace-zero part is bounded; finding none
+    # there is no proof that W⊗W* is non-constant
+    r, g = dispatch(S([["0", "1", "0"], ["x^2+t", "0", "0"], ["0", "0", "0"]]),
+                    FLAG_CERTS["plane"])
+    assert r.case_path == "UNDECIDED"
+    assert r.flags == ("bound-limited", "deferred")
+    assert isinstance(g, Deferred) and g.partial is None
+    assert g.reduction.startswith("constancy search not provably complete")
+
+
 #: the diagonal (x+1)/(x^2-t) has residues outside Q(t) at the roots of
 #: x^2 - t, so the line search on V2 alone does not find e1
 CQNC_UNDECIDED = [["(x+1)/(x^2-t)", "1/(x-1)", "0"],
@@ -298,6 +308,17 @@ def test_dispatch_refined_partial_flag(cert):
     r, g = dispatch(REFINABLE, FLAG_CERTS[cert])
     assert r.case_path == "(NC,CQ)→dual→(CQ,NC)-Ru"
     assert r.flags == g.flags == ("tau0-partial-on-(1,2)",)
+
+
+def test_dispatch_certified_dual_route_reads_the_flag(monkeypatch):
+    # the →dual→ route reads dual(V)'s flag off the certified one: the line
+    # search on V is the only class search
+    from pdgal3 import solvers
+
+    calls = _counting(monkeypatch, solvers, "hyperexponential_classes")
+    r, _ = dispatch(REFINABLE, FLAG_CERTS["full"])
+    assert r.case_path == "(NC,CQ)→dual→(CQ,NC)-Ru"
+    assert [M.A for (M,) in calls] == [REFINABLE.A]
 
 
 @pytest.mark.parametrize("cert", ["none", "full"])
@@ -388,6 +409,37 @@ def test_dispatch_indecomposable_2dim_dual():
     assert not any(g.member(_inv_t(M)) for M in nonmembers)
 
 
+#: x-free bases over Q(t), which keep a system's poles
+_XFREE_BASES = [[["1", "t", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+                [["1", "0", "0"], ["0", "1", "0"], ["t+1", "2", "1"]]]
+
+
+@pytest.mark.parametrize("name", ["SEMISIMPLE", "DECOMPOSABLE",
+                                  "INDECOMPOSABLE-2DIM", "(CQ,CQ)",
+                                  "(CR,NC,NC)", "(CQ,NC)-prolongation"])
+def test_dual_diag_is_a_decomposition_of_the_dual(name):
+    # in the basis (B⁻¹)ᵀ·J, dual(V) is −J·Tᵀ·J: block upper triangular,
+    # with the blocks in reverse order
+    from test_acceptance import BRANCH_FIXTURES
+
+    V, cert, _, _ = BRANCH_FIXTURES[name]
+    for P in [None] + _XFREE_BASES:
+        if P is not None:
+            # Y = P*Z: a subspace S of Y is P⁻¹·S in Z
+            V = gauge(V, P)
+            cert = cert and FlagCertificate(tuple(
+                mat_mul(mat_inv(mat(P)), mat(Sj)) for Sj in cert.subspaces))
+        D = diag_decompose(V, cert)
+        Vd, Dd = _dual_diag(V, D)
+        assert Vd == dual(V)
+        assert Dd.dims == D.dims[::-1]
+        assert gauge(Vd, Dd.basis) == Dd.T
+        T, start = Dd.T.A, 0
+        for d in Dd.dims:
+            start += d
+            assert all(v.is_zero for row in T[start:] for v in row[:start])
+
+
 def test_dispatch_decomposable_dual(monkeypatch):
     # dual(V) = L* ⊕ W* exactly when V = L ⊕ W: the line search on dual(V)
     # finds its own summand, with no route through V
@@ -420,6 +472,38 @@ def test_candidate_lines_propagates_bugs(monkeypatch):
                         raising(RuntimeError("bug")))
     with pytest.raises(RuntimeError):
         galois3._find_line_summand(M, Analysis())
+
+
+def test_line_search_tries_every_candidate(monkeypatch):
+    # an undecided split is neither a summand nor proof of none: the search
+    # goes on, and the dispatch is undecided only when no candidate splits
+    from pdgal3 import galois3
+    from test_acceptance import BRANCH_FIXTURES
+
+    # on dual(DECOMPOSABLE) the first candidate has no complement and the
+    # second splits off; the prolongation fixture's one candidate does not
+    for name, case_path in [("DECOMPOSABLE", "DECOMPOSABLE"),
+                            ("(CQ,NC)-prolongation", "UNDECIDED")]:
+        V, cert, _, _ = BRANCH_FIXTURES[name]
+        if name == "DECOMPOSABLE":
+            V, cert = dual(V), None
+        calls, inner = [], galois3.split_extension
+
+        def first_undecided(M, S_):
+            calls.append(S_)
+            if len(calls) == 1:
+                raise IncompleteSearchError("first split undecided")
+            return inner(M, S_)
+
+        monkeypatch.setattr(galois3, "split_extension", first_undecided)
+        r, g = dispatch(V, cert)
+        monkeypatch.undo()
+        assert r.case_path == case_path
+        if case_path == "UNDECIDED":
+            assert r.flags == ("bound-limited", "deferred")
+            assert g.reduction == "first split undecided"
+        else:
+            assert len(calls) == 2
 
 
 #: diagonal entries of the drawn systems; a small pool, so that a class
@@ -466,13 +550,12 @@ def _ref_find_line_summand(V, an):
             for v in list(space.basis) + sums:
                 S_ = tuple((x,) for x in v)
                 try:
-                    comp, B, D, ok = split_extension(M, S_)
-                except PdgalError:
+                    comp, B, D = split_extension(M, S_)
+                except IncompleteSearchError:
                     complete = False
                     continue
                 if comp is not None:
                     return (S_, comp, B, D), on_dual, complete
-                complete = complete and ok
     return None, False, complete
 
 
@@ -484,8 +567,14 @@ def test_line_search_on_class_bases_matches_reference(V):
     # two searches pick the same line
     from pdgal3 import galois3
 
-    found = galois3._find_line_summand(V, Analysis())
     ref, on_dual, complete = _ref_find_line_summand(V, Analysis())
+    try:
+        found = galois3._find_line_summand(V, Analysis())
+    except IncompleteSearchError:
+        # an undecided split of one of V's basis vectors, which the
+        # reference tries too unless it finds a summand first
+        assert not complete
+        found = None
     if ref is not None:
         assert found is not None
     if complete:

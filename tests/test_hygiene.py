@@ -1,5 +1,6 @@
 """Static hygiene of the package source: no dead imports, no dead parameters,
-no dead private functions or classes, no broad `except` that swallows.
+no dead private functions or classes, no broad `except` that swallows, and
+no handler of IncompleteSearchError outside the dispatcher.
 
 A plain `ast` scan, scope-blind on purpose: a name counts as used when any
 `Name` node of the module (or, for a parameter, of the function) reads it.
@@ -254,6 +255,51 @@ except ValueError:
     handled = False
 """
     assert _swallowing_handlers(ast.parse(snippet), errors) == [4, 8, 12]
+
+
+def _incomplete_search_handlers(tree) -> list:
+    """Line numbers of `except` handlers that name IncompleteSearchError."""
+
+    def name(c):
+        return c.id if isinstance(c, ast.Name) else getattr(c, "attr", None)
+
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.ExceptHandler) and node.type is not None
+            and any(name(c) == "IncompleteSearchError"
+                    for c in (node.type.elts if isinstance(node.type, ast.Tuple)
+                              else [node.type]))]
+
+
+def test_incomplete_searches_are_caught_only_by_the_dispatcher():
+    """A search that finds nothing without proof that nothing exists raises
+    IncompleteSearchError, and only galois3 catches it: where the line search
+    goes on past an undecided candidate, and where the dispatcher writes the
+    undecided report.  A handler anywhere else could read "none found" as
+    "none exists"."""
+    found = {mod: _incomplete_search_handlers(tree)
+             for mod, tree in _modules().items()}
+    assert not {mod: lines for mod, lines in found.items()
+                if lines and mod != "galois3"}
+    assert len(found["galois3"]) <= 2
+
+
+def test_incomplete_search_rule_flags_handlers():
+    snippet = """
+def _try_constant(W):
+    try:
+        return is_constant(W)
+    except IncompleteSearchError:
+        return None
+try:
+    f()
+except (ValueError, errors.IncompleteSearchError):
+    pass
+try:
+    f()
+except PdgalError:
+    pass
+"""
+    assert sorted(_incomplete_search_handlers(ast.parse(snippet))) == [5, 9]
 
 
 #: sympy's expression normalizers; Q(t) values are domain elements and group

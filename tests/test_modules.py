@@ -70,27 +70,27 @@ class TestInvariant:
 
 class TestSplitExtension:
     def test_nilpotent_splits(self):
-        comp, B, D, complete = split_extension(M_NILP, [["1"], ["0"]])
-        assert complete and comp is not None
+        comp, B, D = split_extension(M_NILP, [["1"], ["0"]])
+        assert comp is not None
         assert is_invariant(M_NILP, comp) == D.A
         assert is_invariant(M_NILP, [["1"], ["0"]]) == B.A
 
     def test_log_extension_does_not_split(self):
-        comp, _, _, complete = split_extension(
+        comp, _, _ = split_extension(
             DiffSystem([["1/x", "1"], ["0", "0"]]), [["1"], ["0"]]
         )
-        assert comp is None and complete
+        assert comp is None
 
     def test_prolongation_does_not_split(self):
-        comp, _, _, complete = split_extension(M_JORDAN, [["1"], ["0"]])
-        assert comp is None and complete
+        comp, _, _ = split_extension(M_JORDAN, [["1"], ["0"]])
+        assert comp is None
 
     def test_scalar_self_extension_splits(self):
         # [[t/x, 1],[0, t/x]]: dF/dx = -1 is rationally solvable
-        comp, _, _, complete = split_extension(
+        comp, _, _ = split_extension(
             DiffSystem([["t/x", "1"], ["0", "t/x"]]), [["1"], ["0"]]
         )
-        assert complete and comp is not None
+        assert comp is not None
 
 
 class TestMorphisms:

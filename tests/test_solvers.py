@@ -7,7 +7,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
-from pdgal3.errors import NonFuchsianError
+from pdgal3.errors import IncompleteSearchError, NonFuchsianError
 from pdgal3.ratfunc import (
     COEFF_FIELD,
     RatFunc,
@@ -30,6 +30,7 @@ from pdgal3.solvers import (
     _residue_charpoly,
     hyperexponential_classes,
     is_fuchsian,
+    particular_solution,
     rational_solutions,
 )
 from pdgal3.systems import DiffSystem, direct_sum, mat
@@ -81,6 +82,16 @@ class TestRationalSolutions:
     def test_incomplete_flagged(self):
         s = rational_solutions([["1/x^2"]])
         assert not s.complete and "bound-limited" in s.notes
+
+    def test_particular_solution_decides_or_raises(self):
+        # a solution; None when provably none exists; a raise when the
+        # bounded search at the double pole of 1/x^2 finds none
+        assert particular_solution([["0"]], ["1/x^2"], "search") == [
+            ratfunc("-1/x")]
+        assert particular_solution([["0"]], ["1/x"], "search") is None
+        with pytest.raises(IncompleteSearchError,
+                           match="^test search not provably complete"):
+            particular_solution([["1/x^2"]], ["1/x"], "test search")
 
     def test_positive_exponents(self):
         s = rational_solutions([["2/x"]])
