@@ -7,31 +7,50 @@ anything else falls back to a configured bound with complete=False.  A
 caller that needs a decision asks `particular_solution`, which raises
 IncompleteSearchError where such a bounded search finds nothing.
 
+A solve reads A once, as A = N/d (`_Quotient`): N a matrix over Q[t, x] and
+d the lcm of the Q[t, x] denominators that the entries store.  Everything
+else is ring arithmetic on N and d, with no per-entry cancellation in Q(t).
 A solve has two steps: the local data of A (its pole factors, the integer
 local exponents at each, omega and the leading matrix at infinity), then
 one ansatz for the numerators over the universal denominator.
 
-Local exponents at a pole factor f of degree d come from one characteristic
-polynomial over Q(t): each residue r in Q(t)[x]/(f) becomes its d x d
-multiplication matrix r(C_f), C_f the companion matrix of f, and the
-characteristic polynomial of the n*d x n*d block matrix is the norm
-Res_x(f, det(lam*I - R)), taken fraction-free over Z[t].  Its Q(t) roots
-come from one factorization in (lam, t); its integer roots, which give the
-universal denominator and the degree bound, are the rational roots of the
-gcd of its coefficients in t.
+Local exponents at a simple pole factor f come from A's residue matrix
+there, again one matrix over Q[t] over one denominator.  At f = x - p/q it
+is N(p/q)/d'(p/q), both sides homogenized by q^D.  At f of degree k > 1, d'
+is inverted modulo f once, and each residue r = N_ij/d' in Q(t)[x]/(f)
+becomes its k x k multiplication matrix r(C_f), C_f the companion matrix of
+f; the characteristic polynomial of the n*k x n*k block matrix is the norm
+Res_x(f, det(lam*I - R)).  It is taken fraction-free over Z[t].  Its Q(t)
+roots come from one factorization in (lam, t); its integer roots, which
+give the universal denominator and the degree bound, are the rational roots
+of the gcd of its coefficients in t.
+
+The ansatz rows are the x-coefficients of the equation times K = M*d_u, d_u
+the monic universal denominator and M a multiple of d in Q[t, x], so that
+the A-part of a row is N*(M/d).  M need not be the least such multiple: a
+nonzero Q(t) constant scales every row by itself, and a factor g in
+Q(t)[x] maps the coefficient rows of the equation E to those of g*E, which
+span the same space because multiplication by g is injective.  Either way
+the reduced row echelon form, and so every answer, is unchanged.  Q(t)
+values are made once, where the rows enter `solve_affine`.  d_u itself stays
+monic: the unknowns are the numerators' coefficients over it, so it fixes
+the solution vectors.
 
 The hyperexponential search computes these roots once per pole factor.  For
-a candidate character r = sum e_f * f'/f it solves A - r*I with local data
-shifted from A's own, not recomputed: f stays a pole unless A's residue
-matrix there is e_f*I, and the integer exponents at f are the integers
-among rho - e_f, rho a Q(t) root.
+a candidate character r = sum e_f * f'/f, with c in Q[t] clearing the e_f,
+A - r*I = (c*N - sum e_f*c*f'*(d/f)*I)/(c*d).  Its local data is shifted
+from A's own, not recomputed: f stays a pole unless A's residue matrix there
+is e_f*I, and the integer exponents at f are the integers among rho - e_f,
+rho a Q(t) root.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import sympy as sp
 from sympy import Poly, ZZ
@@ -45,13 +64,14 @@ from .ratfunc import (
     RatFunc,
     ZERO,
     _T_RING,
+    _TX_RING,
     _as_rational,
     _poly,
+    _x_coeffs,
     from_low_coeffs,
     low_coeffs,
     pole_factors,
     ratfunc,
-    residue_at,
     t,
     x,
 )
@@ -64,6 +84,10 @@ _BOUND = 10
 #: Z[t], where characteristic polynomials are taken fraction-free
 _ZT = ZZ[t]
 _ZT_RING = _ZT.ring
+#: x as a generator of Q[t, x]
+_X = _TX_RING.gens[1]
+#: a polynomial of Q[t] as its canonical Q(t) value
+_qt = COEFF_FIELD.field.field_new
 
 
 @dataclass
@@ -81,57 +105,150 @@ class SolutionSpace:
         return len(self.basis)
 
 
+# -- one common denominator ------------------------------------------------------
+
+
+class _Quotient(NamedTuple):
+    """A square matrix A over Q(t)(x) as A = N/d: N its rows over Q[t, x],
+    d in Q[t, x], `poles` the irreducible monic factors f over Q(t) of d
+    with their multiplicities, and `lifts` each f as `_lift(f)`."""
+
+    N: tuple
+    d: object
+    poles: dict
+    lifts: dict
+
+
+def _exquo(a, c):
+    """a / c for polynomials of one ring; c must divide a."""
+    q, rem = a.div(c)
+    if rem:
+        raise RuntimeError(f"{c} does not divide {a}")
+    return q
+
+
+def _square(flat) -> list:
+    n = math.isqrt(len(flat))
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _over_lcm(pairs):
+    """(nums, d) with num/den = nums[i]/d for the i-th (num, den) of `pairs`,
+    polynomials of one ring, and d the lcm of the distinct dens."""
+    dens = dict.fromkeys(den for _, den in pairs)
+    d = functools.reduce(lambda a, b: a.lcm(b), dens)
+    co = {den: _exquo(d, den) for den in dens}
+    return [num * co[den] for num, den in pairs], d
+
+
+def _common(A) -> _Quotient:
+    """The matrix A of RatFunc values over the lcm of its entries'
+    denominators."""
+    flat = [v for row in A for v in row]
+    nums, d = _over_lcm([v.xt_pair() for v in flat])
+    poles = pole_factors(flat)
+    return _Quotient(tuple(map(tuple, _square(nums))), d, poles,
+                     {f: _lift(f) for f in poles})
+
+
+def _lc_x(p):
+    """The leading coefficient in x of p in Q[t, x], as an element of Q[t]."""
+    k = p.degree(1)
+    return _T_RING.from_dict({(i,): c for (i, j), c in p.terms() if j == k})
+
+
+def _lift(f: Poly):
+    """A Poly f in x over Q(t) times the lcm of its coefficients'
+    denominators, in Q[t, x]."""
+    cs = low_coeffs(f)
+    m = functools.reduce(lambda a, b: a.lcm(b), (c.denom for c in cs))
+    return _TX_RING.from_dict({
+        (i, k): v for k, c in enumerate(cs)
+        for (i,), v in (c.numer * _exquo(m, c.denom)).terms()})
+
+
+def _in_x(p) -> Poly:
+    """p in Q[t, x] as a Poly in x over Q(t)."""
+    return Poly.from_dict({(k,): _qt(c) for k, c in _x_coeffs(p).items()},
+                          x, domain=COEFF_FIELD)
+
+
 # -- local data at the singularities -------------------------------------------
 
 
-def _cleared(v: RatFunc, c: Poly) -> Poly:
-    """v * c as a Poly in x; c must be a multiple of v's denominator."""
-    num, den = v.monic_pair()
-    q, rem = c.div(den)
-    if not rem.is_zero:
-        raise RuntimeError(f"{sp.sstr(c.as_expr())} does not clear {v}")
-    return num * q
+def _charpoly(R, r):
+    """det(lam*I - R/r), for a square matrix R over Q[t] and r in Q[t],
+    times a nonzero element of Q[t], as a Poly in (lam, t) over ZZ.
 
-
-def _charpoly(rows):
-    """det(lam*I - M) of a square matrix M over Q(t), times a nonzero
-    element of Q[t], as a Poly in (lam, t) over ZZ.
-
-    Fraction-free: with M = N/d, N over Z[t] and d in Z[t], the
-    characteristic polynomial sum c_k lam^(n-k) of N is taken over Z[t], and
-    d^n det(lam*I - M) = sum c_k d^(n-k) lam^(n-k)."""
-    n = len(rows)
-    flat = [v for row in rows for v in row]
-    d = functools.reduce(lambda a, b: a.lcm(b), (v.denom for v in flat))
-    nums = [v.numer * d.exquo(v.denom) for v in flat]
-    scale = math.lcm(*(c.denominator for p in [d, *nums] for c in p.coeffs()))
-    d, *nums = ((p * scale).set_ring(_ZT_RING) for p in [d, *nums])
-    cp = DomainMatrix(
-        [nums[i * n:(i + 1) * n] for i in range(n)], (n, n), _ZT
-    ).charpoly()
+    Fraction-free: the characteristic polynomial sum c_k lam^(n-k) of R is
+    taken over Z[t], and r^n det(lam*I - R/r) = sum c_k r^(n-k) lam^(n-k)."""
+    n = len(R)
+    flat = [v for row in R for v in row]
+    scale = math.lcm(*(c.denominator for p in [r, *flat] for c in p.coeffs()))
+    r, *flat = ((p * scale).set_ring(_ZT_RING) for p in [r, *flat])
+    cp = DomainMatrix(_square(flat), (n, n), _ZT).charpoly()
     terms = {}
     for k, c in enumerate(cp):
-        for (j,), v in (c * d ** (n - k)).terms():
+        for (j,), v in (c * r ** (n - k)).terms():
             terms[(n - k, j)] = v
     return Poly.from_dict(terms, _LAM, t, domain=ZZ)
 
 
-def _residue_charpoly(A, f: Poly):
-    """Res_x(f, det(lam*I - R)) for the residue matrix R of A at f: the
-    characteristic polynomial of R as a Q(t)-linear map of K_f^n, K_f =
-    Q(t)[x]/(f), each entry r replaced by its multiplication matrix r(C_f)
-    on the basis 1, x, ..., x^(d-1).  For deg f = 1 that is R itself."""
-    n, d = len(A), f.degree()
-    powers = [_poly(x**k, x) for k in range(d)]
-    rows = [[None] * (n * d) for _ in range(n * d)]
+def _qt_matrix(rows):
+    """(R, r) with R/r the square matrix `rows` of Q(t) values: the front
+    through which Q(t) values reach `_charpoly`."""
+    nums, r = _over_lcm([(v.numer, v.denom) for row in rows for v in row])
+    return _square(nums), r
+
+
+def _residue_matrix(N, d, f: Poly):
+    """(R, r): the residue matrix of A = N/d at an irreducible monic f that
+    divides d at most once, as R/r with R over Q[t] and r in Q[t]; zero
+    where f does not divide d.  For deg f = k > 1 it is the matrix of the
+    residue matrix as a Q(t)-linear map of K_f^n, K_f = Q(t)[x]/(f), each
+    entry replaced by its multiplication matrix on 1, x, ..., x^(k-1)."""
+    n, k = len(N), f.degree()
+    zero = ([[_T_RING.zero] * (n * k) for _ in range(n * k)], _T_RING.one)
+    dd = d.diff(_X)
+    if k == 1:
+        c = low_coeffs(f)[0]
+        p, q = -c.numer, c.denom  # f = x - p/q
+        D = max(v.degree(1) for v in (d, *itertools.chain(*N)))
+        pw, qw = [_T_RING.one], [_T_RING.one]
+        for _ in range(D):
+            pw.append(pw[-1] * p)
+            qw.append(qw[-1] * q)
+        w = [a * b for a, b in zip(pw, reversed(qw))]  # p^j * q^(D-j)
+
+        def at_root(v):
+            return sum((cj * w[j] for j, cj in _x_coeffs(v).items()),
+                       _T_RING.zero)
+
+        if at_root(d):
+            return zero
+        return [[at_root(v) for v in row] for row in N], at_root(dd)
+    if _in_x(d).rem(f):
+        return zero
+    inv = _in_x(dd).invert(f)
+    powers = [_poly(x**j, x) for j in range(k)]
+    rows = [[None] * (n * k) for _ in range(n * k)]
     for i in range(n):
         for j in range(n):
-            r = residue_at(A[i][j], f)
-            for k, xk in enumerate(powers):
-                col = low_coeffs((r * xk).rem(f), d)
-                for m in range(d):
-                    rows[i * d + m][j * d + k] = col[m]
-    return _charpoly(rows)
+            r = (_in_x(N[i][j]) * inv).rem(f)
+            for m, xm in enumerate(powers):
+                col = low_coeffs((r * xm).rem(f), k)
+                for l in range(k):
+                    rows[i * k + l][j * k + m] = col[l]
+    return _qt_matrix(rows)
+
+
+def _scalar(R, r):
+    """s in Q(t) with R/r = s*I, or None when R is not scalar."""
+    s = R[0][0]
+    if any(v != (s if i == j else 0)
+           for i, row in enumerate(R) for j, v in enumerate(row)):
+        return None
+    return COEFF_FIELD.field.new(s, r)
 
 
 def _qt_roots(cp: Poly) -> list:
@@ -160,28 +277,16 @@ def _int_roots(cp: Poly) -> list:
     return sorted({int(r) for r in g.ground_roots() if r.is_Integer})
 
 
-def _degree_at_infinity(v: RatFunc):
-    if v.is_zero:
-        return None
-    num, den = v.monic_pair()
-    return num.degree() - den.degree()
-
-
-def _infinity_data(A):
-    """(omega, leading matrix at infinity as rows of Q(t) elements).
-
-    omega is the growth order of A at infinity (entry degrees); the matrix is
-    the coefficient of x^omega.
-    """
-    degs = [[_degree_at_infinity(v) for v in row] for row in A]
-    finite = [d for row in degs for d in row if d is not None]
-    omega = max(finite, default=-1)
-    lead = [
-        [v.numerator.rep.LC() if d == omega else COEFF_FIELD.zero
-         for v, d in zip(row, drow)]
-        for row, drow in zip(A, degs)
-    ]
-    return omega, lead
+def _infinity_data(N, d):
+    """(omega, (L, l)) for A = N/d: omega is the growth order of A at
+    infinity (entry degrees), and L/l the leading matrix there, the
+    coefficient of x^omega, with L over Q[t] and l the leading coefficient
+    of d in x."""
+    dx = d.degree(1)
+    omega = max((v.degree(1) - dx for row in N for v in row if v), default=-1)
+    L = [[_lc_x(v) if v.degree(1) - dx == omega else _T_RING.zero
+          for v in row] for row in N]
+    return omega, (L, _lc_x(d))
 
 
 # -- the solver ----------------------------------------------------------------
@@ -191,23 +296,25 @@ def _bounded(factors, omega, lead) -> bool:
     """True when local exponents bound the rational solutions: every finite
     pole simple, and infinity regular-singular or of invertible leading
     matrix."""
+    L, _ = lead
     return all(e <= 1 for e in factors.values()) and (
         omega <= -1
-        or bool(DomainMatrix(lead, (len(lead),) * 2, COEFF_FIELD).det())
+        or bool(DomainMatrix([[_qt(v) for v in row] for row in L],
+                             (len(L),) * 2, COEFF_FIELD).det())
     )
 
 
-def _local_data(A):
-    """(factors, exps, omega, lead) of the matrix A: its pole factors with
-    their multiplicities; the sorted integer local exponents at each factor,
-    or None when they bound nothing (see `_bounded`); omega and the leading
-    matrix at infinity."""
-    factors = pole_factors([v for row in A for v in row])
-    omega, lead = _infinity_data(A)
+def _local_data(q: _Quotient):
+    """(factors, exps, omega, lead) of A = q: its pole factors with their
+    multiplicities; the sorted integer local exponents at each factor, or
+    None when they bound nothing (see `_bounded`); omega and the leading
+    matrix at infinity (see `_infinity_data`)."""
+    omega, lead = _infinity_data(q.N, q.d)
     exps = None
-    if _bounded(factors, omega, lead):
-        exps = {f: _int_roots(_residue_charpoly(A, f)) for f in factors}
-    return factors, exps, omega, lead
+    if _bounded(q.poles, omega, lead):
+        exps = {f: _int_roots(_charpoly(*_residue_matrix(q.N, q.d, f)))
+                for f in q.poles}
+    return q.poles, exps, omega, lead
 
 
 def rational_solutions(A, b=None, bound=_BOUND) -> SolutionSpace:
@@ -219,8 +326,8 @@ def rational_solutions(A, b=None, bound=_BOUND) -> SolutionSpace:
     """
     if isinstance(A, DiffSystem):
         A = A.A
-    A = tuple(tuple(ratfunc(v) for v in row) for row in A)
-    return _ansatz(A, b, _local_data(A), bound)
+    q = _common(tuple(tuple(ratfunc(v) for v in row) for row in A))
+    return _ansatz(q, b, _local_data(q), bound)
 
 
 def particular_solution(A, b, what, bound=_BOUND):
@@ -237,15 +344,15 @@ def particular_solution(A, b, what, bound=_BOUND):
     return space.particular
 
 
-def _ansatz(A, b, local, bound) -> SolutionSpace:
-    """rational_solutions(A, b, bound), given A's `_local_data`."""
+def _ansatz(q: _Quotient, b, local, bound) -> SolutionSpace:
+    """rational_solutions(A, b, bound) for A = q, given its local data
+    (`_local_data`, or `_shifted_local` for a shifted matrix)."""
     factors_A, exps, omega, lead = local
-    n = len(A)
-    bvec = (
-        [ZERO] * n if b is None else [ratfunc(v) for v in b]
-    )
+    n = len(q.N)
+    bvec = [ZERO] * n if b is None else [ratfunc(v) for v in b]
     b_zero = all(v.is_zero for v in bvec)
     factors_b = pole_factors(bvec)
+    bnums, bden = _over_lcm([v.xt_pair() for v in bvec])
     all_factors = sorted(
         set(factors_A) | set(factors_b), key=lambda f: sp.default_sort_key(f.as_expr())
     )
@@ -258,12 +365,11 @@ def _ansatz(A, b, local, bound) -> SolutionSpace:
             f: max(0, -min(exps.get(f, ()), default=0), factors_b.get(f, 0) - 1)
             for f in all_factors
         }
-        bdegs = [_degree_at_infinity(v) for v in bvec]
-        bdegs = [d for d in bdegs if d is not None]
+        bdegs = [v.degree(1) - bden.degree(1) for v in bnums if v]
         if omega <= -1:
             # degree bound from exponents at infinity; the residue matrix
             # there is the leading matrix when omega = -1, else zero
-            cands = _int_roots(_charpoly(lead)) if omega == -1 else [0]
+            cands = _int_roots(_charpoly(*lead)) if omega == -1 else [0]
             if bdegs:
                 cands.append(max(bdegs) + 1)
             d_max = max(cands) if cands else None
@@ -278,62 +384,49 @@ def _ansatz(A, b, local, bound) -> SolutionSpace:
         den_exp = {f: bound for f in all_factors}
         d_max = bound
 
-    d_u = _poly(1, x)
-    for f, e in den_exp.items():
-        if e > 0:
-            d_u = d_u * f**e
-    if d_max is None:
-        ndeg = -1
-    else:
-        ndeg = d_u.degree() + d_max
-
+    # D is d_u = prod f^e_f up to a factor in Q(t), over Q[t, x]
+    lift = {f: q.lifts[f] if f in q.lifts else _lift(f) for f in den_exp}
+    D = math.prod((lift[f] ** e for f, e in den_exp.items()), start=_TX_RING.one)
+    ndeg = -1 if d_max is None else D.degree(1) + d_max
     if ndeg < 0:
-        if b_zero:
-            return SolutionSpace(
-                particular=[ZERO] * n, basis=[], complete=complete,
-                notes=tuple(notes),
-            )
-        return SolutionSpace(
-            particular=None, basis=[], complete=complete, notes=tuple(notes)
-        )
+        return SolutionSpace([ZERO] * n if b_zero else None, [], complete,
+                             tuple(notes))
 
     # ansatz Y = (sum_k c_k x^k) / d_u.  The linear map c -> dY - AY - b is
-    # cleared by cden = prod f^E_f, a multiple of every denominator in it:
-    # d(x^k/d_u) has f^(e_f+1), A x^k/d_u has f^(e_f+a_f) and b has f^(b_f).
-    # With P = cden/d_u and S = P d_u'/d_u, the unknown c_(i,k) contributes
-    # k x^(k-1) P - x^k S to entry i and -x^k A[r][i] P to every entry r.
-    P = _poly(1, x)
+    # cleared by K = M*d_u, with M = d*X in Q[t, x] a multiple of
+    # prod f^(E_f - e_f): d(x^k/d_u) has f^(e_f+1), A x^k/d_u has f^(e_f+a_f)
+    # and b has f^(b_f).  X = mu*Xb with mu = D/d_u in Q(t), and Xb carries
+    # lc(bden), a multiple of bden's x-free part, so that K*b = d*Xb*D*b is
+    # over Q[t, x] too.  With S = M d_u'/d_u, the unknown c_(i,k) contributes
+    # k x^(k-1) M - x^k S to entry i and -x^k N[r][i] X to every entry r.
+    Xb = _lc_x(bden).set_ring(_TX_RING)
     for f, e in den_exp.items():
         E = max(e + factors_A.get(f, 0), e + 1 if e > 0 else 0,
                 factors_b.get(f, 0))
-        P = P * f ** (E - e)
-    S = _poly(0, x)
-    for f, e in den_exp.items():
-        if e > 0:
-            S = S + e * f.diff() * P.exquo(f)
+        Xb *= lift[f] ** (E - e - factors_A.get(f, 0))
+    X = Xb * _lc_x(D).set_ring(_TX_RING)
+    M = q.d * X
+    S = sum((e * lift[f].diff(_X) * _exquo(M, lift[f])
+             for f, e in den_exp.items() if e > 0), _TX_RING.zero)
     T = [
-        [low_coeffs(-_cleared(A[r][i], P) - (S if r == i else 0))
-         for i in range(n)]
+        [_x_coeffs(-q.N[r][i] * X - (S if r == i else 0)) for i in range(n)]
         for r in range(n)
     ]
-    Pc = low_coeffs(P)
-    cden = P * d_u
-    bc = [low_coeffs(_cleared(v, cden)) for v in bvec]
+    Mc = _x_coeffs(M)
+    bc = ([{}] * n if b_zero
+          else [_x_coeffs(_exquo(q.d * Xb * D, bden) * v) for v in bnums])
     maxdeg = max(
-        [ndeg + len(c) - 1 for row in T for c in row]
-        + [ndeg + len(Pc) - 2] + [len(c) - 1 for c in bc] + [0]
+        [ndeg + max(c, default=-1) for row in T for c in row]
+        + [ndeg + max(Mc) - 1] + [max(c, default=-1) for c in bc] + [0]
     )
-    zero = COEFF_FIELD.zero
-
-    def at(c, d):
-        return c[d] if 0 <= d < len(c) else zero
+    Tq = [[{k: _qt(c) for k, c in Tri.items()} for Tri in row] for row in T]
+    zero, ring_zero = COEFF_FIELD.zero, _T_RING.zero
 
     def entry(r, d, i, k):
         """Coefficient of x^d in entry r of the image of c_(i,k)."""
-        v = at(T[r][i], d - k)
-        if r == i and k:
-            v = v + k * at(Pc, d - k + 1)
-        return v
+        if r == i and k and d - k + 1 in Mc:
+            return _qt(T[r][i].get(d - k, ring_zero) + k * Mc[d - k + 1])
+        return Tq[r][i].get(d - k, zero)
 
     rows = []
     rhs = []
@@ -342,8 +435,9 @@ def _ansatz(A, b, local, bound) -> SolutionSpace:
             rows.append(
                 [entry(r, d, i, k) for i in range(n) for k in range(ndeg + 1)]
             )
-            rhs.append(at(bc[r], d))
+            rhs.append(_qt(bc[r].get(d, ring_zero)))
     part, kern = solve_affine(rows, rhs)
+    d_u = _in_x(D).monic()
 
     def to_vec(coeffs):
         w = ndeg + 1
@@ -367,8 +461,8 @@ def is_fuchsian(M: DiffSystem) -> bool:
     flat = [v for row in M.A for v in row]
     if any(e > 1 for e in pole_factors(flat).values()):
         return False
-    omega, _ = _infinity_data(M.A)
-    return omega <= -1
+    return all(num.degree(1) < den.degree(1)
+               for num, den in (v.xt_pair() for v in flat))
 
 
 def hyperexponential_classes(M: DiffSystem):
@@ -377,48 +471,38 @@ def hyperexponential_classes(M: DiffSystem):
     Returns (list of (RatFunc, SolutionSpace), notes).  Requires a Fuchsian
     system; candidates come from Q(t)-rational local exponents.
     """
-    A = M.A
-    n = M.dim
-    factor_dict = pole_factors([v for row in A for v in row])
-    if any(e > 1 for e in factor_dict.values()):
+    q = _common(M.A)
+    if any(e > 1 for e in q.poles.values()):
         raise NonFuchsianError(
             "hyperexponential search requires simple finite poles; supply an "
             "invariant-flag certificate instead"
         )
     notes = []
-    factors = sorted(factor_dict, key=lambda f: sp.default_sort_key(f.as_expr()))
-    roots = {}
+    factors = sorted(q.poles, key=lambda f: sp.default_sort_key(f.as_expr()))
+    roots, scalars = {}, {}
     per_factor = []
     for f in factors:
-        qt = roots[f] = _qt_roots(_residue_charpoly(A, f))
-        cp_deg = n * f.degree()
-        if len(qt) < cp_deg:
+        R, r = _residue_matrix(q.N, q.d, f)
+        qt = roots[f] = _qt_roots(_charpoly(R, r))
+        scalars[f] = _scalar(R, r)
+        if len(qt) < len(R):
             notes.append(
                 f"non-Q(t) local exponents at {sp.sstr(f.as_expr())} skipped"
             )
-        uniq = []
-        for r in qt:
-            if r not in uniq:
-                uniq.append(r)
-        per_factor.append(uniq if uniq else [COEFF_FIELD.zero])
+        per_factor.append(list(dict.fromkeys(qt)) or [COEFF_FIELD.zero])
 
-    # all candidate characters r = sum e_f * f'/f, with their e_f
-    candidates = [(ZERO, ())]
-    for f, eigs in zip(factors, per_factor):
-        dlog = from_low_coeffs(low_coeffs(f.diff()), f)
-        candidates = [
-            (c + RatFunc(FIELD.convert_from(e, COEFF_FIELD)) * dlog, es + (e,))
-            for c, es in candidates for e in eigs
-        ]
+    # one candidate character r = sum e_f * f'/f per choice of the e_f
+    dlogs = _dlogs(q)
     out = []
-    for r, es in _class_reps(candidates):
-        shifted = tuple(
-            tuple(A[i][j] - (r if i == j else ZERO) for j in range(n))
-            for i in range(n)
-        )
-        local = _shifted_local(shifted, roots, dict(zip(factors, es)))
-        space = _ansatz(shifted, None, local, _BOUND)
+    for es in _class_reps(list(itertools.product(*per_factor))):
+        shift = dict(zip(factors, es))
+        shifted = _shift(q, dlogs, shift)
+        space = _ansatz(shifted, None,
+                        _shifted_local(shifted, roots, scalars, shift), _BOUND)
         if space.basis:
+            r = sum((RatFunc(FIELD.convert_from(e, COEFF_FIELD))
+                     * from_low_coeffs(low_coeffs(f.diff()), f)
+                     for f, e in shift.items()), ZERO)
             out.append((r, space))
         if not space.complete:
             notes.append("bound-limited")
@@ -426,30 +510,49 @@ def hyperexponential_classes(M: DiffSystem):
 
 
 def _class_reps(candidates):
-    """The first candidate (c, es) of each class modulo logarithmic
-    derivatives.  Over distinct irreducible f, c - c' = sum (e_f - e'_f) *
-    f'/f is one exactly when every e_f - e'_f is an integer."""
+    """The first exponent tuple es of each class of the characters
+    sum e_f * f'/f modulo logarithmic derivatives.  Over distinct
+    irreducible f, two differ by one exactly when every difference of their
+    e_f is an integer."""
     reps = []
-    for c, es in candidates:
+    for es in candidates:
         if not any(all(_as_int(e - d) is not None for e, d in zip(es, ds))
-                   for _, ds in reps):
-            reps.append((c, es))
+                   for ds in reps):
+            reps.append(es)
     return reps
 
 
-def _shifted_local(S, roots, shift):
-    """`_local_data` of S = A - r*I for a Fuchsian A and r = sum e_f * f'/f,
-    from the Q(t) roots of A's residue characteristic polynomials.
+def _dlogs(q: _Quotient) -> dict:
+    """{f: d*f'/f} over Q[t, x] for the pole factors f of q."""
+    return {f: lf.diff(_X) * _exquo(q.d, lf) for f, lf in q.lifts.items()}
 
-    The residue matrix of S at f is R_f - e_f*I, so f stays a pole of S
+
+def _shift(q: _Quotient, dlogs, shift) -> _Quotient:
+    """A - r*I for A = q and r = sum e_f * f'/f, e_f = shift[f]: with c in
+    Q[t] clearing the e_f, (c*N - sum e_f*c*dlogs[f]*I)/(c*d)."""
+    c = functools.reduce(lambda a, b: a.lcm(b),
+                         (e.denom for e in shift.values()), _T_RING.one)
+    diag = sum((dlogs[f] * (e.numer * _exquo(c, e.denom)).set_ring(_TX_RING)
+                for f, e in shift.items() if e), _TX_RING.zero)
+    c = c.set_ring(_TX_RING)
+    return q._replace(
+        N=tuple(tuple(v * c - (diag if i == j else 0) for j, v in enumerate(row))
+                for i, row in enumerate(q.N)),
+        d=q.d * c)
+
+
+def _shifted_local(q: _Quotient, roots, scalars, shift):
+    """`_local_data` of q = A - r*I for a Fuchsian A and r = sum e_f * f'/f,
+    from the Q(t) roots of A's residue characteristic polynomials and the
+    scalars s_f with R_f = s_f*I (None where R_f is not scalar).
+
+    The residue matrix of A - r*I at f is R_f - e_f*I, so f stays a pole
     unless R_f = e_f*I, and its characteristic polynomial is chi_f(lam + e_f).
     An integer root l of that makes l + e_f a Q(t) root of chi_f, so the
     integer exponents at f are the integers among the rho - e_f."""
-    factors = {
-        f: 1 for f in roots
-        if any(v.denominator.rem(f).is_zero for row in S for v in row)
-    }
-    omega, lead = _infinity_data(S)
+    factors = {f: 1 for f in roots
+               if scalars[f] is None or scalars[f] != shift[f]}
+    omega, lead = _infinity_data(q.N, q.d)
     exps = None
     if _bounded(factors, omega, lead):
         exps = {

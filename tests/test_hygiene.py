@@ -1,6 +1,7 @@
 """Static hygiene of the package source: no dead imports, no dead parameters,
 no dead private functions or classes, no broad `except` that swallows, and
-no handler of IncompleteSearchError outside the dispatcher.
+no handler of IncompleteSearchError outside the dispatcher.  One check runs
+a fresh interpreter: the package's public names load on first access.
 
 A plain `ast` scan, scope-blind on purpose: a name counts as used when any
 `Name` node of the module (or, for a parameter, of the function) reads it.
@@ -11,7 +12,10 @@ import collections
 import functools
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "pdgal3"
@@ -543,3 +547,32 @@ def test_local_import_rule_flags_hoistable_imports():
         "d": "def k():\n    from pdgal3 import a\n",
     }.items()}
     assert _local_imports_without_cycle(package) == ["c:3: d", "d:2: a"]
+
+
+LAZY_NAMES = """
+import importlib, sys
+from pdgal3 import RatFunc
+assert "pdgal3.galois3" not in sys.modules, sorted(sys.modules)
+import pdgal3
+for name in pdgal3.__all__:
+    obj = getattr(pdgal3, name)
+    assert obj.__module__.startswith("pdgal3."), name
+    assert getattr(importlib.import_module(obj.__module__), name) is obj, name
+try:
+    pdgal3.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("pdgal3.no_such_name did not raise AttributeError")
+"""
+
+
+def test_public_names_load_on_first_access():
+    """`from pdgal3 import RatFunc` does not import the dispatcher; every
+    name of `__all__` is the object of the module that defines it; an
+    unknown name raises AttributeError."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", LAZY_NAMES], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -4,16 +4,21 @@ import random
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.polys.matrices import DomainMatrix
 
 from pdgal3.errors import IncompleteSearchError, NonFuchsianError
+from pdgal3.linalg import solve_affine
 from pdgal3.ratfunc import (
     COEFF_FIELD,
     RatFunc,
     ZERO,
+    _TX_RING,
     _poly,
     d_x,
+    from_low_coeffs,
+    low_coeffs,
+    pole_factors,
     ratfunc,
     residue_at,
     residues,
@@ -23,11 +28,13 @@ from pdgal3.ratfunc import (
 from pdgal3.solvers import (
     SolutionSpace,
     _charpoly,
-    _cleared,
+    _common,
+    _exquo,
     _infinity_data,
     _int_roots,
+    _qt_matrix,
     _qt_roots,
-    _residue_charpoly,
+    _residue_matrix,
     hyperexponential_classes,
     is_fuchsian,
     particular_solution,
@@ -177,8 +184,12 @@ class TestClearingDenominator:
             self.check_space(A, s, bx)
 
     def test_uncleared_entry_raises(self):
+        # the exact divisions that clear the ansatz over Q[t, x]: x does not
+        # clear 1/x^2
+        tt, xx = _TX_RING.gens
+        assert _exquo(xx**2 * tt, xx) == xx * tt
         with pytest.raises(RuntimeError):
-            _cleared(ratfunc("1/x^2"), _poly(x, x))
+            _exquo(xx, xx**2)
 
 
 # -- local exponents ---------------------------------------------------------
@@ -237,6 +248,25 @@ def _qt_rows(M):
     return [[COEFF_FIELD.from_sympy(sp.sympify(v)) for v in row] for row in M]
 
 
+def _residue_charpoly(A, f):
+    """The residue characteristic polynomial of the matrix A at f, through
+    the solver's common denominator."""
+    q = _common(A)
+    return _charpoly(*_residue_matrix(q.N, q.d, f))
+
+
+def _lead_values(lead):
+    """The leading matrix L/l at infinity as rows of Q(t) values."""
+    L, l = lead
+    return [[COEFF_FIELD.field.new(v, l) for v in row] for row in L]
+
+
+def _infinity(A):
+    """(omega, (L, l)) of the matrix A, through its common denominator."""
+    q = _common(A)
+    return _infinity_data(q.N, q.d)
+
+
 POLE_FACTORS = [x, x - 1, x - t, x**2 - t, x**2 + t * x + 1]
 EXPONENTS = [0, 1, 2, -1, -3, t, t + 1, -t, sp.Rational(1, 2), 1 / (t + 1)]
 
@@ -287,7 +317,7 @@ class TestLocalExponents:
         assert sorted(map(str, _as_exprs(_qt_roots(cp)))) == ["2", "t"]
 
     def test_t_free_irreducible_quadratic(self):
-        cp = _charpoly(_qt_rows([[0, 1], [2, 0]]))
+        cp = _charpoly(*_qt_matrix(_qt_rows([[0, 1], [2, 0]])))
         assert _qt_roots(cp) == [] and _int_roots(cp) == []
 
     def test_quadratic_pole_doubles_the_exponents(self):
@@ -299,15 +329,16 @@ class TestLocalExponents:
 
     def test_singular_leading_matrix_at_infinity(self):
         A = mat([["x", "0"], ["0", "1"]])
-        omega, lead = _infinity_data(A)
+        omega, lead = _infinity(A)
         assert omega == 1
-        assert not DomainMatrix(lead, (2, 2), COEFF_FIELD).det()
+        assert not DomainMatrix(_lead_values(lead), (2, 2), COEFF_FIELD).det()
         s = rational_solutions(A)
         assert not s.complete and s.notes == ("bound-limited",)
 
     def test_regular_leading_matrix_at_infinity(self):
         A = mat([["x", "1"], ["0", "2*x+t"]])
-        omega, lead = _infinity_data(A)
+        omega, lead = _infinity(A)
+        lead = _lead_values(lead)
         assert omega == 1 and lead == _qt_rows([[1, 0], [0, 2]])
         assert DomainMatrix(lead, (2, 2), COEFF_FIELD).det() == 2
         s = rational_solutions(A)
@@ -320,10 +351,11 @@ class TestLocalExponents:
         [["t/(x-t)", "1/x"], ["0", "(3*x+1)/(x^2-t)"]],
     ])
     def test_fuchsian_infinity_matches_expression_route(self, A):
-        omega, lead = _infinity_data(mat(A))
+        omega, lead = _infinity(mat(A))
         assert omega <= -1
-        M = sp.Matrix([[COEFF_FIELD.to_sympy(v) for v in row] for row in lead])
-        assert _int_roots(_charpoly(lead)) == _ref_matrix_ints(M)
+        M = sp.Matrix([[COEFF_FIELD.to_sympy(v) for v in row]
+                       for row in _lead_values(lead)])
+        assert _int_roots(_charpoly(*lead)) == _ref_matrix_ints(M)
 
 
 @pytest.mark.parametrize("c", [-3, -2, -1, 1, 2, 3])
@@ -428,15 +460,16 @@ class TestHyperexponential:
 # candidate character r; that loop is kept here as the reference.
 
 
-def _ref_hyperexponential_classes(M):
-    from pdgal3.ratfunc import FIELD, is_log_derivative, pole_factors
+def _ref_hyperexponential_classes(M, residue_charpoly=_residue_charpoly,
+                                  solve=rational_solutions):
+    from pdgal3.ratfunc import FIELD, is_log_derivative
 
     A, n = M.A, M.dim
     factors = sorted(pole_factors([v for row in A for v in row]),
                      key=lambda f: sp.default_sort_key(f.as_expr()))
     notes, per_factor = [], []
     for f in factors:
-        qt = _qt_roots(_residue_charpoly(A, f))
+        qt = _qt_roots(residue_charpoly(A, f))
         if len(qt) < n * f.degree():
             notes.append(
                 f"non-Q(t) local exponents at {sp.sstr(f.as_expr())} skipped")
@@ -457,7 +490,7 @@ def _ref_hyperexponential_classes(M):
             reps.append(c)
     out = []
     for r in reps:
-        space = rational_solutions(
+        space = solve(
             [[A[i][j] - (r if i == j else ZERO) for j in range(n)]
              for i in range(n)])
         if space.basis:
@@ -467,9 +500,9 @@ def _ref_hyperexponential_classes(M):
     return out, tuple(notes)
 
 
-def _same_classes(M):
+def _same_classes(M, **reference):
     classes, notes = hyperexponential_classes(M)
-    ref, ref_notes = _ref_hyperexponential_classes(M)
+    ref, ref_notes = _ref_hyperexponential_classes(M, **reference)
     assert notes == ref_notes
     assert [r for r, _ in classes] == [r for r, _ in ref]
     for (_, s), (_, s_ref) in zip(classes, ref):
@@ -524,17 +557,22 @@ def shifted_systems(draw):
 
 def _check_shifted_local_data(M):
     """For every choice of one Q(t) exponent e_f per pole factor (0 where
-    there is none), the local data of A - r*I shifted from A's equals the
-    local data computed from scratch: the same poles, integer exponents and
-    infinity."""
+    there is none), the shifted quotient is A - r*I, and its local data
+    shifted from A's equals the local data computed from scratch: the same
+    poles, integer exponents and infinity."""
     import itertools
 
-    from pdgal3.ratfunc import FIELD, pole_factors
-    from pdgal3.solvers import _local_data, _shifted_local
+    from pdgal3.ratfunc import FIELD
+    from pdgal3.solvers import (_dlogs, _local_data, _scalar, _shift,
+                                _shifted_local)
 
     A, n = M.A, M.dim
-    factors = list(pole_factors([v for row in A for v in row]))
-    roots = {f: _qt_roots(_residue_charpoly(A, f)) for f in factors}
+    q = _common(A)
+    factors = list(q.poles)
+    residues = {f: _residue_matrix(q.N, q.d, f) for f in factors}
+    roots = {f: _qt_roots(_charpoly(*residues[f])) for f in factors}
+    scalars = {f: _scalar(*residues[f]) for f in factors}
+    dlogs = _dlogs(q)
     dropped = 0
     for es in itertools.product(*(roots[f] or [COEFF_FIELD.zero]
                                   for f in factors)):
@@ -543,9 +581,15 @@ def _check_shifted_local_data(M):
                  for f, e in zip(factors, es)), ZERO)
         S = tuple(tuple(A[i][j] - (r if i == j else ZERO) for j in range(n))
                   for i in range(n))
-        shifted = _shifted_local(S, roots, dict(zip(factors, es)))
-        assert shifted == _local_data(S)
-        dropped += len(shifted[0]) < len(factors)
+        shift = dict(zip(factors, es))
+        Sq = _shift(q, dlogs, shift)
+        assert [[RatFunc(FIELD.field.new(v, Sq.d)) for v in row]
+                for row in Sq.N] == [list(row) for row in S]
+        factors_S, exps, omega, lead = _shifted_local(Sq, roots, scalars, shift)
+        ref = _local_data(_common(S))
+        assert (factors_S, exps, omega) == ref[:3]
+        assert _lead_values(lead) == _lead_values(ref[3])
+        dropped += len(factors_S) < len(factors)
     return dropped
 
 
@@ -622,7 +666,7 @@ def test_class_reps_match_log_derivative_dedupe(per_factor):
         if not any((h := is_log_derivative(c - r)) is not None and h[0] == 1
                    for r, _ in ref):
             ref.append((c, es))
-    assert _class_reps(candidates) == ref
+    assert _class_reps([es for _, es in candidates]) == [es for _, es in ref]
 
 
 # -- pole factors from the stored Q[t, x] form ---------------------------------
@@ -668,3 +712,223 @@ def test_pole_factors_match_expression_route(entries):
     new, ref = pole_factors(values), _ref_den_factor_dict(values)
     assert list(new.items()) == list(ref.items())
     assert all(f.domain == COEFF_FIELD and f.LC() == 1 for f in new)
+
+
+# -- one common denominator against the per-entry route --------------------------
+#
+# Before a solve wrote A as N/d, it read every entry on its own: the residue
+# by `residue_at`, the degree at infinity and the leading coefficient by
+# `monic_pair`, and each ansatz row by clearing the entry with a division of
+# Polys over Q(t).  That route is kept here as the reference.
+
+
+def _ref_cleared(v, c):
+    num, den = v.monic_pair()
+    q, rem = c.div(den)
+    assert rem.is_zero
+    return num * q
+
+
+def _ref_residue_charpoly(A, f):
+    n, k = len(A), f.degree()
+    powers = [_poly(x**j, x) for j in range(k)]
+    rows = [[None] * (n * k) for _ in range(n * k)]
+    for i in range(n):
+        for j in range(n):
+            r = residue_at(A[i][j], f)
+            for m, xm in enumerate(powers):
+                col = low_coeffs((r * xm).rem(f), k)
+                for l in range(k):
+                    rows[i * k + l][j * k + m] = col[l]
+    return _charpoly(*_qt_matrix(rows))
+
+
+def _ref_degree(v):
+    num, den = v.monic_pair()
+    return None if v.is_zero else num.degree() - den.degree()
+
+
+def _ref_local_data(A):
+    factors = pole_factors([v for row in A for v in row])
+    degs = [[_ref_degree(v) for v in row] for row in A]
+    omega = max((d for row in degs for d in row if d is not None), default=-1)
+    lead = [[v.numerator.rep.LC() if d == omega else COEFF_FIELD.zero
+             for v, d in zip(row, drow)] for row, drow in zip(A, degs)]
+    exps = None
+    if all(e <= 1 for e in factors.values()) and (
+            omega <= -1
+            or DomainMatrix(lead, (len(A),) * 2, COEFF_FIELD).det()):
+        exps = {f: _int_roots(_ref_residue_charpoly(A, f)) for f in factors}
+    return factors, exps, omega, lead
+
+
+def _ref_rational_solutions(A, b=None, bound=10):
+    """rational_solutions(A, b, bound) on the per-entry route."""
+    A = mat(A.A if isinstance(A, DiffSystem) else A)
+    n = len(A)
+    factors_A, exps, omega, lead = _ref_local_data(A)
+    bvec = [ZERO] * n if b is None else [ratfunc(v) for v in b]
+    b_zero = all(v.is_zero for v in bvec)
+    factors_b = pole_factors(bvec)
+    all_factors = sorted(set(factors_A) | set(factors_b),
+                         key=lambda f: sp.default_sort_key(f.as_expr()))
+    complete, notes = True, []
+    if exps is not None:
+        den_exp = {f: max(0, -min(exps.get(f, ()), default=0),
+                          factors_b.get(f, 0) - 1) for f in all_factors}
+        bdegs = [d for d in map(_ref_degree, bvec) if d is not None]
+        if omega <= -1:
+            cands = ([0] if omega < -1
+                     else _int_roots(_charpoly(*_qt_matrix(lead))))
+            cands += [max(bdegs) + 1] if bdegs else []
+            d_max = max(cands) if cands else None
+        else:
+            d_max = (max(bdegs) - omega) if bdegs else None
+            notes.append("irregular-infinity-invertible-leading-matrix")
+    else:
+        complete = False
+        notes.append("bound-limited")
+        den_exp = {f: bound for f in all_factors}
+        d_max = bound
+    d_u, P, S = _poly(1, x), _poly(1, x), _poly(0, x)
+    for f, e in den_exp.items():
+        d_u = d_u * f**e
+        E = max(e + factors_A.get(f, 0), e + 1 if e > 0 else 0,
+                factors_b.get(f, 0))
+        P = P * f ** (E - e)
+    ndeg = -1 if d_max is None else d_u.degree() + d_max
+    if ndeg < 0:
+        return SolutionSpace([ZERO] * n if b_zero else None, [], complete,
+                             tuple(notes))
+    for f, e in den_exp.items():
+        if e > 0:
+            S = S + e * f.diff() * P.exquo(f)
+    T = [[low_coeffs(-_ref_cleared(A[r][i], P) - (S if r == i else 0))
+          for i in range(n)] for r in range(n)]
+    Pc = low_coeffs(P)
+    bc = [low_coeffs(_ref_cleared(v, P * d_u)) for v in bvec]
+    maxdeg = max([ndeg + len(c) - 1 for row in T for c in row]
+                 + [ndeg + len(Pc) - 2] + [len(c) - 1 for c in bc] + [0])
+
+    def at(c, d):
+        return c[d] if 0 <= d < len(c) else COEFF_FIELD.zero
+
+    rows, rhs = [], []
+    for r in range(n):
+        for d in range(maxdeg + 1):
+            rows.append([at(T[r][i], d - k) + (k * at(Pc, d - k + 1)
+                                               if r == i and k else 0)
+                         for i in range(n) for k in range(ndeg + 1)])
+            rhs.append(at(bc[r], d))
+    part, kern = solve_affine(rows, rhs)
+
+    def to_vec(cs):
+        w = ndeg + 1
+        return [from_low_coeffs(cs[i * w:(i + 1) * w], d_u) for i in range(n)]
+
+    particular = None
+    if part is not None:
+        particular = [ZERO] * n if b_zero else to_vec(part)
+    return SolutionSpace(particular, [to_vec(v) for v in kern], complete,
+                         tuple(notes))
+
+
+def _monic_in_lam(cp):
+    lam = cp.gens[0]
+    return sp.Poly(cp.as_expr(), lam, domain=sp.QQ.frac_field(t)).monic()
+
+
+MIXED_DENS = [x, x - 1, x - t, 2 * x + t, t * x - 1, x**2 - t]
+MIXED_NUMS = [0, 1, -1, 2, -2, t, -t, t - 1]
+RHS_ENTRIES = [0, 1, t, 1 / x, t / (x - 1), x, 1 / ((t + 1) * (x**2 - t)),
+               1 / (x - t) ** 2]
+
+
+@st.composite
+def mixed_denominator_systems(draw):
+    """(A, b): Fuchsian n x n systems, n in {2, 3}, each entry a sum of up
+    to two proper terms c/f over up to three of MIXED_DENS (numerators of
+    degree one less than f), some of them divided by the x-free t + 1; b
+    None or a vector of RHS_ENTRIES."""
+    n = draw(st.integers(2, 3))
+    dens = draw(st.lists(st.sampled_from(MIXED_DENS), min_size=1, max_size=3,
+                         unique=True))
+    A = []
+    for _ in range(n * n):
+        v = sp.S.Zero
+        for _ in range(draw(st.integers(0, 2))):
+            f = draw(st.sampled_from(dens))
+            num = draw(st.sampled_from(MIXED_NUMS))
+            if sp.degree(f, x) == 2:
+                num = num * x + draw(st.sampled_from(MIXED_NUMS))
+            v += num / f / (t + 1 if draw(st.booleans()) else 1)
+        A.append(RatFunc(v))
+    b = draw(st.one_of(st.none(), st.lists(
+        st.sampled_from(RHS_ENTRIES), min_size=n, max_size=n)))
+    return tuple(tuple(A[i * n:(i + 1) * n]) for i in range(n)), b
+
+
+@given(mixed_denominator_systems())
+@example((((RatFunc(-t / (t * x - 1)), ZERO), (ZERO, ZERO)), [1, 0]))
+@settings(max_examples=25, deadline=None)
+def test_common_denominator_matches_per_entry_route(case):
+    """Residue characteristic polynomials, local data, rational solutions
+    and hyperexponential classes read off A = N/d equal the per-entry
+    route's."""
+    from pdgal3.solvers import _local_data
+
+    A, b = case
+    q = _common(A)
+    for f in q.poles:
+        assert _monic_in_lam(_residue_charpoly(A, f)) == _monic_in_lam(
+            _ref_residue_charpoly(A, f))
+    factors, exps, omega, lead = _local_data(q)
+    ref = _ref_local_data(A)
+    assert (factors, exps, omega) == ref[:3]
+    assert _lead_values(lead) == ref[3]
+    s, s_ref = rational_solutions(A, b), _ref_rational_solutions(A, b)
+    assert (s.particular, s.basis, s.complete, s.notes) == (
+        s_ref.particular, s_ref.basis, s_ref.complete, s_ref.notes)
+    _same_classes(DiffSystem(A), residue_charpoly=_ref_residue_charpoly,
+                  solve=_ref_rational_solutions)
+
+
+PROLONGATION = [["t/x", "1/x", "0"], ["0", "t/x", "1/(x-1)"], ["0", "0", "0"]]
+
+
+def test_solves_read_no_entry_on_its_own(monkeypatch):
+    """The solves of the (CQ,NC)-prolongation fixture and its dual, with
+    and without b, call neither `residue_at` nor `monic_pair`, and give the
+    per-entry route's answers."""
+    import sys
+
+    from pdgal3 import ratfunc as ratfunc_module
+    from pdgal3.systems import dual
+
+    def solves(solve):
+        out = []
+        for M in (DiffSystem(PROLONGATION), dual(DiffSystem(PROLONGATION))):
+            for b in (None, ["1/x", "0", "t"], ["1/x^2", "1", "0"]):
+                s = solve(M, b)
+                out.append((s.particular, s.basis, s.complete, s.notes))
+            out.append([(r, s.basis) for r, s in hyperexponential_classes(M)[0]])
+        return out
+
+    ref = solves(_ref_rational_solutions)
+    assert [len(c) for c in ref[3::4]] == [1, 1]
+    calls = []
+
+    def counting(inner, name):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return inner(*args, **kwargs)
+        return wrapper
+
+    inner = ratfunc_module.residue_at
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("pdgal3") and getattr(mod, "residue_at", None) is inner:
+            monkeypatch.setattr(mod, "residue_at", counting(inner, "residue_at"))
+    monkeypatch.setattr(RatFunc, "monic_pair",
+                        counting(RatFunc.monic_pair, "monic_pair"))
+    assert solves(rational_solutions) == ref
+    assert calls == []
