@@ -10,10 +10,9 @@ machine-checkable CaseReport.
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import combinations
+from itertools import combinations, product
 
-from .errors import (IncompleteSearchError, NonFuchsianError, PdgalError,
-                     UnsupportedError)
+from .errors import IncompleteSearchError, NonFuchsianError, UnsupportedError
 from .groups import (
     CaseReport,
     Deferred,
@@ -66,14 +65,13 @@ def _extension(a1, b, a2):
     return F[0][0] if F is not None else None
 
 
-def _pair_type(a1, b, a2):
-    """(type, F) of the triangular system [[a1, b], [0, a2]]: CQ when
-    δ(a1 − a2) is a ∂-derivative, else CR when it splits and NC when it
-    provably does not.  F is the splitting of `_extension` for CR, else None."""
+def _pair_type(a1, a2, F):
+    """The type of a triangular system [[a1, b], [0, a2]] whose splitting
+    by `_extension` is F: CQ when δ(a1 − a2) is a ∂-derivative, else CR when
+    it splits and NC when it provably does not."""
     if rational_antiderivative(d_t(a1 - a2)) is not None:
-        return "CQ", None
-    F = _extension(a1, b, a2)
-    return ("CR" if F is not None else "NC"), F
+        return "CQ"
+    return "CR" if F is not None else "NC"
 
 
 def classify2(W: DiffSystem, cert: FlagCertificate = None) -> str:
@@ -85,7 +83,7 @@ def classify2(W: DiffSystem, cert: FlagCertificate = None) -> str:
     if len(D.dims) == 1:
         return "CR"  # simple, hence semisimple
     T = D.T.A
-    return _pair_type(T[0][0], T[0][1], T[1][1])[0]
+    return _pair_type(T[0][0], T[1][1], _extension(T[0][0], T[0][1], T[1][1]))
 
 
 # -- building blocks for equation sets --------------------------------------------------
@@ -213,13 +211,8 @@ def _semisimple_group(blocks, an, free_upper=False):
     W = blocks[wi]
     woff = offs[wi]
     wrows = [woff, woff + 1]
-    try:
-        closure_fails = bool(an.hyperexponential_classes(W)[0]) or bool(
-            an.hyperexponential_classes(_sym_square(W))[0]
-        )
-    except NonFuchsianError:
-        closure_fails = True
-    if closure_fails:
+    what = "SL2-closure check"
+    if _classes(W, an, what)[0] or _classes(_sym_square(W), an, what)[0]:
         return (
             Deferred(
                 dim=n,
@@ -284,19 +277,27 @@ def _semisimple_group(blocks, an, free_upper=False):
 # -- decomposability probing ------------------------------------------------------------
 
 
+def _classes(M: DiffSystem, an: Analysis, what):
+    """an.classes(M, what); a system it cannot take is an incomplete search."""
+    try:
+        return an.classes(M, what)
+    except NonFuchsianError as exc:
+        raise IncompleteSearchError(
+            f"{what} not provably complete: {exc}") from exc
+
+
 def _find_line_summand(M: DiffSystem, an: Analysis):
-    """(S, comp, B, D), M = span(S) ⊕ comp with systems B and D, or None.
+    """(S, comp, B, D), M = span(S) ⊕ comp with systems B and D, or None
+    when M provably has no line summand.
 
     The candidates are the basis vectors of M's hyperexponential classes: in
     one class space the vectors without an invariant complement form a
     subspace, so if any vector of it splits off, some basis vector does.
-    Every candidate is tried: when none splits and the split of one was
-    undecided, the first such split's IncompleteSearchError is raised."""
-    try:
-        classes, _ = an.hyperexponential_classes(M)
-    except NonFuchsianError:
-        return None
-    undecided = None
+    When none splits, an incomplete class search or the first undecided
+    split raises IncompleteSearchError."""
+    classes, complete = _classes(M, an, "line-summand search")
+    undecided = None if complete else IncompleteSearchError(
+        "line-summand search not provably complete")
     for v in [v for _, space in classes for v in space.basis]:
         S = tuple((x,) for x in v)
         try:
@@ -319,15 +320,14 @@ def dispatch(V: DiffSystem, cert: FlagCertificate = None):
 
     The line search runs on V alone: dual(V) = L* ⊕ W* exactly when
     V = L ⊕ W.  One Analysis serves the whole call, so the classes of each
-    matrix it meets are computed once.  A search that finds nothing without
-    proof that nothing exists makes the report undecided."""
+    matrix it meets are computed once.  A search, the decomposition's too,
+    that finds nothing without proof that nothing exists makes the report
+    undecided, with the certificates found before it."""
     if V.dim != 3:
         raise UnsupportedError("dispatch requires a 3-dimensional system")
-    an = Analysis()
-    D = diag_decompose(V, cert, an)
-    certs = _factor_certs(D)
+    an, certs = Analysis(), []
     return _or_undecided("UNDECIDED", (), certs,
-                         lambda: _classify(V, D, certs, an, cert is not None))
+                         lambda: _classify(V, cert, certs, an))
 
 
 def _or_undecided(label, tags, certs, stage):
@@ -350,9 +350,13 @@ def _factor_certs(D):
             ("factors", tuple(b.A for b in D.blocks))]
 
 
-def _classify(V, D, certs, an, certified):
-    """The verdict on V, whose composition factors are D: semisimple, with a
-    2-dim factor, with a line summand, or with a full flag."""
+def _classify(V, cert, certs, an):
+    """The verdict on V, whose composition factors it adds to certs.  A line
+    summand L splits a piece of a full flag V1 ⊂ V2 ⊂ V (V2 = V1 ⊕ (V2 ∩ W)
+    when V = V1 ⊕ W, V2 = V1 ⊕ L when L ⊂ V2, else V = V2 ⊕ L), so the line
+    search runs only when a piece splits."""
+    D = diag_decompose(V, cert, an)
+    certs += _factor_certs(D)
     ss, basis, ssblocks = semisimplify(V, D)
     if ss:
         g, notes, more = _semisimple_group(ssblocks, an)
@@ -366,10 +370,17 @@ def _classify(V, D, certs, an, certified):
         ), g
     if sorted(D.dims) == [1, 2]:
         return _case_indecomposable_2dim(V, D, certs, an)
-    found = _find_line_summand(V, an)
-    if found is not None:
+    splits = _splits(D.T.A)
+    found = any(F is not None for F in splits) and _find_line_summand(V, an)
+    if found:
         return _case_decomposable(found, certs)
-    return _case_full_flag(V, D, certs, an, certified)
+    return _case_full_flag(V, D, splits, certs, an, cert is not None)
+
+
+def _splits(A):
+    """The splittings (`_extension`) of the two pieces of a full flag A."""
+    return tuple(_extension(A[i][i], A[i][i + 1], A[i + 1][i + 1])
+                 for i in range(2))
 
 
 def _dual_diag(V, D):
@@ -471,18 +482,18 @@ def _case_indecomposable_2dim(V, D, certs, an):
     ), g
 
 
-def _case_full_flag(V, D, certs, an, certified):
-    """V with a full flag and no line summand.  Once the types (t1, t2) of
-    its two pieces are known, an incomplete search makes it
-    (t1,t2)-undecided."""
+def _case_full_flag(V, D, splits, certs, an, certified):
+    """V with a full flag D, no line summand, and `splits` of its two pieces
+    (`_splits`).  Once the types (t1, t2) of the pieces are known, an
+    incomplete search makes it (t1,t2)-undecided."""
     A = D.T.A
-    t1, F12 = _pair_type(A[0][0], A[0][1], A[1][1])
-    t2, _ = _pair_type(A[1][1], A[1][2], A[2][2])
+    t1, t2 = (_pair_type(A[i][i], A[i + 1][i + 1], F)
+              for i, F in enumerate(splits))
     certs = certs + [("diag-entries", tuple(A[i][i] for i in range(3))),
                      ("pair", (t1, t2))]
     return _or_undecided(
         f"({t1},{t2})-undecided", (t1, t2), certs,
-        lambda: _case_pair(V, D, (t1, t2), F12, certs, an, certified))
+        lambda: _case_pair(V, D, (t1, t2), splits[0], certs, an, certified))
 
 
 def _case_pair(V, D, types, F12, certs, an, certified):
@@ -500,12 +511,9 @@ def _case_pair(V, D, types, F12, certs, an, certified):
         else:
             Vd = dual(V)
             Dd = diag_decompose(Vd, analysis=an)
-            if Dd.dims != (1, 1, 1):
-                raise IncompleteSearchError(
-                    "the class search found no full flag of dual(V)")
         return _via_dual(
-            Vd, lambda W: _case_full_flag(W, Dd, _factor_certs(Dd), an,
-                                          certified),
+            Vd, lambda W: _case_full_flag(W, Dd, _splits(Dd.T.A),
+                                          _factor_certs(Dd), an, certified),
             f"({t1},{t2})→dual→{{}}", types)
 
     if types == ("CQ", "CQ"):
@@ -538,7 +546,8 @@ def _case_pair(V, D, types, F12, certs, an, certified):
 def _case_cr(Mt, a, F, certs, t2):
     # F splits V2: the basis [[1, −F, 0], [0, 1, 0], [0, 0, 1]] clears the
     # (1,2) entry, keeps the diagonal and makes the (1,3) entry b13 + F*b23
-    t3, _ = _pair_type(a[0], Mt.A[0][2] + F * Mt.A[1][2], a[2])
+    b13 = Mt.A[0][2] + F * Mt.A[1][2]
+    t3 = _pair_type(a[0], a[2], _extension(a[0], b13, a[2]))
     certs = certs + [("third-type", t3)]
     if t3 == "CR":
         raise IncompleteSearchError(
@@ -704,21 +713,30 @@ def _case_cqnc(Mt, a, certs):
 
 def _prolongation_embedding(Mt, a):
     """Injective morphism of the det-shifted system into the prolongation of
-    the shifted V/V1, or None."""
+    the shifted V/V1, or None when provably there is none.  Σ c_i·U_i over a
+    basis U_i of the morphisms is injective when a 3×3 minor, of total degree
+    3 in the c_i, is nonzero; then so is its part in the variables of one of
+    its monomials, somewhere on {0, 1, 2, 3}^3.  So the c in {0, 1, 2, 3}^k
+    with at most 3 nonzero entries decide, tried by sum.  Raises
+    IncompleteSearchError when none is injective and a morphism may be
+    missing."""
     chi = a[2]
     Vsh = DiffSystem(
         [[Mt.A[i][j] - (chi if i == j else ZERO) for j in range(3)]
          for i in range(3)]
     )
     Wsh = DiffSystem([[a[1] - chi, Mt.A[1][2]], [ZERO, ZERO]])
-    try:
-        space = morphisms(Vsh, prolong(Wsh))
-    except PdgalError:
-        return None
-    cands = list(space.basis) + [
-        tuple(tuple(x + y for x, y in zip(r1, r2)) for r1, r2 in zip(U1, U2))
-        for U1, U2 in combinations(space.basis, 2)]
-    for U in cands:
-        if column_rank(tuple(tuple(row) for row in U)) == 3:
+    basis, complete = morphisms(Vsh, prolong(Wsh))
+    k = len(basis)
+    grid = {tuple(dict(zip(pos, c)).get(i, 0) for i in range(k))
+            for pos in combinations(range(k), min(k, 3))
+            for c in product(range(4), repeat=min(k, 3))}
+    for c in sorted(grid, key=lambda c: (sum(c), c))[1:]:
+        U = tuple(tuple(sum((ci * Ui[r][s] for ci, Ui in zip(c, basis) if ci),
+                            ZERO) for s in range(3)) for r in range(4))
+        if column_rank(U) == 3:
             return U
+    if not complete:
+        raise IncompleteSearchError(
+            "prolongation-embedding search not provably complete")
     return None

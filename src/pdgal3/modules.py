@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from itertools import accumulate
 
 from . import solvers
-from .errors import CertificateError, NonFuchsianError
+from .errors import CertificateError, IncompleteSearchError, NonFuchsianError
 from .linalg import column_rank, k_nullspace, k_solve_right, pivot_columns
 from .ratfunc import ZERO, is_log_derivative, ratfunc
-from .solvers import (SolutionSpace, is_fuchsian, particular_solution,
-                      rational_solutions)
+from .solvers import particular_solution, rational_solutions
 from .systems import (
     DiffSystem,
     direct_sum,
@@ -44,15 +43,16 @@ class Analysis:
     system matrix, so that each is computed once.  One object per analysis
     (a `dispatch` call makes its own), so nothing outlives it.
 
-    Holds the results of `solvers.hyperexponential_classes`; a
-    NonFuchsianError it raised is kept and raised again."""
+    Holds the results of `solvers.hyperexponential_classes`, which nothing
+    else calls; a NonFuchsianError it raised is kept and raised again."""
 
     def __init__(self):
         self._classes = {}
 
-    def hyperexponential_classes(self, M: DiffSystem):
-        """solvers.hyperexponential_classes(M), computed once per matrix.
-        The result is shared: callers must not modify it."""
+    def classes(self, M: DiffSystem, what: str):
+        """(classes, complete) of solvers.hyperexponential_classes(M), once
+        per matrix, shared (do not modify).  Raises IncompleteSearchError
+        naming the search `what` when it found none and was not complete."""
         if M.A not in self._classes:
             try:
                 self._classes[M.A] = solvers.hyperexponential_classes(M)
@@ -61,6 +61,8 @@ class Analysis:
         out = self._classes[M.A]
         if isinstance(out, NonFuchsianError):
             raise out.with_traceback(None)
+        if not any(out):  # no class, and the search was not complete
+            raise IncompleteSearchError(f"{what} not provably complete")
         return out
 
 
@@ -153,17 +155,11 @@ def split_extension(M: DiffSystem, S):
 # -- morphisms ---------------------------------------------------------------------
 
 
-def morphisms(M1: DiffSystem, M2: DiffSystem) -> SolutionSpace:
-    """Basis of matrices U over K with dU/dx = A2 U - U A1."""
-    H = hom(M1, M2)
-    space = rational_solutions(H)
-    reshape = lambda v: unvec(v, M2.dim, M1.dim)
-    return SolutionSpace(
-        particular=None,
-        basis=[reshape(v) for v in space.basis],
-        complete=space.complete,
-        notes=space.notes,
-    )
+def morphisms(M1: DiffSystem, M2: DiffSystem):
+    """(basis, complete): a basis of the matrices U over K with
+    dU/dx = A2 U - U A1, and whether the search for them was complete."""
+    space = rational_solutions(hom(M1, M2))
+    return [unvec(v, M2.dim, M1.dim) for v in space.basis], space.complete
 
 
 def rank1_isomorphism(a, b):
@@ -227,7 +223,7 @@ class FlagCertificate:
 
 
 def _line_from_classes(M: DiffSystem, an: Analysis):
-    classes, _ = an.hyperexponential_classes(M)
+    classes, _ = an.classes(M, "composition-factor search")
     if not classes:
         return None
     return min(classes, key=lambda c: c[0].to_string())[1].basis[0]
@@ -264,7 +260,8 @@ def diag_decompose(M: DiffSystem, cert: FlagCertificate = None,
                    analysis: Analysis = None) -> ModuleDiag:
     """Composition factors of M (dim <= 3), via hyperexponential lines, or a
     supplied invariant flag for non-Fuchsian systems.  The line search reads
-    and fills `analysis`, a fresh Analysis when none is given."""
+    and fills `analysis`, a fresh Analysis when none is given.  Raises
+    IncompleteSearchError where a block is not provably simple."""
     if M.dim > 3:
         raise ValueError("diag_decompose implemented for dim <= 3")
     an = analysis if analysis is not None else Analysis()
@@ -282,12 +279,15 @@ def diag_decompose(M: DiffSystem, cert: FlagCertificate = None,
 
 
 def _refine(D: ModuleDiag, an: Analysis) -> ModuleDiag:
-    """Split 2-dim certificate blocks that do admit invariant lines."""
+    """Split the certificate blocks that do admit invariant lines, raising
+    IncompleteSearchError where a block is not provably simple."""
     dims, trans = [], []
     for b in D.blocks:
-        Bb, sub = mat_identity(b.dim), [b.dim]
-        if b.dim == 2 and is_fuchsian(b):
+        try:
             Bb, sub = _decompose_blocks(b, an)
+        except NonFuchsianError as exc:
+            raise IncompleteSearchError(
+                f"certificate block not provably simple: {exc}") from exc
         dims.extend(sub)
         trans.append(DiffSystem(Bb))
     if len(dims) == len(D.dims):

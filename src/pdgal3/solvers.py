@@ -5,7 +5,8 @@ regular or regular-singular point at infinity (universal denominator from
 integer local exponents, polynomial degree from exponents at infinity);
 anything else falls back to a configured bound with complete=False.  A
 caller that needs a decision asks `particular_solution`, which raises
-IncompleteSearchError where such a bounded search finds nothing.
+IncompleteSearchError where such a bounded search finds nothing; the class
+search returns its completeness beside its classes, for `modules.Analysis`.
 
 A solve reads A once, as A = N/d (`_Quotient`): N a matrix over Q[t, x] and
 d the lcm of the Q[t, x] denominators that the entries store.  Everything
@@ -98,7 +99,6 @@ class SolutionSpace:
     particular: object  # list[RatFunc] | None
     basis: list
     complete: bool
-    notes: tuple = ()
 
     @property
     def dim(self) -> int:
@@ -339,8 +339,8 @@ def particular_solution(A, b, what, bound=_BOUND):
     """
     space = rational_solutions(A, b, bound)
     if space.particular is None and not space.complete:
-        raise IncompleteSearchError(
-            f"{what} not provably complete: " + "; ".join(space.notes))
+        raise IncompleteSearchError(f"{what} not provably complete: "
+                                    "bound-limited")
     return space.particular
 
 
@@ -356,8 +356,6 @@ def _ansatz(q: _Quotient, b, local, bound) -> SolutionSpace:
     all_factors = sorted(
         set(factors_A) | set(factors_b), key=lambda f: sp.default_sort_key(f.as_expr())
     )
-    notes = []
-
     complete = True
     if exps is not None:
         # universal denominator from integer local exponents
@@ -377,10 +375,8 @@ def _ansatz(q: _Quotient, b, local, bound) -> SolutionSpace:
             # irregular infinity with invertible leading matrix: degrees are
             # capped by the inhomogeneous term alone
             d_max = (max(bdegs) - omega) if bdegs else None
-            notes.append("irregular-infinity-invertible-leading-matrix")
     else:
         complete = False
-        notes.append("bound-limited")
         den_exp = {f: bound for f in all_factors}
         d_max = bound
 
@@ -389,8 +385,7 @@ def _ansatz(q: _Quotient, b, local, bound) -> SolutionSpace:
     D = math.prod((lift[f] ** e for f, e in den_exp.items()), start=_TX_RING.one)
     ndeg = -1 if d_max is None else D.degree(1) + d_max
     if ndeg < 0:
-        return SolutionSpace([ZERO] * n if b_zero else None, [], complete,
-                             tuple(notes))
+        return SolutionSpace([ZERO] * n if b_zero else None, [], complete)
 
     # ansatz Y = (sum_k c_k x^k) / d_u.  The linear map c -> dY - AY - b is
     # cleared by K = M*d_u, with M = d*X in Q[t, x] a multiple of
@@ -448,28 +443,19 @@ def _ansatz(q: _Quotient, b, local, bound) -> SolutionSpace:
     particular = None
     if part is not None:
         particular = to_vec(part) if not b_zero else [ZERO] * n
-    return SolutionSpace(
-        particular=particular, basis=basis, complete=complete, notes=tuple(notes)
-    )
+    return SolutionSpace(particular=particular, basis=basis, complete=complete)
 
 
 # -- hyperexponential solutions --------------------------------------------------
 
 
-def is_fuchsian(M: DiffSystem) -> bool:
-    """Simple finite poles and proper entries (regular-singular infinity)."""
-    flat = [v for row in M.A for v in row]
-    if any(e > 1 for e in pole_factors(flat).values()):
-        return False
-    return all(num.degree(1) < den.degree(1)
-               for num, den in (v.xt_pair() for v in flat))
-
-
 def hyperexponential_classes(M: DiffSystem):
     """All classes exp(int r) * (rational solution space), r with simple poles.
 
-    Returns (list of (RatFunc, SolutionSpace), notes).  Requires a Fuchsian
-    system; candidates come from Q(t)-rational local exponents.
+    Returns (list of (RatFunc, SolutionSpace), complete).  Requires simple
+    finite poles; candidates come from Q(t)-rational local exponents, and
+    complete is False when one outside Q(t) was skipped or an ansatz was
+    bounded: then a class may be missing.
     """
     q = _common(M.A)
     if any(e > 1 for e in q.poles.values()):
@@ -477,7 +463,7 @@ def hyperexponential_classes(M: DiffSystem):
             "hyperexponential search requires simple finite poles; supply an "
             "invariant-flag certificate instead"
         )
-    notes = []
+    complete = True
     factors = sorted(q.poles, key=lambda f: sp.default_sort_key(f.as_expr()))
     roots, scalars = {}, {}
     per_factor = []
@@ -485,10 +471,7 @@ def hyperexponential_classes(M: DiffSystem):
         R, r = _residue_matrix(q.N, q.d, f)
         qt = roots[f] = _qt_roots(_charpoly(R, r))
         scalars[f] = _scalar(R, r)
-        if len(qt) < len(R):
-            notes.append(
-                f"non-Q(t) local exponents at {sp.sstr(f.as_expr())} skipped"
-            )
+        complete = complete and len(qt) == len(R)
         per_factor.append(list(dict.fromkeys(qt)) or [COEFF_FIELD.zero])
 
     # one candidate character r = sum e_f * f'/f per choice of the e_f
@@ -504,9 +487,8 @@ def hyperexponential_classes(M: DiffSystem):
                      * from_low_coeffs(low_coeffs(f.diff()), f)
                      for f, e in shift.items()), ZERO)
             out.append((r, space))
-        if not space.complete:
-            notes.append("bound-limited")
-    return out, tuple(notes)
+        complete = complete and space.complete
+    return out, complete
 
 
 def _class_reps(candidates):

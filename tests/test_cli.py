@@ -82,6 +82,39 @@ def test_analyze_certified_flag_without_simple_poles(tmp_path, capsys):
     assert out["case_path"].startswith("(NC,CQ)→dual→")
 
 
+#: e1 spans an invariant line of the upper 2-dim block, whose character has
+#: residues outside Q(t): the class search misses it and is not complete
+UNSPLIT_BLOCK = [["(x+1)/(x^2-t)", "1/x", "0"], ["0", "0", "1/(x-1)"],
+                 ["0", "0", "t/x"]]
+
+
+@pytest.mark.parametrize("flag", [None, [[["1", "0"], ["0", "1"], ["0", "0"]]]])
+def test_analyze_block_not_provably_simple_is_undecided(tmp_path, capsys,
+                                                        flag):
+    # the block, with or without its plane as a certificate, once counted
+    # as a simple 2-dim factor: INDECOMPOSABLE-2DIM
+    doc = {"matrix": UNSPLIT_BLOCK}
+    if flag is not None:
+        doc["certificates"] = {"flag": flag}
+    code, out = run(capsys, ["analyze", write(tmp_path, "sys.json", doc)])
+    assert code == 0
+    assert out["case_path"] == "UNDECIDED"
+    assert out["flags"] == ["bound-limited", "deferred"]
+    assert out["certificates"] == []
+
+
+@pytest.mark.parametrize("matrix", [[["0", "1"], ["x^2+t", "0"]],
+                                    [["(x+1)/(x^2-t)", "1/x"], ["0", "0"]]])
+def test_check_classify2_incomplete_line_search_exit_1(tmp_path, capsys,
+                                                       matrix):
+    # no invariant line found proves nothing: the first is irregular at
+    # infinity, so the class search is bounded; the second has the line e1
+    # with residues outside Q(t).  Both were once "CR" (simple)
+    path = write(tmp_path, "m.json", {"matrix": matrix})
+    assert main(["check", "classify2", path]) == 1
+    assert "not provably complete" in capsys.readouterr().err
+
+
 def test_check_constancy_incomplete_search_exit_1(tmp_path, capsys):
     # [[0, 1], [x^2 + t, 0]] is irregular at infinity: the bounded search
     # for a witness finds none, which proves nothing

@@ -275,15 +275,17 @@ def test_dispatch_simple_3dim_semisimple():
 
 
 def test_dispatch_incomplete_constancy_search_is_undecided():
-    # W = [[0, 1], [x^2 + t, 0]] is irregular at infinity, so the search for
-    # a constancy witness of its trace-zero part is bounded; finding none
-    # there is no proof that W⊗W* is non-constant
+    # W = [[0, 1], [x^2 + t, 0]] is irregular at infinity, so the searches
+    # for its invariant lines and for a constancy witness of its trace-zero
+    # part are bounded; finding none there is no proof that W is simple, nor
+    # that W⊗W* is non-constant.  The line search of the certificate block
+    # comes first
     r, g = dispatch(S([["0", "1", "0"], ["x^2+t", "0", "0"], ["0", "0", "0"]]),
                     FLAG_CERTS["plane"])
     assert r.case_path == "UNDECIDED"
     assert r.flags == ("bound-limited", "deferred")
     assert isinstance(g, Deferred) and g.partial is None
-    assert g.reduction.startswith("constancy search not provably complete")
+    assert g.reduction == "composition-factor search not provably complete"
 
 
 #: the diagonal (x+1)/(x^2-t) has residues outside Q(t) at the roots of
@@ -301,24 +303,27 @@ def test_dispatch_cqnc_residues_outside_qt_are_undecided():
     assert isinstance(g, Deferred)
 
 
-@pytest.mark.parametrize("cert", ["none", "line", "plane", "full"])
+@pytest.mark.parametrize("cert", ["none", "empty", "line", "plane", "full"])
 def test_dispatch_refined_partial_flag(cert):
     # with a partial flag the certificate's 2-dim piece splits into lines,
-    # and the result is the one of the full flag and of no certificate
+    # and the result is the one of the full flag and of no certificate.  The
+    # empty flag's one block splits too: it was once read as simple, and V
+    # as SEMISIMPLE
     r, g = dispatch(REFINABLE, FLAG_CERTS[cert])
     assert r.case_path == "(NC,CQ)→dual→(CQ,NC)-Ru"
     assert r.flags == g.flags == ("tau0-partial-on-(1,2)",)
 
 
 def test_dispatch_certified_dual_route_reads_the_flag(monkeypatch):
-    # the →dual→ route reads dual(V)'s flag off the certified one: the line
-    # search on V is the only class search
+    # the →dual→ route reads dual(V)'s flag off the certified one, and
+    # neither piece of the flag splits, so V has no line summand: there is
+    # no class search at all
     from pdgal3 import solvers
 
     calls = _counting(monkeypatch, solvers, "hyperexponential_classes")
     r, _ = dispatch(REFINABLE, FLAG_CERTS["full"])
     assert r.case_path == "(NC,CQ)→dual→(CQ,NC)-Ru"
-    assert [M.A for (M,) in calls] == [REFINABLE.A]
+    assert calls == []
 
 
 @pytest.mark.parametrize("cert", ["none", "full"])
@@ -354,6 +359,53 @@ def test_dispatch_cqnc_prolongation():
     assert not g.member(bad)
 
 
+def test_prolongation_embedding_is_exact(monkeypatch):
+    # U1, U2 and U1 + U2 all have rank 2, and U1 + 2*U2 = diag(1, 1, -2) is
+    # injective: the basis and the pairwise sums once missed it
+    from pdgal3 import galois3
+
+    U1 = mat([["1", "0", "0"], ["0", "-1", "0"], ["0", "0", "0"],
+              ["0", "0", "0"]])
+    U2 = mat([["0", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"],
+              ["0", "0", "0"]])
+    Mt = S(PROLONGATION)
+    a = [Mt.A[i][i] for i in range(3)]
+    for basis, complete, found in [([U1, U2], False, mat(
+            [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-2"],
+             ["0", "0", "0"]])), ([U1], True, None)]:
+        monkeypatch.setattr(galois3, "morphisms",
+                            lambda M1, M2: (basis, complete))
+        assert galois3._prolongation_embedding(Mt, a) == found
+    # no injective combination, and a morphism may be missing
+    monkeypatch.setattr(galois3, "morphisms", lambda M1, M2: ([U1], False))
+    with pytest.raises(IncompleteSearchError,
+                       match="^prolongation-embedding search not provably"):
+        galois3._prolongation_embedding(Mt, a)
+
+
+def test_dispatch_non_fuchsian_certificate_block_is_undecided():
+    # a diagonal system: the certificate plane's block [[t/x^2, 0], [0, 0]]
+    # has invariant lines, but its double pole stops the class search.  It
+    # once counted as a simple factor failing the SL2-closure hypothesis
+    r, g = dispatch(S([["t/x^2", "0", "0"], ["0", "0", "0"], ["0", "0", "t/x"]]),
+                    FLAG_CERTS["plane"])
+    assert r.case_path == "UNDECIDED"
+    assert r.flags == ("bound-limited", "deferred")
+    assert g.reduction.startswith("certificate block not provably simple")
+
+
+def test_unsplit_pieces_prove_no_line_summand(monkeypatch):
+    # neither piece of the certified flag splits, so V has no line summand
+    # and its class search, which its double pole would stop, never runs
+    from pdgal3 import solvers
+
+    V = S([["t/x", "1/(x-1)", "1/x^2"], ["0", "0", "1/x"], ["0", "0", "0"]])
+    calls = _counting(monkeypatch, solvers, "hyperexponential_classes")
+    r, _ = dispatch(V, CERT3)
+    assert r.case_path == "(NC,CQ)→dual→(CQ,NC)-prolongation"
+    assert V.A not in [M.A for (M,) in calls]
+
+
 def test_dispatch_gauge_invariant_label():
     V = S([["t/x", "1/(x-1)", "0"], ["0", "0", "0"], ["0", "0", "1/x"]])
     r1, _ = dispatch(V, CERT3)
@@ -376,8 +428,9 @@ def _counting(monkeypatch, module, name):
 
 
 def test_dispatch_dual_label(monkeypatch):
-    # the →dual→ route enters after the line search, which runs on the input
-    # alone, and dispatch does not re-enter itself
+    # the →dual→ route enters where the line search would, and dispatch does
+    # not re-enter itself.  No piece of the input's flag splits, so the
+    # input has no line summand, and the line search runs on neither flag
     from pdgal3 import galois3
 
     searches = _counting(monkeypatch, galois3, "_find_line_summand")
@@ -386,7 +439,7 @@ def test_dispatch_dual_label(monkeypatch):
     r, _ = galois3.dispatch(dual(V), None)
     assert r.case_path.endswith("(CQ,NC)-prolongation")
     assert "→dual→" in r.case_path
-    assert len(searches) == 1
+    assert searches == []
     assert len(dispatches) == 1
 
 
@@ -456,7 +509,8 @@ def test_dispatch_decomposable_dual(monkeypatch):
 
 
 def test_candidate_lines_propagates_bugs(monkeypatch):
-    # only the package's own errors mean "no line"; a bug must surface
+    # a system that the class search cannot take leaves the line search
+    # undecided, never "no line"; a bug must surface
     from pdgal3 import galois3, solvers
 
     def raising(exc):
@@ -467,7 +521,10 @@ def test_candidate_lines_propagates_bugs(monkeypatch):
     M = S([["t/x", "0"], ["0", "0"]])
     monkeypatch.setattr(solvers, "hyperexponential_classes",
                         raising(NonFuchsianError("irregular")))
-    assert galois3._find_line_summand(M, Analysis()) is None
+    with pytest.raises(IncompleteSearchError,
+                       match="^line-summand search not provably complete: "
+                       "irregular$"):
+        galois3._find_line_summand(M, Analysis())
     monkeypatch.setattr(solvers, "hyperexponential_classes",
                         raising(RuntimeError("bug")))
     with pytest.raises(RuntimeError):
@@ -481,9 +538,10 @@ def test_line_search_tries_every_candidate(monkeypatch):
     from test_acceptance import BRANCH_FIXTURES
 
     # on dual(DECOMPOSABLE) the first candidate has no complement and the
-    # second splits off; the prolongation fixture's one candidate does not
+    # second splits off; the first piece of (CR,NC,NC) splits, so its line
+    # search runs, and no candidate splits off
     for name, case_path in [("DECOMPOSABLE", "DECOMPOSABLE"),
-                            ("(CQ,NC)-prolongation", "UNDECIDED")]:
+                            ("(CR,NC,NC)", "UNDECIDED")]:
         V, cert, _, _ = BRANCH_FIXTURES[name]
         if name == "DECOMPOSABLE":
             V, cert = dual(V), None
@@ -539,11 +597,11 @@ def _ref_find_line_summand(V, an):
     complete = True
     for on_dual, M in ((False, V), (True, dual(V))):
         try:
-            classes, notes = an.hyperexponential_classes(M)
+            classes, searched = an.classes(M, "reference line search")
         except PdgalError:
             complete = False
             continue
-        complete = complete and not notes
+        complete = complete and searched
         for _, space in classes:
             sums = [tuple(a + b for a, b in zip(u, v))
                     for u, v in combinations(space.basis, 2)]
@@ -622,12 +680,12 @@ def test_diag_decompose_leaves_memoized_classes_unchanged():
 
     M = S([["t/x", "0", "0"], ["0", "-t/(x-1)", "0"], ["0", "0", "0"]])
     an = Analysis()
-    classes, notes = an.hyperexponential_classes(M)
+    classes, complete = an.classes(M, "test search")
     assert [r.to_string() for r, _ in classes] != sorted(
         r.to_string() for r, _ in classes)
     before = [(r, list(s.basis)) for r, s in classes]
     diag_decompose(M, None, an)
-    assert an.hyperexponential_classes(M) == (classes, notes)
+    assert an.classes(M, "test search") == (classes, complete)
     assert [(r, s.basis) for r, s in classes] == before
     fresh, _ = solvers.hyperexponential_classes(M)
     assert [(r, s.basis) for r, s in fresh] == before
@@ -641,5 +699,5 @@ def test_analysis_keeps_a_non_fuchsian_raise(monkeypatch):
     M = S([["1/x^2", "0"], ["0", "0"]])
     for _ in range(2):
         with pytest.raises(NonFuchsianError):
-            an.hyperexponential_classes(M)
+            an.classes(M, "test search")
     assert len(calls) == 1

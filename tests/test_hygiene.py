@@ -1,6 +1,7 @@
 """Static hygiene of the package source: no dead imports, no dead parameters,
-no dead private functions or classes, no broad `except` that swallows, and
-no handler of IncompleteSearchError outside the dispatcher.  One check runs
+no dead private functions or classes, no broad `except` that swallows, no
+handler of IncompleteSearchError outside the dispatcher, and no caller of the
+class search outside `modules.Analysis`.  One check runs
 a fresh interpreter: the package's public names load on first access.
 
 A plain `ast` scan, scope-blind on purpose: a name counts as used when any
@@ -304,6 +305,50 @@ except PdgalError:
     pass
 """
     assert sorted(_incomplete_search_handlers(ast.parse(snippet))) == [5, 9]
+
+
+def _class_search_calls(mod, tree) -> list:
+    """Line numbers of calls to `hyperexponential_classes`, by name or as an
+    attribute, anywhere but in the class `Analysis` of `modules`."""
+
+    def calls(node, inside):
+        if isinstance(node, ast.ClassDef) and node.name == "Analysis":
+            inside = mod == "modules"
+        f = getattr(node, "func", None)
+        if (not inside and isinstance(node, ast.Call)
+                and getattr(f, "id", getattr(f, "attr", None))
+                == "hyperexponential_classes"):
+            yield node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from calls(child, inside)
+
+    return list(calls(tree, False))
+
+
+def test_class_search_is_read_through_the_analysis():
+    """The class search returns its completeness beside its classes, and
+    `modules.Analysis.classes` is the one place that reads both: it raises
+    where "no class found" is no proof of none.  Any other caller could read
+    the classes without their completeness."""
+    bad = [f"{mod}:{line}" for mod, tree in _modules().items()
+           for line in _class_search_calls(mod, tree)]
+    assert not bad, "\n".join(bad)
+
+
+def test_class_search_rule_flags_calls():
+    snippet = """
+class Analysis:
+    def classes(self, M):
+        return solvers.hyperexponential_classes(M)
+def _line(M):
+    return hyperexponential_classes(M)[0]
+class Other:
+    def f(self, M, an):
+        return an.hyperexponential_classes(M)
+"""
+    tree = ast.parse(snippet)
+    assert _class_search_calls("modules", tree) == [6, 9]
+    assert _class_search_calls("galois3", tree) == [4, 6, 9]
 
 
 #: sympy's expression normalizers; Q(t) values are domain elements and group

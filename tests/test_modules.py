@@ -95,13 +95,13 @@ class TestSplitExtension:
 
 class TestMorphisms:
     def test_endomorphisms_of_rank1(self):
-        sp_ = morphisms(DiffSystem([["t/x"]]), DiffSystem([["t/x"]]))
-        assert len(sp_.basis) == 1
-        assert sp_.basis[0] == ((ratfunc(1),),)
+        basis, complete = morphisms(DiffSystem([["t/x"]]), DiffSystem([["t/x"]]))
+        assert complete and len(basis) == 1
+        assert basis[0] == ((ratfunc(1),),)
 
     def test_no_morphism_on_non_integer_twist(self):
-        sp_ = morphisms(DiffSystem([["t/x"]]), DiffSystem([["0"]]))
-        assert sp_.basis == [] and sp_.complete
+        basis, complete = morphisms(DiffSystem([["t/x"]]), DiffSystem([["0"]]))
+        assert basis == [] and complete
 
     def test_double_dual(self):
         # dual is an involution, and the identity W -> dual(dual(W)) lies in
@@ -109,15 +109,15 @@ class TestMorphisms:
         W = DiffSystem([["1/x", "t"], ["1", "0"]])
         WW = dual(dual(W))
         assert WW == W
-        space = morphisms(W, WW)
-        cols = tuple(zip(*(vec(U) for U in space.basis)))
+        basis, _ = morphisms(W, WW)
+        cols = tuple(zip(*(vec(U) for U in basis)))
         ident = tuple((v,) for v in vec(mat_identity(2)))
         assert k_solve_right(cols, ident) is not None
 
     def test_morphism_identity_exact(self):
         M1 = DiffSystem([["1/x", "1"], ["0", "2/x"]])
         M2 = DiffSystem([["1/x", "0"], ["0", "2/x"]])
-        for U in morphisms(M1, M2).basis:
+        for U in morphisms(M1, M2)[0]:
             # dU/dx = A2 U - U A1
             for i in range(2):
                 for j in range(2):
@@ -241,8 +241,12 @@ class TestDecompose:
             diag_decompose(V, FlagCertificate(subspaces=subspaces))
 
     def test_empty_certificate_is_the_trivial_flag(self):
-        D = diag_decompose(REFINABLE, FlagCertificate(subspaces=()))
+        # its one block is V; like every certificate block, it is then
+        # searched for lines
+        D = FlagCertificate(subspaces=()).triangularize(REFINABLE)
         assert D.dims == (3,) and D.T == REFINABLE
+        D = diag_decompose(REFINABLE, FlagCertificate(subspaces=()))
+        assert D.dims == (1, 1, 1)
 
 
 class TestSemisimplify:

@@ -36,7 +36,6 @@ from pdgal3.solvers import (
     _qt_roots,
     _residue_matrix,
     hyperexponential_classes,
-    is_fuchsian,
     particular_solution,
     rational_solutions,
 )
@@ -88,7 +87,7 @@ class TestRationalSolutions:
 
     def test_incomplete_flagged(self):
         s = rational_solutions([["1/x^2"]])
-        assert not s.complete and "bound-limited" in s.notes
+        assert not s.complete
 
     def test_particular_solution_decides_or_raises(self):
         # a solution; None when provably none exists; a raise when the
@@ -148,7 +147,7 @@ class TestClearingDenominator:
         # y = 1/(x-1) solves y' = y/x + b; b has (x-1)^2, A has no x-1
         A, b = [["1/x"]], ["-1/(x-1)^2 - 1/(x*(x-1))"]
         s = rational_solutions(A, b)
-        assert s.complete and s.notes == ()
+        assert s.complete
         assert s.particular is not None and s.dim == 1
         self.check_space(A, s, b)
         assert ((s.particular[0] - ratfunc("1/(x-1)")) / s.basis[0][0]).d_x().is_zero
@@ -157,11 +156,11 @@ class TestClearingDenominator:
         # positive exponents 1 at x-t and 3 at x: d_u = 1, E_f = a_f
         A = [["1/(x-t)", "0"], ["0", "3/x"]]
         s = rational_solutions(A)
-        assert s.complete and s.notes == () and s.dim == 2
+        assert s.complete and s.dim == 2
         self.check_space(A, s)
         A1, b1 = [["2/x"]], ["1"]
         s = rational_solutions(A1, b1)
-        assert s.complete and s.notes == ()
+        assert s.complete
         assert s.particular is not None and s.dim == 1
         self.check_space(A1, s, b1)
 
@@ -170,7 +169,7 @@ class TestClearingDenominator:
         # non-Fuchsian, so den_exp = bound at x and E_x = 2 + 2
         A, b = [["0", "1/x^2"], ["0", "0"]], ["1/x^3", "0"]
         s = rational_solutions(A, b, bound=2)
-        assert not s.complete and s.notes == ("bound-limited",)
+        assert not s.complete
         assert s.particular is not None and s.dim == 2
         self.check_space(A, s, b)
         # at x-1, outside A, den_exp is the bound 2: b's pole order 2 leaves
@@ -179,7 +178,7 @@ class TestClearingDenominator:
         for bx, solvable in ((["1/(x-1)^2", "0"], True),
                              (["1/(x-1)^4", "0"], False)):
             s = rational_solutions(A, bx, bound=2)
-            assert not s.complete and s.notes == ("bound-limited",)
+            assert not s.complete
             assert (s.particular is not None) == solvable and s.dim == 2
             self.check_space(A, s, bx)
 
@@ -333,7 +332,7 @@ class TestLocalExponents:
         assert omega == 1
         assert not DomainMatrix(_lead_values(lead), (2, 2), COEFF_FIELD).det()
         s = rational_solutions(A)
-        assert not s.complete and s.notes == ("bound-limited",)
+        assert not s.complete
 
     def test_regular_leading_matrix_at_infinity(self):
         A = mat([["x", "1"], ["0", "2*x+t"]])
@@ -343,7 +342,6 @@ class TestLocalExponents:
         assert DomainMatrix(lead, (2, 2), COEFF_FIELD).det() == 2
         s = rational_solutions(A)
         assert s.complete and s.basis == []
-        assert s.notes == ("irregular-infinity-invertible-leading-matrix",)
 
     @pytest.mark.parametrize("A", [
         [["0", "0"], ["0", "0"]],
@@ -423,35 +421,36 @@ class TestHyperexponential:
     def test_repeated_exponent_not_noted(self):
         # both local exponents at x are 1: counted with multiplicity they
         # fill the characteristic polynomial, so nothing is skipped
-        _, notes = hyperexponential_classes(
+        _, complete = hyperexponential_classes(
             DiffSystem([["1/x", "0"], ["0", "1/x"]])
         )
-        assert notes == ()
+        assert complete
 
     def test_only_true_skip_noted(self):
         # at the roots of x^2 - t one exponent is 1/2 ± 1/(2 sqrt(t)), not in
         # Q(t); at x both exponents are 0
-        _, notes = hyperexponential_classes(
+        _, complete = hyperexponential_classes(
             DiffSystem([["(x+1)/(x^2-t)", "1/x"], ["0", "0"]])
         )
-        assert notes == ("non-Q(t) local exponents at -t + x**2 skipped",)
+        assert not complete
+
+    def test_bounded_ansatz_is_incomplete(self):
+        # simple finite poles, but infinity is irregular with a singular
+        # leading matrix: every ansatz is bounded, and none finds a class
+        assert hyperexponential_classes(
+            DiffSystem([["0", "1"], ["x^2+t", "0"]])) == ([], False)
 
     def test_quadratic_pole_exponents_in_qt(self):
         # the residue of 2x/(x^2-t) is 1 at both roots: nothing is skipped
-        classes, notes = hyperexponential_classes(
+        classes, complete = hyperexponential_classes(
             DiffSystem([["2*x/(x^2-t)"]])
         )
-        assert notes == ()
+        assert complete
         assert [space.dim for _, space in classes] == [1]
 
     def test_non_fuchsian_rejected(self):
         with pytest.raises(NonFuchsianError):
             hyperexponential_classes(DiffSystem([["1/x^2"]]))
-
-    def test_is_fuchsian(self):
-        assert is_fuchsian(DiffSystem([["t/x", "0"], ["0", "1/x"]]))
-        assert not is_fuchsian(DiffSystem([["1/x^2"]]))
-        assert not is_fuchsian(DiffSystem([["x"]]))
 
 
 # -- the shifted route of the hyperexponential search --------------------------
@@ -467,12 +466,10 @@ def _ref_hyperexponential_classes(M, residue_charpoly=_residue_charpoly,
     A, n = M.A, M.dim
     factors = sorted(pole_factors([v for row in A for v in row]),
                      key=lambda f: sp.default_sort_key(f.as_expr()))
-    notes, per_factor = [], []
+    complete, per_factor = True, []
     for f in factors:
         qt = _qt_roots(residue_charpoly(A, f))
-        if len(qt) < n * f.degree():
-            notes.append(
-                f"non-Q(t) local exponents at {sp.sstr(f.as_expr())} skipped")
+        complete = complete and len(qt) == n * f.degree()
         uniq = []
         for r in qt:
             if r not in uniq:
@@ -495,21 +492,19 @@ def _ref_hyperexponential_classes(M, residue_charpoly=_residue_charpoly,
              for i in range(n)])
         if space.basis:
             out.append((r, space))
-        if not space.complete:
-            notes.append("bound-limited")
-    return out, tuple(notes)
+        complete = complete and space.complete
+    return out, complete
 
 
 def _same_classes(M, **reference):
-    classes, notes = hyperexponential_classes(M)
-    ref, ref_notes = _ref_hyperexponential_classes(M, **reference)
-    assert notes == ref_notes
+    classes, complete = hyperexponential_classes(M)
+    ref, ref_complete = _ref_hyperexponential_classes(M, **reference)
+    assert complete == ref_complete
     assert [r for r, _ in classes] == [r for r, _ in ref]
     for (_, s), (_, s_ref) in zip(classes, ref):
         assert s.basis == s_ref.basis
         assert s.complete == s_ref.complete
-        assert s.notes == s_ref.notes
-    return classes, notes
+    return classes, complete
 
 
 SHIFT_POLES = [x, x - 1, x - t, x**2 - t]
@@ -631,9 +626,9 @@ class TestShiftedRoute:
         _same_classes(DiffSystem(rows))
 
     def test_non_qt_exponents_at_a_quadratic_pole(self):
-        _, notes = _same_classes(
+        _, complete = _same_classes(
             DiffSystem([["(x+1)/(x^2-t)", "1/x"], ["0", "0"]]))
-        assert notes == ("non-Q(t) local exponents at -t + x**2 skipped",)
+        assert not complete
 
 
 # -- candidate characters modulo logarithmic derivatives ----------------------
@@ -772,7 +767,7 @@ def _ref_rational_solutions(A, b=None, bound=10):
     factors_b = pole_factors(bvec)
     all_factors = sorted(set(factors_A) | set(factors_b),
                          key=lambda f: sp.default_sort_key(f.as_expr()))
-    complete, notes = True, []
+    complete = True
     if exps is not None:
         den_exp = {f: max(0, -min(exps.get(f, ()), default=0),
                           factors_b.get(f, 0) - 1) for f in all_factors}
@@ -784,10 +779,8 @@ def _ref_rational_solutions(A, b=None, bound=10):
             d_max = max(cands) if cands else None
         else:
             d_max = (max(bdegs) - omega) if bdegs else None
-            notes.append("irregular-infinity-invertible-leading-matrix")
     else:
         complete = False
-        notes.append("bound-limited")
         den_exp = {f: bound for f in all_factors}
         d_max = bound
     d_u, P, S = _poly(1, x), _poly(1, x), _poly(0, x)
@@ -798,8 +791,7 @@ def _ref_rational_solutions(A, b=None, bound=10):
         P = P * f ** (E - e)
     ndeg = -1 if d_max is None else d_u.degree() + d_max
     if ndeg < 0:
-        return SolutionSpace([ZERO] * n if b_zero else None, [], complete,
-                             tuple(notes))
+        return SolutionSpace([ZERO] * n if b_zero else None, [], complete)
     for f, e in den_exp.items():
         if e > 0:
             S = S + e * f.diff() * P.exquo(f)
@@ -829,8 +821,7 @@ def _ref_rational_solutions(A, b=None, bound=10):
     particular = None
     if part is not None:
         particular = [ZERO] * n if b_zero else to_vec(part)
-    return SolutionSpace(particular, [to_vec(v) for v in kern], complete,
-                         tuple(notes))
+    return SolutionSpace(particular, [to_vec(v) for v in kern], complete)
 
 
 def _monic_in_lam(cp):
@@ -887,8 +878,8 @@ def test_common_denominator_matches_per_entry_route(case):
     assert (factors, exps, omega) == ref[:3]
     assert _lead_values(lead) == ref[3]
     s, s_ref = rational_solutions(A, b), _ref_rational_solutions(A, b)
-    assert (s.particular, s.basis, s.complete, s.notes) == (
-        s_ref.particular, s_ref.basis, s_ref.complete, s_ref.notes)
+    assert (s.particular, s.basis, s.complete) == (
+        s_ref.particular, s_ref.basis, s_ref.complete)
     _same_classes(DiffSystem(A), residue_charpoly=_ref_residue_charpoly,
                   solve=_ref_rational_solutions)
 
@@ -910,7 +901,7 @@ def test_solves_read_no_entry_on_its_own(monkeypatch):
         for M in (DiffSystem(PROLONGATION), dual(DiffSystem(PROLONGATION))):
             for b in (None, ["1/x", "0", "t"], ["1/x^2", "1", "0"]):
                 s = solve(M, b)
-                out.append((s.particular, s.basis, s.complete, s.notes))
+                out.append((s.particular, s.basis, s.complete))
             out.append([(r, s.basis) for r, s in hyperexponential_classes(M)[0]])
         return out
 

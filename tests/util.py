@@ -55,9 +55,10 @@ def random_invertible(rng: random.Random, n: int):
 LINE_E1 = (("1",), ("0",), ("0",))
 PLANE_E12 = (("1", "0"), ("0", "1"), ("0", "0"))
 
-#: flag certificates on Q(t)(x)^3: none, the line e1 alone, the plane
-#: (e1, e2) alone, and the full standard flag
+#: flag certificates on Q(t)(x)^3: none, the empty flag, the line e1 alone,
+#: the plane (e1, e2) alone, and the full standard flag
 FLAG_CERTS = {"none": None,
+              "empty": FlagCertificate(subspaces=()),
               "line": FlagCertificate(subspaces=(LINE_E1,)),
               "plane": FlagCertificate(subspaces=(PLANE_E12,)),
               "full": FlagCertificate(subspaces=(LINE_E1, PLANE_E12))}
