@@ -287,7 +287,9 @@ def _refine(D: ModuleDiag, an: Analysis) -> ModuleDiag:
             Bb, sub = _decompose_blocks(b, an)
         except NonFuchsianError as exc:
             raise IncompleteSearchError(
-                f"certificate block not provably simple: {exc}") from exc
+                "certificate block not provably simple: it has a pole of "
+                "order above 1, where the line search is not complete"
+            ) from exc
         dims.extend(sub)
         trans.append(DiffSystem(Bb))
     if len(dims) == len(D.dims):

@@ -32,10 +32,11 @@ the A-part of a row is N*(M/d).  M need not be the least such multiple: a
 nonzero Q(t) constant scales every row by itself, and a factor g in
 Q(t)[x] maps the coefficient rows of the equation E to those of g*E, which
 span the same space because multiplication by g is injective.  Either way
-the reduced row echelon form, and so every answer, is unchanged.  Q(t)
-values are made once, where the rows enter `solve_affine`.  d_u itself stays
-monic: the unknowns are the numerators' coefficients over it, so it fixes
-the solution vectors.
+the reduced row echelon form, and so every answer, is unchanged.  The rows
+enter `solve_affine` as Q[t] ring elements, which it evaluates at integer
+points of t; no Q(t) value is made for them, only for the answers it
+returns.  d_u itself stays monic: the unknowns are the numerators'
+coefficients over it, so it fixes the solution vectors.
 
 The hyperexponential search computes these roots once per pole factor.  For
 a candidate character r = sum e_f * f'/f, with c in Q[t] clearing the e_f,
@@ -99,10 +100,6 @@ class SolutionSpace:
     particular: object  # list[RatFunc] | None
     basis: list
     complete: bool
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
 
 
 # -- one common denominator ------------------------------------------------------
@@ -414,14 +411,14 @@ def _ansatz(q: _Quotient, b, local, bound) -> SolutionSpace:
         [ndeg + max(c, default=-1) for row in T for c in row]
         + [ndeg + max(Mc) - 1] + [max(c, default=-1) for c in bc] + [0]
     )
-    Tq = [[{k: _qt(c) for k, c in Tri.items()} for Tri in row] for row in T]
-    zero, ring_zero = COEFF_FIELD.zero, _T_RING.zero
+    zero = _T_RING.zero
 
     def entry(r, d, i, k):
         """Coefficient of x^d in entry r of the image of c_(i,k)."""
+        c = T[r][i].get(d - k, zero)
         if r == i and k and d - k + 1 in Mc:
-            return _qt(T[r][i].get(d - k, ring_zero) + k * Mc[d - k + 1])
-        return Tq[r][i].get(d - k, zero)
+            return c + k * Mc[d - k + 1]
+        return c
 
     rows = []
     rhs = []
@@ -430,7 +427,7 @@ def _ansatz(q: _Quotient, b, local, bound) -> SolutionSpace:
             rows.append(
                 [entry(r, d, i, k) for i in range(n) for k in range(ndeg + 1)]
             )
-            rhs.append(_qt(bc[r].get(d, ring_zero)))
+            rhs.append(bc[r].get(d, zero))
     part, kern = solve_affine(rows, rhs)
     d_u = _in_x(D).monic()
 

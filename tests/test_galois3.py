@@ -386,12 +386,16 @@ def test_prolongation_embedding_is_exact(monkeypatch):
 def test_dispatch_non_fuchsian_certificate_block_is_undecided():
     # a diagonal system: the certificate plane's block [[t/x^2, 0], [0, 0]]
     # has invariant lines, but its double pole stops the class search.  It
-    # once counted as a simple factor failing the SL2-closure hypothesis
+    # once counted as a simple factor failing the SL2-closure hypothesis.
+    # The reduction names the double pole: it once advised supplying the
+    # certificate that was supplied
     r, g = dispatch(S([["t/x^2", "0", "0"], ["0", "0", "0"], ["0", "0", "t/x"]]),
                     FLAG_CERTS["plane"])
     assert r.case_path == "UNDECIDED"
     assert r.flags == ("bound-limited", "deferred")
-    assert g.reduction.startswith("certificate block not provably simple")
+    assert g.reduction.startswith("certificate block not provably simple: it "
+                                  "has a pole of order above 1")
+    assert "certificate instead" not in g.reduction
 
 
 def test_unsplit_pieces_prove_no_line_summand(monkeypatch):

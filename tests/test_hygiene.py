@@ -1,7 +1,8 @@
 """Static hygiene of the package source: no dead imports, no dead parameters,
 no dead private functions or classes, no broad `except` that swallows, no
-handler of IncompleteSearchError outside the dispatcher, and no caller of the
-class search outside `modules.Analysis`.  One check runs
+handler of IncompleteSearchError outside the dispatcher, no caller of the
+class search outside `modules.Analysis`, and no elimination (`rref`,
+`rref_den`, `nullspace`) outside `linalg`.  One check runs
 a fresh interpreter: the package's public names load on first access.
 
 A plain `ast` scan, scope-blind on purpose: a name counts as used when any
@@ -349,6 +350,40 @@ class Other:
     tree = ast.parse(snippet)
     assert _class_search_calls("modules", tree) == [6, 9]
     assert _class_search_calls("galois3", tree) == [4, 6, 9]
+
+
+#: the elimination methods of sympy's matrices: `linalg` is the package's
+#: one exact linear-algebra path, so no other module calls them
+ELIMINATIONS = {"rref", "rref_den", "nullspace"}
+
+
+def _elimination_calls(mod, tree) -> list:
+    """Line numbers of calls `X.rref(...)`, `X.rref_den(...)` and
+    `X.nullspace(...)` in a module other than `linalg`."""
+    if mod == "linalg":
+        return []
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ELIMINATIONS]
+
+
+def test_eliminations_only_in_linalg():
+    bad = [f"{mod}:{line}" for mod, tree in _modules().items()
+           for line in _elimination_calls(mod, tree)]
+    assert not bad, "\n".join(bad)
+
+
+def test_elimination_rule_flags_calls():
+    snippet = """
+def f(M, D):
+    R, pivots = D.rref()
+    return (M.nullspace(), D.rref_den(), rref(M), M.det(),
+            linalg.nullspace(M))
+"""
+    tree = ast.parse(snippet)
+    assert _elimination_calls("solvers", tree) == [3, 4, 4, 5]
+    assert _elimination_calls("linalg", tree) == []
 
 
 #: sympy's expression normalizers; Q(t) values are domain elements and group

@@ -124,7 +124,7 @@ class TestRationalSolutions:
                 check_solution(M.A, v)
 
     def test_solution_space_dim(self):
-        assert rational_solutions([["0", "0"], ["0", "0"]]).dim == 2
+        assert len(rational_solutions([["0", "0"], ["0", "0"]]).basis) == 2
 
     def test_quadratic_pole_solution_found(self):
         # 1/(x^2-t) solves y' = -2x/(x^2-t) y: the exponent at x^2-t is -1
@@ -148,7 +148,7 @@ class TestClearingDenominator:
         A, b = [["1/x"]], ["-1/(x-1)^2 - 1/(x*(x-1))"]
         s = rational_solutions(A, b)
         assert s.complete
-        assert s.particular is not None and s.dim == 1
+        assert s.particular is not None and len(s.basis) == 1
         self.check_space(A, s, b)
         assert ((s.particular[0] - ratfunc("1/(x-1)")) / s.basis[0][0]).d_x().is_zero
 
@@ -156,12 +156,12 @@ class TestClearingDenominator:
         # positive exponents 1 at x-t and 3 at x: d_u = 1, E_f = a_f
         A = [["1/(x-t)", "0"], ["0", "3/x"]]
         s = rational_solutions(A)
-        assert s.complete and s.dim == 2
+        assert s.complete and len(s.basis) == 2
         self.check_space(A, s)
         A1, b1 = [["2/x"]], ["1"]
         s = rational_solutions(A1, b1)
         assert s.complete
-        assert s.particular is not None and s.dim == 1
+        assert s.particular is not None and len(s.basis) == 1
         self.check_space(A1, s, b1)
 
     def test_bound_limited_double_pole(self):
@@ -170,7 +170,7 @@ class TestClearingDenominator:
         A, b = [["0", "1/x^2"], ["0", "0"]], ["1/x^3", "0"]
         s = rational_solutions(A, b, bound=2)
         assert not s.complete
-        assert s.particular is not None and s.dim == 2
+        assert s.particular is not None and len(s.basis) == 2
         self.check_space(A, s, b)
         # at x-1, outside A, den_exp is the bound 2: b's pole order 2 leaves
         # E_f = den_exp + 1, and order 4 sets E_f = b_f, where the particular
@@ -179,7 +179,7 @@ class TestClearingDenominator:
                              (["1/(x-1)^4", "0"], False)):
             s = rational_solutions(A, bx, bound=2)
             assert not s.complete
-            assert (s.particular is not None) == solvable and s.dim == 2
+            assert (s.particular is not None) == solvable and len(s.basis) == 2
             self.check_space(A, s, bx)
 
     def test_uncleared_entry_raises(self):
@@ -366,7 +366,7 @@ def test_log_derivative_residue(c, f):
     assert [(r.pole, r.residue) for r in residues(a)] == [(fp, _poly(c, x))]
     if c < 0:
         s = rational_solutions([[a]])
-        assert s.complete and s.dim == 1
+        assert s.complete and len(s.basis) == 1
         ratio = s.basis[0][0] / RatFunc(f**c)
         assert ratio.d_x().is_zero and not ratio.is_zero
 
@@ -409,14 +409,14 @@ class TestHyperexponential:
         # 1/(x-1) is a logarithmic derivative: merged into the trivial class
         M = DiffSystem([["t/x", "0", "0"], ["0", "1/(x-1)", "0"], ["0", "0", "0"]])
         classes, _ = hyperexponential_classes(M)
-        assert sorted(s.dim for _, s in classes) == [1, 2]
+        assert sorted(len(s.basis) for _, s in classes) == [1, 2]
 
     def test_equivalent_characters_merged(self):
         # eigenvalues t and t+1 at x differ by a logarithmic derivative
         M = DiffSystem([["t/x", "0"], ["0", "(t+1)/x"]])
         classes, _ = hyperexponential_classes(M)
         assert len(classes) == 1
-        assert classes[0][1].dim == 2
+        assert len(classes[0][1].basis) == 2
 
     def test_repeated_exponent_not_noted(self):
         # both local exponents at x are 1: counted with multiplicity they
@@ -446,7 +446,7 @@ class TestHyperexponential:
             DiffSystem([["2*x/(x^2-t)"]])
         )
         assert complete
-        assert [space.dim for _, space in classes] == [1]
+        assert [len(space.basis) for _, space in classes] == [1]
 
     def test_non_fuchsian_rejected(self):
         with pytest.raises(NonFuchsianError):
