@@ -66,7 +66,7 @@ def _present(p) -> list:
     return [_JETS[p.ring][0][g] for g, e in enumerate(p.degrees()) if e > 0]
 
 
-def _lift(polys, extra: int = 0) -> list:
+def _in_jet_ring(polys, extra: int = 0) -> list:
     """The polys in the smallest jet ring that holds their jets and `extra`
     orders more."""
     jets = [jet for p in polys for jet in _present(p)]
@@ -88,7 +88,7 @@ def _delta(p) -> PolyElement:
 
 def total_delta(e) -> PolyElement:
     """Formal t-derivative: jets are shifted, explicit t is differentiated."""
-    return _delta(_lift([_poly(e)], extra=1)[0])
+    return _delta(_in_jet_ring([_poly(e)], extra=1)[0])
 
 
 def normalize_equation(e) -> PolyElement:
@@ -98,7 +98,7 @@ def normalize_equation(e) -> PolyElement:
 
 def _quotient_derivatives(num, den, k: int):
     """([N_0, ..., N_k], den), one ring, with δʲ(num/den) = N_j / den^(j+1)."""
-    num, den = _lift([num, den], extra=k)
+    num, den = _in_jet_ring([num, den], extra=k)
     out = [num]
     dden = _delta(den) if k else None
     for j in range(k):
@@ -238,7 +238,8 @@ class Explicit(GroupDescription):
     def __post_init__(self):
         eqs = [e for e in map(normalize_equation, self.equations) if e]
         object.__setattr__(self, "equations", tuple(sorted(
-            set(_lift(eqs)), key=lambda e: sp.default_sort_key(as_expr(e)))))
+            set(_in_jet_ring(eqs)),
+            key=lambda e: sp.default_sort_key(as_expr(e)))))
 
     def to_explicit(self):
         return self
@@ -362,7 +363,7 @@ def pullback(rep: RepMap, g: GroupDescription) -> Explicit:
         top[(i, j)] = max(top.get((i, j), 0), k)
     nums = {(i, j, k): n for (i, j), h in top.items() for k, n in enumerate(
         _quotient_derivatives(rep.entries[i - 1][j - 1], rep.denom, h)[0])}
-    *lifted, den = _lift([*nums.values(), rep.denom])
+    *lifted, den = _in_jet_ring([*nums.values(), rep.denom])
     value = dict(zip(nums, lifted)).__getitem__
     eqs = []
     for e in ex.equations:

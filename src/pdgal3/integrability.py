@@ -9,7 +9,6 @@ annihilator of the residue elements of f.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,8 +21,9 @@ from .linalg import solve_affine
 from .oreops import IDENTITY_OP, OreOp
 from .ratfunc import (
     COEFF_FIELD,
-    ONE,
     ZERO,
+    _over_lcm,
+    _residue_column,
     d_t,
     from_low_coeffs,
     horowitz_reduce,
@@ -31,7 +31,6 @@ from .ratfunc import (
     low_coeffs,
     pole_factors,
     ratfunc,
-    residue_at,
     residues,
     x,
 )
@@ -175,10 +174,8 @@ def _hnf_rows(gens):
 def _qt_linear_rows(values):
     """Q-linear conditions Σ mᵢ·vᵢ = 0 for RatFunc values vᵢ: over one common
     Q[t, x] denominator, one row per monomial tᵃxᵇ of the numerators."""
-    pairs = [v.xt_pair() for v in values]
-    den = functools.reduce(lambda a, b: a.lcm(b), (d for _, d in pairs),
-                           ONE.xt_pair()[1])
-    cols = [dict((num * den.exquo(d)).terms()) for num, d in pairs]
+    nums, _ = _over_lcm([v.xt_pair() for v in values])
+    cols = [dict(num.terms()) for num in nums]
     monos = dict.fromkeys(mon for c in cols for mon in c)
     return [[c.get(mon, QQ.zero) for c in cols] for mon in monos]
 
@@ -219,7 +216,7 @@ def character_lattice(diag) -> CharacterLattice:
         consts = []
         rests = []
         for h in hs:
-            cs = low_coeffs(residue_at(h, f)) or [COEFF_FIELD.zero]
+            cs = _residue_column(h, f)
             c = _t_const_part(cs[0])
             consts.append(c)
             rests.append(from_low_coeffs([cs[0] - c] + cs[1:], f.one))

@@ -315,7 +315,7 @@ def _specialized(rows, ncols):
             cols = _columns(points, values, pivots, p)
             if cols is not None:
                 trial = _combined(images, cols, p)
-                cand = _lifted(trial, cols)
+                cand = _as_fractions(trial, cols)
                 if cand is None:
                     break  # the primes so far do not determine it
                 if _certified(rows, cand):
@@ -347,7 +347,7 @@ def _combined(images, cols, p: int):
         m * p, n + 1
 
 
-def _lifted(images, cols):
+def _as_fractions(images, cols):
     """`cols` with every coefficient the fraction its images determine;
     None when one has no reconstruction."""
     lifted = []

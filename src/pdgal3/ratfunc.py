@@ -10,6 +10,8 @@ element computes it once, straight from its Q[t, x] numerator and denominator.
 from __future__ import annotations
 
 import ast
+import functools
+import itertools
 import math
 import operator
 import warnings
@@ -20,7 +22,7 @@ from fractions import Fraction
 import sympy as sp
 from sympy import Poly, QQ
 
-from .errors import ExpressionParseError
+from .errors import ExpressionParseError, UnsupportedError
 
 t, x = sp.symbols("t x")
 
@@ -29,13 +31,15 @@ FIELD = QQ.frac_field(t, x)
 #: the coefficient field Q(t)
 COEFF_FIELD = QQ.frac_field(t)
 
-#: caps on one input expression, each checked before the work it bounds
+#: caps on one input expression, and on the x-degree of the witness r that
+#: `is_log_derivative` builds, each checked before the work it bounds
 MAX_TEXT = 10_000       # characters
 MAX_DIGITS = 1_000      # digits of a numeric literal, decimal exponent included
 MAX_EXPONENT = 1_000    # |n| in a power
 MAX_DEGREE = 64         # total degree in t, x, predicted for each operation
 MAX_BITS = 8_192        # coefficient bit length, predicted for each operation
 MAX_WORK = 5 * 10**8    # work units of all operations together (see _Parse)
+MAX_WITNESS_DEGREE = 2_048  # sum of m * |rho_f| * deg f in is_log_derivative
 
 
 def _poly(expr, *gens, **kw):
@@ -105,20 +109,11 @@ class RatFunc:
     def monic_pair(self):
         """(numerator, denominator) as Polys in x over Q(t), denominator monic.
 
-        Computed on first use and kept: the terms of the Q[t, x] numerator
-        and denominator are grouped by x-exponent into Q(t) coefficients, and
-        both are divided by the denominator's leading one."""
+        Computed on first use and kept: `in_x` of the Q[t, x] numerator and
+        denominator, both divided by the denominator's leading coefficient."""
         if self._pair is None:
-            num = _x_coeffs(self._elem.numer)
-            den = _x_coeffs(self._elem.denom)
-            lc = den[max(den)]
-            self._pair = tuple(
-                Poly.from_dict(
-                    {(k,): COEFF_FIELD.field.new(c, lc) for k, c in p.items()},
-                    x, domain=COEFF_FIELD,
-                )
-                for p in (num, den)
-            )
+            lc = _lc_x(self._elem.denom)
+            self._pair = tuple(in_x(p, lc) for p in self.xt_pair())
         return self._pair
 
     @property
@@ -204,6 +199,8 @@ class RatFunc:
 _GEN_T, _GEN_X = FIELD.field.gens
 _T_RING = COEFF_FIELD.field.ring
 _TX_RING = FIELD.field.ring
+#: x as a generator of Q[t, x]
+_X = _TX_RING.gens[1]
 
 
 def _x_coeffs(p):
@@ -212,6 +209,32 @@ def _x_coeffs(p):
     for (i, k), c in p.terms():
         by_k.setdefault(k, {})[(i,)] = c
     return {k: _T_RING.from_dict(d) for k, d in by_k.items()}
+
+
+def _lc_x(p):
+    """The leading coefficient in x of p in Q[t, x], as an element of Q[t]."""
+    k = p.degree(1)
+    return _T_RING.from_dict({(i,): c for (i, j), c in p.terms() if j == k})
+
+
+def in_x(p, lc=None) -> Poly:
+    """p/lc as a Poly in x over Q(t), for p in Q[t, x] and lc in Q[t] (1
+    when None): the one way from Q[t, x] to Q(t)[x]; `lift` is the way
+    back."""
+    qt = COEFF_FIELD.field
+    return Poly.from_dict(
+        {(k,): qt.field_new(c) if lc is None else qt.new(c, lc)
+         for k, c in _x_coeffs(p).items()}, x, domain=COEFF_FIELD)
+
+
+def lift(cs, m=None):
+    """m * (c_0 + c_1 x + ...) in Q[t, x], for Q(t) values c_k whose
+    denominators divide m in Q[t]; m is their lcm unless given."""
+    if m is None:
+        m = functools.reduce(lambda a, b: a.lcm(b), (c.denom for c in cs))
+    return _TX_RING.from_dict({
+        (i, k): v for k, c in enumerate(cs)
+        for (i,), v in (c.numer * m.exquo(c.denom)).terms()})
 
 
 def _normalize(elem):
@@ -480,30 +503,87 @@ def from_low_coeffs(coeffs, den: Poly) -> RatFunc:
     in x over Q(t): numerator and denominator are cleared once, by the lcm
     of all their coefficients' denominators, into Q[t, x]."""
     dens = low_coeffs(den)
-    lcm = _T_RING.one
-    for c in (*coeffs, *dens):
-        lcm = lcm.lcm(c.denom)
-
-    def lift(cs):
-        return _TX_RING.from_dict({
-            (i, k): v
-            for k, c in enumerate(cs)
-            for (i,), v in (c.numer * lcm.exquo(c.denom)).terms()
-        })
-
-    return RatFunc(FIELD.field.new(lift(coeffs), lift(dens)))
+    m = functools.reduce(lambda a, b: a.lcm(b),
+                         (c.denom for c in (*coeffs, *dens)))
+    return RatFunc(FIELD.field.new(lift(coeffs, m), lift(dens, m)))
 
 
-def residue_at(a, f: Poly) -> Poly:
-    """Residue element of a at the monic squarefree factor f of its
-    denominator, as an element of Q(t)[x]/(f): (num · den′⁻¹) mod f, whose
-    value at each root of f is the residue of a there (Bronstein, Symbolic
-    Integration I, the Rothstein-Trager residue).  Zero when f does not
-    divide the denominator; f must not divide it twice."""
-    num, den = _coerce(a).monic_pair()
-    if not den.rem(f).is_zero:
-        return f.zero
-    return (num * den.diff().invert(f)).rem(f)
+def _square(flat) -> list:
+    n = math.isqrt(len(flat))
+    return [flat[i * n:(i + 1) * n] for i in range(n)]
+
+
+def _over_lcm(pairs):
+    """(nums, d) with num/den = nums[i]/d for the i-th (num, den) of `pairs`,
+    polynomials of one ring, and d the lcm of the distinct dens."""
+    dens = dict.fromkeys(den for _, den in pairs)
+    d = functools.reduce(lambda a, b: a.lcm(b), dens)
+    co = {den: d.exquo(den) for den in dens}
+    return [num * co[den] for num, den in pairs], d
+
+
+def _qt_matrix(rows):
+    """(R, r) with R/r the square matrix `rows` of Q(t) values."""
+    nums, r = _over_lcm([(v.numer, v.denom) for row in rows for v in row])
+    return _square(nums), r
+
+
+def residue_matrix(N, d, f: Poly):
+    """(R, r): the residue matrix of A = N/d at f, for N a square matrix over
+    Q[t, x] and d in Q[t, x], as R/r with R over Q[t] and r in Q[t]; zero
+    where f does not divide d.  The package's one residue routine.
+
+    f must be monic and squarefree and divide d at most once (no factor of
+    f divides d/f), so that d' is invertible modulo f.  At f = x - p/q, R/r
+    is N(p/q)/d'(p/q), homogenized by q^D.  For deg f = k > 1, d' is
+    inverted modulo f once, and each residue N_ij/d' mod f is replaced by
+    its multiplication matrix on 1, x, ..., x^(k-1) in Q(t)[x]/(f).  So for
+    1 x 1 matrices, column 0 of R/r is the residue element: the coefficients
+    of (N/d') mod f, whose value at each root of f is the residue there
+    (Bronstein, Symbolic Integration I, the Rothstein-Trager residue); the
+    residue is one t-free rational c exactly when the column is (c, 0, ...)
+    with c in Q."""
+    n, k = len(N), f.degree()
+    zero = ([[_T_RING.zero] * (n * k) for _ in range(n * k)], _T_RING.one)
+    dd = d.diff(_X)
+    if k == 1:
+        c = low_coeffs(f)[0]
+        p, q = -c.numer, c.denom  # f = x - p/q
+        D = max(v.degree(1) for v in (d, *itertools.chain(*N)))
+        pw, qw = [_T_RING.one], [_T_RING.one]
+        for _ in range(D):
+            pw.append(pw[-1] * p)
+            qw.append(qw[-1] * q)
+        w = [a * b for a, b in zip(pw, reversed(qw))]  # p^j * q^(D-j)
+
+        def at_root(v):
+            return sum((cj * w[j] for j, cj in _x_coeffs(v).items()),
+                       _T_RING.zero)
+
+        if at_root(d):
+            return zero
+        return [[at_root(v) for v in row] for row in N], at_root(dd)
+    if in_x(d).rem(f):
+        return zero
+    inv = in_x(dd).invert(f)
+    powers = [_poly(x**j, x) for j in range(k)]
+    rows = [[None] * (n * k) for _ in range(n * k)]
+    for i in range(n):
+        for j in range(n):
+            r = (in_x(N[i][j]) * inv).rem(f)
+            for m, xm in enumerate(powers):
+                col = low_coeffs((r * xm).rem(f), k)
+                for l in range(k):
+                    rows[i * k + l][j * k + m] = col[l]
+    return _qt_matrix(rows)
+
+
+def _residue_column(a, f: Poly) -> list:
+    """The residue element of a at f, read off a's stored numerator and
+    denominator: column 0 of their 1 x 1 `residue_matrix`, as Q(t) values."""
+    num, den = a.xt_pair()
+    R, r = residue_matrix(((num,),), den, f)
+    return [COEFF_FIELD.field.new(row[0], r) for row in R]
 
 
 def residues(a) -> list[ResidueData]:
@@ -514,7 +594,9 @@ def residues(a) -> list[ResidueData]:
     if h.is_zero:
         return []
     q = h.denominator
-    return [ResidueData(pole=q, residue=residue_at(h, q))]
+    col = _residue_column(h, q)
+    residue = Poly.from_list(col[::-1], x, domain=COEFF_FIELD)
+    return [ResidueData(pole=q, residue=residue)]
 
 
 def rational_antiderivative(a):
@@ -541,7 +623,9 @@ def pole_factors(values):
                            domain=QQ)
         for fac, e in sorted(p.factor_list()[1], key=_factor_key):
             if fac.degree(x) > 0:
-                fp = _in_x(fac)
+                f = _TX_RING.from_dict({(i, k): c
+                                        for (k, i), c in fac.terms()})
+                fp = in_x(f, _lc_x(f))
                 out[fp] = max(out.get(fp, 0), e)
     return out
 
@@ -551,19 +635,6 @@ def _factor_key(item):
     fac, e = item
     rep = fac.rep.to_list()
     return len(rep), e, rep
-
-
-def _in_x(p: Poly) -> Poly:
-    """A Poly in (x, t) over Q as a monic Poly in x over Q(t)."""
-    by_k = {}
-    for (k, i), c in p.terms():
-        by_k.setdefault(k, {})[(i,)] = c
-    coeffs = {k: _T_RING.from_dict(d) for k, d in by_k.items()}
-    lc = coeffs[max(coeffs)]
-    return Poly.from_dict(
-        {(k,): COEFF_FIELD.field.new(c, lc) for k, c in coeffs.items()},
-        x, domain=COEFF_FIELD,
-    )
 
 
 def _as_rational(c):
@@ -581,22 +652,30 @@ def is_log_derivative(a):
     Such an m exists exactly when a is proper with a squarefree denominator
     and its residue at every irreducible pole factor f is a t-free rational
     number rho_f; then m is the lcm of their denominators and r is the
-    product of the f^(m*rho_f).
+    product of the f^(m*rho_f).  Raises UnsupportedError, before r is
+    multiplied out, when its x-degree, the sum of m*|rho_f|*deg f, is above
+    MAX_WITNESS_DEGREE.
     """
     a = _coerce(a)
     factors = pole_factors([a])
-    num, den = a.monic_pair()
-    if any(e > 1 for e in factors.values()) or num.degree() >= den.degree():
+    num, den = a.xt_pair()
+    if (any(e > 1 for e in factors.values())
+            or num.degree(_X) >= den.degree(_X)):
         return None
     rho = {}
     for f in factors:
-        res = residue_at(a, f)
-        # a residue of positive degree differs between the roots of f
-        q = _as_rational(res.rep.LC()) if res.degree() <= 0 else None
+        c, *rest = _residue_column(a, f)
+        # an x-dependent residue element differs between the roots of f
+        q = None if any(rest) else _as_rational(c)
         if q is None:
             return None
         rho[f] = q
     m = math.lcm(*(q.denominator for q in rho.values()))
+    degree = sum(m * abs(q) * f.degree() for f, q in rho.items())
+    if degree > MAX_WITNESS_DEGREE:
+        raise UnsupportedError(
+            f"log-derivative witness of degree {degree} in x, above "
+            f"{MAX_WITNESS_DEGREE}")
     r = ONE
     for f, q in rho.items():
         r = r * from_low_coeffs(low_coeffs(f), f.one) ** int(m * q)

@@ -16,15 +16,15 @@ local exponents at each, omega and the leading matrix at infinity), then
 one ansatz for the numerators over the universal denominator.
 
 Local exponents at a simple pole factor f come from A's residue matrix
-there, again one matrix over Q[t] over one denominator.  At f = x - p/q it
-is N(p/q)/d'(p/q), both sides homogenized by q^D.  At f of degree k > 1, d'
-is inverted modulo f once, and each residue r = N_ij/d' in Q(t)[x]/(f)
-becomes its k x k multiplication matrix r(C_f), C_f the companion matrix of
-f; the characteristic polynomial of the n*k x n*k block matrix is the norm
+there, again one matrix over Q[t] over one denominator, read off N and d by
+`ratfunc.residue_matrix`, the package's one residue routine.  At f of
+degree k > 1 it is the n*k x n*k matrix of A's residues as a map of
+(Q(t)[x]/(f))^n, so its characteristic polynomial is the norm
 Res_x(f, det(lam*I - R)).  It is taken fraction-free over Z[t].  Its Q(t)
 roots come from one factorization in (lam, t); its integer roots, which
 give the universal denominator and the degree bound, are the rational roots
-of the gcd of its coefficients in t.
+of the gcd of its coefficients in t.  The conversions between Q[t, x] and
+Q(t)[x] are `ratfunc.in_x` and `ratfunc.lift`, one each way.
 
 The ansatz rows are the x-coefficients of the equation times K = M*d_u, d_u
 the monic universal denominator and M a multiple of d in Q[t, x], so that
@@ -67,15 +67,20 @@ from .ratfunc import (
     ZERO,
     _T_RING,
     _TX_RING,
+    _X,
     _as_rational,
-    _poly,
+    _lc_x,
+    _over_lcm,
+    _square,
     _x_coeffs,
     from_low_coeffs,
+    in_x,
+    lift,
     low_coeffs,
     pole_factors,
     ratfunc,
+    residue_matrix,
     t,
-    x,
 )
 from .systems import DiffSystem
 
@@ -86,8 +91,6 @@ _BOUND = 10
 #: Z[t], where characteristic polynomials are taken fraction-free
 _ZT = ZZ[t]
 _ZT_RING = _ZT.ring
-#: x as a generator of Q[t, x]
-_X = _TX_RING.gens[1]
 #: a polynomial of Q[t] as its canonical Q(t) value
 _qt = COEFF_FIELD.field.field_new
 
@@ -108,7 +111,8 @@ class SolutionSpace:
 class _Quotient(NamedTuple):
     """A square matrix A over Q(t)(x) as A = N/d: N its rows over Q[t, x],
     d in Q[t, x], `poles` the irreducible monic factors f over Q(t) of d
-    with their multiplicities, and `lifts` each f as `_lift(f)`."""
+    with their multiplicities, and `lifts` each f as `lift` of its
+    coefficients."""
 
     N: tuple
     d: object
@@ -124,20 +128,6 @@ def _exquo(a, c):
     return q
 
 
-def _square(flat) -> list:
-    n = math.isqrt(len(flat))
-    return [flat[i * n:(i + 1) * n] for i in range(n)]
-
-
-def _over_lcm(pairs):
-    """(nums, d) with num/den = nums[i]/d for the i-th (num, den) of `pairs`,
-    polynomials of one ring, and d the lcm of the distinct dens."""
-    dens = dict.fromkeys(den for _, den in pairs)
-    d = functools.reduce(lambda a, b: a.lcm(b), dens)
-    co = {den: _exquo(d, den) for den in dens}
-    return [num * co[den] for num, den in pairs], d
-
-
 def _common(A) -> _Quotient:
     """The matrix A of RatFunc values over the lcm of its entries'
     denominators."""
@@ -145,29 +135,7 @@ def _common(A) -> _Quotient:
     nums, d = _over_lcm([v.xt_pair() for v in flat])
     poles = pole_factors(flat)
     return _Quotient(tuple(map(tuple, _square(nums))), d, poles,
-                     {f: _lift(f) for f in poles})
-
-
-def _lc_x(p):
-    """The leading coefficient in x of p in Q[t, x], as an element of Q[t]."""
-    k = p.degree(1)
-    return _T_RING.from_dict({(i,): c for (i, j), c in p.terms() if j == k})
-
-
-def _lift(f: Poly):
-    """A Poly f in x over Q(t) times the lcm of its coefficients'
-    denominators, in Q[t, x]."""
-    cs = low_coeffs(f)
-    m = functools.reduce(lambda a, b: a.lcm(b), (c.denom for c in cs))
-    return _TX_RING.from_dict({
-        (i, k): v for k, c in enumerate(cs)
-        for (i,), v in (c.numer * _exquo(m, c.denom)).terms()})
-
-
-def _in_x(p) -> Poly:
-    """p in Q[t, x] as a Poly in x over Q(t)."""
-    return Poly.from_dict({(k,): _qt(c) for k, c in _x_coeffs(p).items()},
-                          x, domain=COEFF_FIELD)
+                     {f: lift(low_coeffs(f)) for f in poles})
 
 
 # -- local data at the singularities -------------------------------------------
@@ -189,54 +157,6 @@ def _charpoly(R, r):
         for (j,), v in (c * r ** (n - k)).terms():
             terms[(n - k, j)] = v
     return Poly.from_dict(terms, _LAM, t, domain=ZZ)
-
-
-def _qt_matrix(rows):
-    """(R, r) with R/r the square matrix `rows` of Q(t) values: the front
-    through which Q(t) values reach `_charpoly`."""
-    nums, r = _over_lcm([(v.numer, v.denom) for row in rows for v in row])
-    return _square(nums), r
-
-
-def _residue_matrix(N, d, f: Poly):
-    """(R, r): the residue matrix of A = N/d at an irreducible monic f that
-    divides d at most once, as R/r with R over Q[t] and r in Q[t]; zero
-    where f does not divide d.  For deg f = k > 1 it is the matrix of the
-    residue matrix as a Q(t)-linear map of K_f^n, K_f = Q(t)[x]/(f), each
-    entry replaced by its multiplication matrix on 1, x, ..., x^(k-1)."""
-    n, k = len(N), f.degree()
-    zero = ([[_T_RING.zero] * (n * k) for _ in range(n * k)], _T_RING.one)
-    dd = d.diff(_X)
-    if k == 1:
-        c = low_coeffs(f)[0]
-        p, q = -c.numer, c.denom  # f = x - p/q
-        D = max(v.degree(1) for v in (d, *itertools.chain(*N)))
-        pw, qw = [_T_RING.one], [_T_RING.one]
-        for _ in range(D):
-            pw.append(pw[-1] * p)
-            qw.append(qw[-1] * q)
-        w = [a * b for a, b in zip(pw, reversed(qw))]  # p^j * q^(D-j)
-
-        def at_root(v):
-            return sum((cj * w[j] for j, cj in _x_coeffs(v).items()),
-                       _T_RING.zero)
-
-        if at_root(d):
-            return zero
-        return [[at_root(v) for v in row] for row in N], at_root(dd)
-    if _in_x(d).rem(f):
-        return zero
-    inv = _in_x(dd).invert(f)
-    powers = [_poly(x**j, x) for j in range(k)]
-    rows = [[None] * (n * k) for _ in range(n * k)]
-    for i in range(n):
-        for j in range(n):
-            r = (_in_x(N[i][j]) * inv).rem(f)
-            for m, xm in enumerate(powers):
-                col = low_coeffs((r * xm).rem(f), k)
-                for l in range(k):
-                    rows[i * k + l][j * k + m] = col[l]
-    return _qt_matrix(rows)
 
 
 def _scalar(R, r):
@@ -309,7 +229,7 @@ def _local_data(q: _Quotient):
     omega, lead = _infinity_data(q.N, q.d)
     exps = None
     if _bounded(q.poles, omega, lead):
-        exps = {f: _int_roots(_charpoly(*_residue_matrix(q.N, q.d, f)))
+        exps = {f: _int_roots(_charpoly(*residue_matrix(q.N, q.d, f)))
                 for f in q.poles}
     return q.poles, exps, omega, lead
 
@@ -378,8 +298,10 @@ def _ansatz(q: _Quotient, b, local, bound) -> SolutionSpace:
         d_max = bound
 
     # D is d_u = prod f^e_f up to a factor in Q(t), over Q[t, x]
-    lift = {f: q.lifts[f] if f in q.lifts else _lift(f) for f in den_exp}
-    D = math.prod((lift[f] ** e for f, e in den_exp.items()), start=_TX_RING.one)
+    lifts = {f: q.lifts[f] if f in q.lifts else lift(low_coeffs(f))
+             for f in den_exp}
+    D = math.prod((lifts[f] ** e for f, e in den_exp.items()),
+                  start=_TX_RING.one)
     ndeg = -1 if d_max is None else D.degree(1) + d_max
     if ndeg < 0:
         return SolutionSpace([ZERO] * n if b_zero else None, [], complete)
@@ -395,10 +317,10 @@ def _ansatz(q: _Quotient, b, local, bound) -> SolutionSpace:
     for f, e in den_exp.items():
         E = max(e + factors_A.get(f, 0), e + 1 if e > 0 else 0,
                 factors_b.get(f, 0))
-        Xb *= lift[f] ** (E - e - factors_A.get(f, 0))
+        Xb *= lifts[f] ** (E - e - factors_A.get(f, 0))
     X = Xb * _lc_x(D).set_ring(_TX_RING)
     M = q.d * X
-    S = sum((e * lift[f].diff(_X) * _exquo(M, lift[f])
+    S = sum((e * lifts[f].diff(_X) * _exquo(M, lifts[f])
              for f, e in den_exp.items() if e > 0), _TX_RING.zero)
     T = [
         [_x_coeffs(-q.N[r][i] * X - (S if r == i else 0)) for i in range(n)]
@@ -429,7 +351,7 @@ def _ansatz(q: _Quotient, b, local, bound) -> SolutionSpace:
             )
             rhs.append(bc[r].get(d, zero))
     part, kern = solve_affine(rows, rhs)
-    d_u = _in_x(D).monic()
+    d_u = in_x(D).monic()
 
     def to_vec(coeffs):
         w = ndeg + 1
@@ -465,7 +387,7 @@ def hyperexponential_classes(M: DiffSystem):
     roots, scalars = {}, {}
     per_factor = []
     for f in factors:
-        R, r = _residue_matrix(q.N, q.d, f)
+        R, r = residue_matrix(q.N, q.d, f)
         qt = roots[f] = _qt_roots(_charpoly(R, r))
         scalars[f] = _scalar(R, r)
         complete = complete and len(qt) == len(R)

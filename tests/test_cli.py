@@ -72,6 +72,15 @@ def test_analyze_wrong_dim_exit_2(tmp_path, capsys):
     assert "unsupported" in capsys.readouterr().err
 
 
+def test_analyze_oversized_log_derivative_witness_exit_2(tmp_path, capsys):
+    # the torus entry's witness would have x-degree 24071 (m = 716539)
+    a = "1/(97*x) + 1/(89*(x-1)) + 1/(83*(x-t))"
+    doc = dict(SEMISIMPLE, matrix=[[a, "0", "0"], ["0", "1/x", "0"],
+                                   ["0", "0", "0"]])
+    assert main(["analyze", write(tmp_path, "sys.json", doc)]) == 2
+    assert "witness of degree 24071" in capsys.readouterr().err
+
+
 def test_analyze_certified_flag_without_simple_poles(tmp_path, capsys):
     # the →dual→ route reads dual(V)'s flag off the certified one; it once
     # searched dual(V) and exited 2 on the double pole

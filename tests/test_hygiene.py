@@ -1,8 +1,9 @@
 """Static hygiene of the package source: no dead imports, no dead parameters,
 no dead private functions or classes, no broad `except` that swallows, no
 handler of IncompleteSearchError outside the dispatcher, no caller of the
-class search outside `modules.Analysis`, and no elimination (`rref`,
-`rref_den`, `nullspace`) outside `linalg`.  One check runs
+class search outside `modules.Analysis`, no elimination (`rref`,
+`rref_den`, `nullspace`) outside `linalg`, and no inverse modulo a
+polynomial outside the residue routine and the telescoper.  One check runs
 a fresh interpreter: the package's public names load on first access.
 
 A plain `ast` scan, scope-blind on purpose: a name counts as used when any
@@ -384,6 +385,55 @@ def f(M, D):
     tree = ast.parse(snippet)
     assert _elimination_calls("solvers", tree) == [3, 4, 4, 5]
     assert _elimination_calls("linalg", tree) == []
+
+
+#: the `(module, function)` where `Poly.invert`, the inverse modulo a
+#: polynomial, may be called: `ratfunc.residue_matrix`, the one residue
+#: routine (d' modulo f), and `integrability.telescoper`, whose delta-action
+#: on K_q = Q(t)[x]/(q) is q_t * q_x^(-1) mod q
+INVERT_SCOPES = {("ratfunc", "residue_matrix"),
+                 ("integrability", "telescoper")}
+
+
+def _invert_calls(mod, tree) -> list:
+    """Line numbers of calls `X.invert(...)` outside INVERT_SCOPES."""
+
+    def calls(node, scope):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "invert"
+                and (mod, scope) not in INVERT_SCOPES):
+            yield node.lineno
+        for child in ast.iter_child_nodes(node):
+            yield from calls(child, scope)
+
+    return list(calls(tree, None))
+
+
+def test_residues_only_in_the_residue_routine():
+    """A residue is d' inverted modulo a pole factor: any other such
+    inverse is a second residue routine."""
+    bad = [f"{mod}:{line}" for mod, tree in _modules().items()
+           for line in _invert_calls(mod, tree)]
+    assert not bad, "\n".join(bad)
+
+
+def test_invert_rule_flags_calls():
+    snippet = """
+def residue_matrix(N, d, f):
+    return in_x(d.diff()).invert(f)
+def residue_at(a, f):
+    num, den = a.monic_pair()
+    return (num * den.diff().invert(f)).rem(f)
+class Block:
+    def telescoper(self, q):
+        return q.diff().invert(q), invert(q)
+"""
+    tree = ast.parse(snippet)
+    assert _invert_calls("ratfunc", tree) == [6, 9]
+    assert _invert_calls("solvers", tree) == [3, 6, 9]
+    assert _invert_calls("integrability", tree) == [3, 6, 9]
 
 
 #: sympy's expression normalizers; Q(t) values are domain elements and group

@@ -29,10 +29,9 @@ from pdgal3.ratfunc import (
     pole_factors,
     ratfunc,
     rational_antiderivative,
-    residue_at,
 )
 from pdgal3.systems import DiffSystem, gauge, mat_inv
-from util import random_invertible
+from util import random_invertible, residue_at
 
 t, x = sp.symbols("t x")
 

@@ -16,13 +16,14 @@ from sympy.parsing.sympy_parser import (
 )
 
 from pdgal3 import ratfunc as ratfunc_module
-from pdgal3.errors import ExpressionParseError
+from pdgal3.errors import ExpressionParseError, UnsupportedError
 from pdgal3.ratfunc import (
     COEFF_FIELD,
     FIELD,
     MAX_BITS,
     MAX_DEGREE,
     MAX_EXPONENT,
+    MAX_WITNESS_DEGREE,
     ONE,
     RatFunc,
     T,
@@ -34,13 +35,15 @@ from pdgal3.ratfunc import (
     from_low_coeffs,
     horowitz_reduce,
     is_log_derivative,
+    low_coeffs,
     ratfunc,
     rational_antiderivative,
-    residue_at,
+    residue_matrix,
     residues,
     t,
     x,
 )
+from util import residue_at
 
 
 def rf(s):
@@ -487,6 +490,12 @@ class TestPartialFractions:
         assert blk.pole == sp.Poly(x**2 - 1, x, domain="QQ(t)")
         assert blk.residue.as_expr() == x / 2
 
+    def test_residue_element_matches_reference(self):
+        a = rf("(t+2)/(t^2+1) * (x+t)/(x^2-1)")
+        [blk] = residues(a)
+        assert blk.residue == residue_at(a, blk.pole)
+        assert blk.residue.degree() == 1
+
     def test_pure_square_no_residue(self):
         assert residues(rf("1/x^2")) == []
 
@@ -506,6 +515,30 @@ class TestPartialFractions:
         if not h.is_zero:
             den = h.denominator
             assert sp.gcd(den, den.diff()).degree() == 0
+
+
+#: (a, f): a with a Q(t) coefficient in its numerator, at a linear f, at
+#: two irreducible quadratics, at the reducible squarefree denominator that
+#: `residues` passes, and at an f that does not divide a's denominator
+RESIDUE_CASES = [
+    ("(t^2+1)/(3*t-1) * (x+1)/((x-t)*(x+2))", x - t),
+    ("(t+2)/(t-1) * (x+t)/(x^2-t) + 1/x", x**2 - t),
+    ("(t*x-1)/((t^2+1)*(x^2+t*x+1)) + x/(x-1)", x**2 + t * x + 1),
+    ("(t+2)/(t^2+1) * (x+t)/(x^2-1)", x**2 - 1),
+    ("t/x", x**2 - t),
+]
+
+
+@pytest.mark.parametrize("text, f", RESIDUE_CASES)
+def test_residue_matrix_column_is_the_residue_element(text, f):
+    """Column 0 of the 1 x 1 residue matrix of a's stored numerator and
+    denominator is a's residue element at f, by the per-element route."""
+    a, fp = rf(text), _poly(f, x)
+    num, den = a.xt_pair()
+    R, r = residue_matrix(((num,),), den, fp)
+    assert len(R) == fp.degree()
+    col = [COEFF_FIELD.field.new(row[0], r) for row in R]
+    assert col == low_coeffs(residue_at(a, fp), fp.degree())
 
 
 _QT_COEFFS = st.sampled_from([0, 1, -3, t, t**2 - 1, 1 / t, (t + 2) / (3 * t - 1),
@@ -569,6 +602,25 @@ class TestLogDerivative:
 
     def test_moving_pole(self):
         assert is_log_derivative(rf("2/(x-t)")) == (1, rf("(x-t)^2"))
+
+    def test_witness_degree_cap(self):
+        n = MAX_WITNESS_DEGREE
+        assert is_log_derivative(RatFunc(n) / X) == (1, X**n)
+        with pytest.raises(UnsupportedError, match="witness"):
+            is_log_derivative(RatFunc(n + 1) / X)
+
+    def test_witness_cap_raises_before_building(self, monkeypatch):
+        """m = 97 * 89 * 83 = 716539, and the witness would have x-degree
+        m/97 + m/89 + m/83 = 24071: the cap raises before any power of a
+        pole factor is taken."""
+        a = rf("1/(97*x) + 1/(89*(x-1)) + 1/(83*(x-t))")
+
+        def no_power(*args):
+            raise AssertionError("the witness was multiplied out")
+
+        monkeypatch.setattr(RatFunc, "__pow__", no_power)
+        with pytest.raises(UnsupportedError, match="degree 24071 "):
+            is_log_derivative(a)
 
     @given(rat_funcs())
     @settings(max_examples=40, deadline=None)

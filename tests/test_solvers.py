@@ -15,12 +15,13 @@ from pdgal3.ratfunc import (
     ZERO,
     _TX_RING,
     _poly,
+    _qt_matrix,
     d_x,
     from_low_coeffs,
     low_coeffs,
     pole_factors,
     ratfunc,
-    residue_at,
+    residue_matrix,
     residues,
     t,
     x,
@@ -32,15 +33,13 @@ from pdgal3.solvers import (
     _exquo,
     _infinity_data,
     _int_roots,
-    _qt_matrix,
     _qt_roots,
-    _residue_matrix,
     hyperexponential_classes,
     particular_solution,
     rational_solutions,
 )
 from pdgal3.systems import DiffSystem, direct_sum, mat
-from util import random_fuchsian
+from util import random_fuchsian, residue_at
 
 
 def check_solution(A, y, b=None):
@@ -251,7 +250,7 @@ def _residue_charpoly(A, f):
     """The residue characteristic polynomial of the matrix A at f, through
     the solver's common denominator."""
     q = _common(A)
-    return _charpoly(*_residue_matrix(q.N, q.d, f))
+    return _charpoly(*residue_matrix(q.N, q.d, f))
 
 
 def _lead_values(lead):
@@ -564,7 +563,7 @@ def _check_shifted_local_data(M):
     A, n = M.A, M.dim
     q = _common(A)
     factors = list(q.poles)
-    residues = {f: _residue_matrix(q.N, q.d, f) for f in factors}
+    residues = {f: residue_matrix(q.N, q.d, f) for f in factors}
     roots = {f: _qt_roots(_charpoly(*residues[f])) for f in factors}
     scalars = {f: _scalar(*residues[f]) for f in factors}
     dlogs = _dlogs(q)
@@ -712,9 +711,10 @@ def test_pole_factors_match_expression_route(entries):
 # -- one common denominator against the per-entry route --------------------------
 #
 # Before a solve wrote A as N/d, it read every entry on its own: the residue
-# by `residue_at`, the degree at infinity and the leading coefficient by
-# `monic_pair`, and each ansatz row by clearing the entry with a division of
-# Polys over Q(t).  That route is kept here as the reference.
+# by `residue_at` (now `util.residue_at`), the degree at infinity and the
+# leading coefficient by `monic_pair`, and each ansatz row by clearing the
+# entry with a division of Polys over Q(t).  That route is kept here as the
+# reference.
 
 
 def _ref_cleared(v, c):
@@ -889,11 +889,8 @@ PROLONGATION = [["t/x", "1/x", "0"], ["0", "t/x", "1/(x-1)"], ["0", "0", "0"]]
 
 def test_solves_read_no_entry_on_its_own(monkeypatch):
     """The solves of the (CQ,NC)-prolongation fixture and its dual, with
-    and without b, call neither `residue_at` nor `monic_pair`, and give the
-    per-entry route's answers."""
-    import sys
-
-    from pdgal3 import ratfunc as ratfunc_module
+    and without b, never call `monic_pair`, and give the per-entry route's
+    answers."""
     from pdgal3.systems import dual
 
     def solves(solve):
@@ -915,10 +912,6 @@ def test_solves_read_no_entry_on_its_own(monkeypatch):
             return inner(*args, **kwargs)
         return wrapper
 
-    inner = ratfunc_module.residue_at
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("pdgal3") and getattr(mod, "residue_at", None) is inner:
-            monkeypatch.setattr(mod, "residue_at", counting(inner, "residue_at"))
     monkeypatch.setattr(RatFunc, "monic_pair",
                         counting(RatFunc.monic_pair, "monic_pair"))
     assert solves(rational_solutions) == ref

@@ -5,7 +5,7 @@ import random
 import sympy as sp
 
 from pdgal3.modules import FlagCertificate
-from pdgal3.ratfunc import RatFunc, t, x
+from pdgal3.ratfunc import RatFunc, ratfunc, t, x
 from pdgal3.systems import DiffSystem, gauge
 
 #: denominators used by the randomized Fuchsian generators
@@ -30,6 +30,18 @@ def random_fuchsian(rng: random.Random, n: int) -> DiffSystem:
             row.append(RatFunc(val))
         rows.append(row)
     return DiffSystem(rows)
+
+
+def residue_at(a, f):
+    """Reference residue element of a at the monic squarefree factor f of
+    its denominator, as a Poly in x over Q(t): (num * den'^(-1)) mod f from
+    a's `monic_pair`, the per-element route that `ratfunc.residue_matrix`
+    replaced.  Zero when f does not divide the denominator; f must not
+    divide it twice."""
+    num, den = ratfunc(a).monic_pair()
+    if not den.rem(f).is_zero:
+        return f.zero
+    return (num * den.diff().invert(f)).rem(f)
 
 
 def random_invertible(rng: random.Random, n: int):
