@@ -6,7 +6,8 @@ entries are rational-expression strings in t and x.  Exit codes: 0 success,
 `check constancy`/`check classify2` search that finds nothing without proof
 (IncompleteSearchError; `analyze` reports such a search as undecided), 2
 unsupported input (wrong dimension, or an irregular singularity without a
-flag certificate).
+flag certificate), 3 any other error, such as an output file that cannot be
+written: one JSON line {"error": ..., "type": ...} on stderr, no traceback.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     ExpressionParseError,
     NonFuchsianError,
     PdgalError,
+    UnexpectedError,
     UnsupportedError,
 )
 from .galois3 import classify2, dispatch
@@ -328,16 +330,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _run(args) -> int:
+    """args.fn(args), with any exception that is not a package error, such
+    as an OSError from the file system, wrapped in UnexpectedError."""
+    try:
+        return args.fn(args)
+    except PdgalError:
+        raise
+    except Exception as exc:
+        raise UnexpectedError(str(exc)) from exc
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return _run(args)
     except ExpressionParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (UnsupportedError, NonFuchsianError) as exc:
         print(f"unsupported: {exc}", file=sys.stderr)
         return 2
+    except UnexpectedError as exc:
+        cause = exc.__cause__
+        print(json.dumps({"error": str(cause), "type": type(cause).__name__}),
+              file=sys.stderr)
+        return 3
     except PdgalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,3 +23,8 @@ class UnsupportedError(PdgalError):
 
 class CertificateError(PdgalError, ValueError):
     """A supplied certificate does not certify what it claims."""
+
+
+class UnexpectedError(PdgalError):
+    """An exception that is not a package error (an OSError from the file
+    system, say), carried as __cause__ to the CLI, which exits 3 with it."""

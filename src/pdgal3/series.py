@@ -12,11 +12,37 @@ fundamental series is U_k = Q_k / (k! L^k), where
 
     Q_{k+1} = sum_j k!/(k-j)! P_j Q_{k-j}.
 
-So the recurrence multiplies integer polynomials and takes no gcd. The check
-in `satisfies`, like the block, Kronecker and inverse series, brings the
-terms of each coefficient to one denominator with one scalar lcm, and then
-compares numerators: no entry is ever cancelled. Canonical Q(t) values are
-made only when `coeffs` is read, with one cancel per entry.
+So the recurrence multiplies integer polynomials and takes no gcd. The
+block, Kronecker and inverse series bring the terms of each coefficient to
+one denominator with one scalar lcm; no entry is ever cancelled. Canonical
+Q(t) values are made only when `coeffs` is read, with one cancel per entry.
+
+`satisfies` takes one denominator for the whole series U_m = Q_m / D_m:
+with Delta = lcm(D_0, ..., D_N), W_m = (L^m Delta / D_m) Q_m lies in Z[t],
+and multiplying the recurrence at order k by L^(k+1) Delta turns it into
+
+    (k+1) W_{k+1} = sum_{j<=k} P_j W_{k-j},    k < N,
+
+an identity over Z[t] with no denominator, checked with no lcm per order.
+
+Sums of products over Z[t] run on Python integers by Kronecker
+substitution (Harvey, J. Symbolic Comput. 2009): p is packed as p(T),
+T = 2^B, a ring homomorphism Z[t] -> Z, so a sum of matrix products is
+big-integer multiply-adds. B comes from the operands: with
+H >= sum_l ||X_il||_1 ||Y_lc||_inf >= ||sum_l X_il Y_lc||_inf, B is the
+least with 2H < T. That makes both uses of the packed value exact:
+
+- unpacking: the balanced base-T digits of r(T), each in [-T/2, T/2), are
+  the coefficients of r when ||r||_inf <= H < T/2;
+- the zero test: if r = lhs - rhs != 0 with both sides bounded by H, then
+  ||r||_inf <= 2H <= T - 1, and for d = deg r
+  |r(T)| >= T^d - (T - 1)(1 + T + ... + T^(d-1)) = 1, so r(T) != 0.
+
+`satisfies` compares packed values and never unpacks. `_matsum` (for
+the fundamental and inverse series), `series_kron` and the Taylor
+recurrence of each system entry unpack every entry once; the last bounds H
+by running its recurrence on l1 norms. The block and delta series only
+scale entries and differentiate, and stay in PolyElement arithmetic.
 
 The oracle imports only `ratfunc` and `systems`, never the linear algebra,
 solvers or modules that it checks.
@@ -25,7 +51,7 @@ solvers or modules that it checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from math import comb, lcm
 
 import sympy as sp
@@ -59,40 +85,73 @@ def _scaled(X, s):
     return [[v * s for v in row] for row in X]
 
 
-def _dense(p):
-    """Coefficient list of a Z[t] polynomial, constant term first."""
-    c = [0] * (p.degree() + 1) if p else []
-    for (e,), v in p.items():
-        c[e] = v
-    return c
+# -- Z[t] products by Kronecker substitution ----------------------------------------
+
+
+def _bits(H):
+    """The least B >= 1 with 2 H < 2^B."""
+    return (2 * H).bit_length() or 1
+
+
+def _pack(p, B):
+    """p(2^B) as one Python integer, for p in Z[t]."""
+    return sum(v << B * e for (e,), v in p.items())
+
+
+def _unpack(n, B):
+    """The p in Z[t] with p(2^B) = n and every coefficient in
+    [-2^(B-1), 2^(B-1)): the balanced base-2^B digits of n."""
+    T = 1 << B
+    half, mask = T >> 1, T - 1
+    terms, e = {}, 0
+    while n:
+        c = n & mask
+        if c >= half:
+            c -= T
+        if c:
+            terms[(e,)] = c
+        n = (n - c) >> B
+        e += 1
+    return _ZT.from_dict(terms)
+
+
+def _norm1(p):
+    return sum(map(abs, p.values()))
+
+
+def _row_norm1(X):
+    """max over the rows i of X of sum_l ||X_il||_1."""
+    return max(sum(map(_norm1, row)) for row in X)
+
+
+def _norm_inf(Y):
+    """The largest absolute coefficient of any entry of Y."""
+    return max((abs(v) for row in Y for p in row for v in p.values()), default=0)
+
+
+def _packed(X, B, s=1):
+    """The entries of X packed at t = 2^B, each times the integer s."""
+    return [[s * _pack(v, B) for v in row] for row in X]
+
+
+def _packed_sum(pairs):
+    """sum of X Y over pairs of packed matrices: big-integer multiply-adds."""
+    n, m = len(pairs[0][0]), len(pairs[0][1][0])
+    return [[sum(a * Y[l][c] for X, Y in pairs for l, a in enumerate(X[i]) if a)
+             for c in range(m)]
+            for i in range(n)]
 
 
 def _matsum(products):
-    """sum of X Y over the (X, Y) pairs given, over Z[t].
+    """sum of s X Y over the (s, X, Y) given, with s in Z[t] and X, Y
+    matrices over Z[t].
 
-    This is where the oracle spends its time: each entry is summed on dense
-    coefficient lists of Python integers and made a polynomial once."""
-    dense = [([[_dense(v) for v in row] for row in X],
-              [[_dense(v) for v in row] for row in Y]) for X, Y in products]
-    n, m = len(products[0][0]), len(products[0][1][0])
-    out = []
-    for i in range(n):
-        row = []
-        for c in range(m):
-            acc = []
-            for X, Y in dense:
-                for a, Yl in zip(X[i], Y):
-                    b = Yl[c]
-                    if not a or not b:
-                        continue
-                    acc.extend([0] * (len(a) + len(b) - 1 - len(acc)))
-                    for e1, v1 in enumerate(a):
-                        if v1:
-                            for e, v2 in enumerate(b, e1):
-                                acc[e] += v1 * v2
-            row.append(_ZT.from_dict({(e,): v for e, v in enumerate(acc) if v}))
-        out.append(row)
-    return out
+    One substitution t = 2^B serves the whole sum, with B from the bound
+    H = sum ||s||_1 max_i sum_l ||X_il||_1 max ||Y_lc||_inf on every
+    coefficient of the result; each entry is unpacked once."""
+    B = _bits(sum(_norm1(s) * _row_norm1(X) * _norm_inf(Y) for s, X, Y in products))
+    pairs = [(_packed(X, B, _pack(s, B)), _packed(Y, B)) for s, X, Y in products]
+    return [[_unpack(v, B) for v in row] for row in _packed_sum(pairs)]
 
 
 def _freeze(X):
@@ -100,8 +159,18 @@ def _freeze(X):
 
 
 def _lcm(polys):
-    """The lcm over Z[t] of the distinct polynomials given."""
-    return reduce(lambda a, b: a.lcm(b), dict.fromkeys(polys), _Z1)
+    """The lcm over Z[t] of the distinct polynomials given.
+
+    The denominators of a series mostly divide one another, so a division
+    test comes before each gcd: a divisor of the lcm so far is skipped, and
+    a multiple of it replaces it."""
+    out = _Z1
+    for p in dict.fromkeys(polys):
+        if not p.rem(out):
+            out = p
+        elif out.rem(p):
+            out = out.lcm(p)
+    return out
 
 
 # -- the system series ------------------------------------------------------------
@@ -139,32 +208,47 @@ def _shift(coeffs, p, q, e, N):
     return out
 
 
-def _entry_series(a, p, q, N):
-    """(s, d0) with a = sum_k s[k] / d0^(k+1) (x - p/q)^k through order N.
-
-    Read from the entry's Q[t, x] numerator and denominator, cleared to
-    Z[t, x]; d0 is the denominator's value at x0 = p/q."""
+def _taylor(a, p, q, N):
+    """(nc, dc): coefficients 0..N in y = x - p/q of the entry's numerator
+    and denominator, read from Q[t, x] and cleared to Z[t, x]."""
     num, den = a.xt_pair()
     s = _denominators(num, den)
     nk, dk = _x_coeffs(num, s), _x_coeffs(den, s)
     e = max(max(nk), max(dk))
-    nc = _shift(nk, p, q, e, N)
     dc = _shift(dk, p, q, e, N)
-    d0 = dc[0]
-    if not d0:
+    if not dc[0]:
         raise ValueError(f"x0 = {sp.Rational(p, q)} is a pole")
-    d0pow = [_Z1]
-    for _ in range(N):
-        d0pow.append(d0pow[-1] * d0)
-    # den a = num, coefficient k: s_k = nc_k d0^k - sum_j dc_j s_{k-j} d0^(j-1)
+    return _shift(nk, p, q, e, N), dc
+
+
+def _entry_series(nc, dc, m):
+    """P with a = sum_k P[k] / L^(k+1) y^k through the order of nc, for
+    the entry a of Taylor data (nc, dc) and L = m d0, d0 = dc[0].
+
+    P[k] = s[k] m^(k+1), where den a = num gives
+    s[k] = nc[k] d0^k - sum_{j>=1} dc[j] s[k-j] d0^(j-1). This runs at
+    t = 2^B, with B from the same recurrence on l1 norms."""
+    nn, dn = list(map(_norm1, nc)), list(map(_norm1, dc))
+    h = []  # h[k] >= ||s[k]||_1
+    for k, v in enumerate(nn):
+        h.append(v * dn[0] ** k
+                 + sum(dn[j] * h[k - j] * dn[0] ** (j - 1) for j in range(1, k + 1)))
+    mu = _norm1(m)
+    B = _bits(max(v * mu ** (k + 1) for k, v in enumerate(h)))
+    ncp, dcp = [_pack(v, B) for v in nc], [_pack(v, B) for v in dc]
+    d0pow = [1]
+    for _ in nc:
+        d0pow.append(d0pow[-1] * dcp[0])
     s = []
-    for k in range(N + 1):
-        acc = nc[k] * d0pow[k]
-        for j in range(1, k + 1):
-            if dc[j] and s[k - j]:
-                acc -= dc[j] * s[k - j] * d0pow[j - 1]
-        s.append(acc)
-    return s, d0
+    for k, v in enumerate(ncp):
+        s.append(v * d0pow[k]
+                 - sum(dcp[j] * s[k - j] * d0pow[j - 1] for j in range(1, k + 1)))
+    mp = _pack(m, B)
+    out, mk = [], mp
+    for v in s:
+        out.append(_unpack(v * mk, B))
+        mk *= mp
+    return out
 
 
 def _system_series(M: DiffSystem, x0, N):
@@ -173,22 +257,20 @@ def _system_series(M: DiffSystem, x0, N):
     x0 = sp.Rational(x0)
     p, q = int(x0.p), int(x0.q)
     n = M.dim
-    ent, memo = {}, {}  # prolongations repeat the entries of A
-    for i in range(n):
-        for j in range(n):
-            a = M.A[i][j]
-            if a:
-                if a not in memo:
-                    memo[a] = _entry_series(a, p, q, N)
-                ent[i, j] = memo[a]
-    L = _lcm(d0 for _, d0 in ent.values())
+    memo = {}  # prolongations repeat the entries of A
+    for row in M.A:
+        for a in row:
+            if a and a not in memo:
+                memo[a] = _taylor(a, p, q, N)
+    L = _lcm(dc[0] for _, dc in memo.values())
+    for a, (nc, dc) in memo.items():
+        memo[a] = _entry_series(nc, dc, L.exquo(dc[0]))
     P = [_zeros(n, n) for _ in range(N + 1)]
-    for (i, j), (s, d0) in ent.items():
-        m = L.exquo(d0)
-        mk = m
-        for k in range(N + 1):
-            P[k][i][j] = s[k] * mk
-            mk *= m
+    for i, row in enumerate(M.A):
+        for j, a in enumerate(row):
+            if a:
+                for k, v in enumerate(memo[a]):
+                    P[k][i][j] = v
     return P, L
 
 
@@ -269,7 +351,7 @@ def fundamental_series(M: DiffSystem, x0=None, N=8) -> SeriesMatrix:
         products = []
         f = 1  # k! / (k-j)!
         for j in range(k + 1):
-            products.append((_scaled(P[j], f), Q[k - j]))
+            products.append((_ZT(f), P[j], Q[k - j]))
             f *= k - j
         Q.append(_matsum(products))
         D.append(D[-1] * ((k + 1) * L))
@@ -301,16 +383,21 @@ def _aligned(*series):
 
 
 def series_kron(U: SeriesMatrix, V: SeriesMatrix) -> SeriesMatrix:
+    """U (x) V; coefficient k is sum_j s_j U_j (x) V_{k-j} over one R, with
+    each entry bounded by sum_j ||s_j||_1 ||U_j||_1 ||V_{k-j}||_inf."""
     x0, N = _aligned(U, V)
     p, q = U.dim, V.dim
     nums, dens = [], []
     for k in range(N + 1):
         terms = [U.dens[j] * V.dens[k - j] for j in range(k + 1)]
         R = _lcm(terms)
-        pairs = [(_scaled(U.nums[j], R.exquo(d)), V.nums[k - j])
-                 for j, d in enumerate(terms)]
+        s = [R.exquo(d) for d in terms]
+        B = _bits(sum(_norm1(c) * _row_norm1(U.nums[j]) * _norm_inf(V.nums[k - j])
+                      for j, c in enumerate(s)))
+        pairs = [(_packed(U.nums[j], B, _pack(c, B)), _packed(V.nums[k - j], B))
+                 for j, c in enumerate(s)]
         nums.append(tuple(
-            tuple(sum((A[i1][j1] * B[i2][j2] for A, B in pairs), _Z0)
+            tuple(_unpack(sum(X[i1][j1] * Y[i2][j2] for X, Y in pairs), B)
                   for j1 in range(p) for j2 in range(q))
             for i1 in range(p) for i2 in range(q)))
         dens.append(R)
@@ -327,7 +414,7 @@ def series_inverse(U: SeriesMatrix) -> SeriesMatrix:
     for k in range(1, U.order + 1):
         terms = [U.dens[j] * E[k - j] for j in range(1, k + 1)]
         R = _lcm(terms)
-        Y.append(_matsum([(_scaled(U.nums[j], -R.exquo(d)), Y[k - j])
+        Y.append(_matsum([(-R.exquo(d), U.nums[j], Y[k - j])
                           for j, d in enumerate(terms, 1)]))
         E.append(R)
     return SeriesMatrix(x0=U.x0, nums=tuple(map(_freeze, Y)), dens=tuple(E))
@@ -362,25 +449,32 @@ def series_block(blocks, x0, N) -> SeriesMatrix:
 
 
 def satisfies(M: DiffSystem, U: SeriesMatrix) -> bool:
-    """Does dU/dx = A U hold through order U.order - 1?"""
+    """Does dU/dx = A U hold through order U.order - 1?
+
+    Checked as (k+1) W_{k+1} = sum_j P_j W_{k-j} on packed integers (see the
+    module docstring)."""
     if M.dim != U.dim:
         raise ValueError("system and series differ in dimension")
     N = U.order
     P, L = _system_series(M, U.x0, N)
-    Lpow = [_Z1]
-    for _ in range(N + 1):
-        Lpow.append(Lpow[-1] * L)
+    Delta = _lcm(U.dens)
+    # W_m = c_m Q_m with c_m = L^m Delta / D_m in Z[t]
+    c, Lm = [], _Z1
+    for D in U.dens:
+        c.append(Lm * Delta.exquo(D))
+        Lm *= L
+    # H bounds both sides at every order; Wn[m] >= ||W_m||_inf
+    Pn = [_row_norm1(X) for X in P[:N]]
+    Wn = [_norm1(a) * _norm_inf(Q) for a, Q in zip(c, U.nums)]
+    B = _bits(max((max((k + 1) * Wn[k + 1],
+                       sum(Pn[j] * Wn[k - j] for j in range(k + 1)))
+                   for k in range(N)), default=0))
+    Pp = [_packed(X, B) for X in P[:N]]
+    W = [_packed(Q, B, _pack(a, B)) for a, Q in zip(c, U.nums)]
     for k in range(N):
-        # A_j U_{k-j} = P_j Q_{k-j} / (L^(j+1) D_{k-j}): sum over one R
-        terms = [Lpow[j + 1] * U.dens[k - j] for j in range(k + 1)]
-        R = _lcm(terms)
-        S = _matsum([(_scaled(P[j], R.exquo(d)), U.nums[k - j])
-                     for j, d in enumerate(terms)])
-        lhs = _scaled(U.nums[k + 1], (k + 1) * R)
-        D = U.dens[k + 1]
-        # (k+1) Q_{k+1} / D_{k+1} == S / R, cross-multiplied
-        for lrow, srow in zip(lhs, S):
-            for a, b in zip(lrow, srow):
-                if a != D * b:
+        S = _packed_sum([(Pp[j], W[k - j]) for j in range(k + 1)])
+        for wrow, srow in zip(W[k + 1], S):
+            for w, v in zip(wrow, srow):
+                if (k + 1) * w != v:
                     return False
     return True

@@ -331,3 +331,37 @@ def test_unknown_command_raises_systemexit(capsys):
     with pytest.raises(SystemExit):
         main(["frobnicate"])
     capsys.readouterr()
+
+
+def test_error_outside_the_package_exit_3(tmp_path, capsys):
+    """An unwritable --out is no PdgalError: exit 3 and one JSON line on
+    stderr, with no traceback."""
+    path = write(tmp_path, "diag.json", SEMISIMPLE)
+    code = main(["analyze", path, "--out", str(tmp_path / "missing" / "x.json")])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["type"] == "FileNotFoundError"
+    assert "x.json" in json.loads(lines[0])["error"]
+
+
+@pytest.mark.parametrize("exc, code", [
+    (RuntimeError("boom"), 3), (KeyboardInterrupt(), None), (SystemExit(7), None),
+])
+def test_only_exceptions_are_mapped(tmp_path, capsys, monkeypatch, exc, code):
+    """Any Exception exits 3; KeyboardInterrupt and SystemExit pass through."""
+    import pdgal3.cli as cli
+
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "dispatch", fail)
+    path = write(tmp_path, "diag.json", SEMISIMPLE)
+    if code is None:
+        with pytest.raises(type(exc)):
+            main(["analyze", path])
+    else:
+        assert main(["analyze", path]) == code
+        assert json.loads(capsys.readouterr().err) == {"error": "boom",
+                                                       "type": "RuntimeError"}
