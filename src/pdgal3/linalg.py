@@ -6,11 +6,16 @@ reduced row echelon form, computed by sympy's DomainMatrix rref (sparse
 Gauss-Jordan over the field); the K entry points take and return RatFunc
 values.
 
-Over Q(t), `solve_affine` returns the RREF solution of [A|b] (`nullspace`
-is its homogeneous case) without eliminating over Q(t).  It takes Q(t)
-domain elements, Q[t] ring elements or ints, returns canonical Q(t) domain
-elements, and works in three steps (McClellan, JACM 1973; Kaltofen-Lee-Lobo,
-ISSAC 2000):
+Over Q(t), `_certified_rref` returns the RREF solution of [A|b] without
+eliminating over Q(t), in the form that its certificate proves: the pivot
+columns, and for every free column f (the column b included) one Q[t]
+denominator Q_f and the Q[t] numerators N_q over it, one per pivot q < f,
+so that col_f * Q_f = sum of N_q * col_q.  The RREF entry of row q in
+column f is N_q/Q_f.  A caller that builds its own values from the answer,
+as the rational solver does, reads this form; `solve_affine` is its Q(t)
+view, canonical Q(t) domain elements (`nullspace` is its homogeneous case).
+Both take Q(t) domain elements, Q[t] ring elements or ints, and work in
+three steps (McClellan, JACM 1973; Kaltofen-Lee-Lobo, ISSAC 2000):
 
 - Specialize.  Each row is cleared of its denominators, and of those of its
   coefficients, into Z[t] (scaling a row keeps the RREF).  [A|b] is
@@ -361,8 +366,18 @@ def _as_fractions(images, cols):
             for f, (Q, nums) in cols.items()}
 
 
+def _certified_rref(A, b):
+    """The RREF solution of [A|b] over Q(t) in its certified form, for a
+    nonempty A with rows as in `solve_affine`: (pivots, cols), pivots the
+    pivot columns of [A|b], and cols[f] = (Q_f, {pivot q < f: N_q}) for
+    every free column f, column n being b, with Q_f and N_q in Q[t] as
+    coefficient lists over Q, highest degree first."""
+    return _specialized([_cleared(list(row) + [c]) for row, c in zip(A, b)],
+                        len(A[0]) + 1)
+
+
 def solve_affine(A, b):
-    """All solutions of A v = b over Q(t).
+    """All solutions of A v = b over Q(t): the Q(t) view of `_certified_rref`.
 
     A: list of rows of Q(t) domain elements, Q[t] ring elements or ints; b:
     a list of the same.  Returns (particular, kernel_basis) as Q(t) domain
@@ -372,8 +387,7 @@ def solve_affine(A, b):
     if not A:
         return [], []
     n = len(A[0])
-    pivots, cols = _specialized(
-        [_cleared(list(row) + [c]) for row, c in zip(A, b)], n + 1)
+    pivots, cols = _certified_rref(A, b)
 
     def vector(f, sign):
         Q, nums = cols[f]

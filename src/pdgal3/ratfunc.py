@@ -652,9 +652,12 @@ def is_log_derivative(a):
     Such an m exists exactly when a is proper with a squarefree denominator
     and its residue at every irreducible pole factor f is a t-free rational
     number rho_f; then m is the lcm of their denominators and r is the
-    product of the f^(m*rho_f).  Raises UnsupportedError, before r is
-    multiplied out, when its x-degree, the sum of m*|rho_f|*deg f, is above
-    MAX_WITNESS_DEGREE.
+    product of the f^(m*rho_f), f monic in x, built as one fraction with
+    no multivariate gcd: the powers with rho_f > 0 over those with
+    rho_f < 0, each f as its primitive lift over its leading coefficient in
+    Q[t], whose powers alone can cancel.  Raises UnsupportedError, before
+    r is multiplied out, when its x-degree, the sum of m*|rho_f|*deg f, is
+    above MAX_WITNESS_DEGREE.
     """
     a = _coerce(a)
     factors = pole_factors([a])
@@ -676,7 +679,17 @@ def is_log_derivative(a):
         raise UnsupportedError(
             f"log-derivative witness of degree {degree} in x, above "
             f"{MAX_WITNESS_DEGREE}")
-    r = ONE
+    # each f is l/c for its primitive lift l and c = lc_x(l) in Q[t]; the l
+    # are distinct irreducibles, so only the powers of the c can cancel
+    num = den = _TX_RING.one
+    cnum = cden = _T_RING.one
     for f, q in rho.items():
-        r = r * from_low_coeffs(low_coeffs(f), f.one) ** int(m * q)
-    return m, r
+        l, k = lift(low_coeffs(f)), int(m * q)
+        if k > 0:
+            num, cden = num * l**k, cden * _lc_x(l)**k
+        else:
+            den, cnum = den * l**-k, cnum * _lc_x(l)**-k
+    g = cnum.gcd(cden)
+    return m, RatFunc(FIELD.field.raw_new(
+        num * cnum.exquo(g).set_ring(_TX_RING),
+        den * cden.exquo(g).set_ring(_TX_RING)))

@@ -33,17 +33,28 @@ nonzero Q(t) constant scales every row by itself, and a factor g in
 Q(t)[x] maps the coefficient rows of the equation E to those of g*E, which
 span the same space because multiplication by g is injective.  Either way
 the reduced row echelon form, and so every answer, is unchanged.  The rows
-enter `solve_affine` as Q[t] ring elements, which it evaluates at integer
-points of t; no Q(t) value is made for them, only for the answers it
-returns.  d_u itself stays monic: the unknowns are the numerators'
-coefficients over it, so it fixes the solution vectors.
+enter `linalg._certified_rref` as Q[t] ring elements, which it evaluates at
+integer points of t.  d_u itself stays monic: the unknowns are the
+numerators' coefficients over it, so it fixes the solution vectors.
+
+The answers are assembled from the certified form, with no Q(t) value and
+no multivariate gcd.  For a free column f the unknown j is N_j/Q_f, N_j and
+Q_f in Q[t], so entry i of its vector is P_i/(Q_f*D) with
+P_i = lc_x(D) * sum_k N_(i,k) x^k and D = prod l_f^e_f, l_f the lift of the
+pole factor f, so that d_u = D/lc_x(D).  The l_f are primitive in Q[t][x],
+irreducible and pairwise distinct, so D is primitive, and by Gauss's lemma
+gcd(P_i, Q_f*D) = gcd(cont_x(P_i), Q_f) * prod l_f^min(v_f(P_i), e_f):
+univariate gcds in Q[t], then trial division by each l_f at most e_f
+times.  The quotient is in lowest terms, and dividing both parts by the
+denominator's leading coefficient gives the canonical RatFunc.
 
 The hyperexponential search computes these roots once per pole factor.  For
 a candidate character r = sum e_f * f'/f, with c in Q[t] clearing the e_f,
 A - r*I = (c*N - sum e_f*c*f'*(d/f)*I)/(c*d).  Its local data is shifted
 from A's own, not recomputed: f stays a pole unless A's residue matrix there
 is e_f*I, and the integer exponents at f are the integers among rho - e_f,
-rho a Q(t) root.
+rho a Q(t) root.  A found class's r is built the same way, as one fraction
+over c * prod l_f (`_character`).
 """
 
 from __future__ import annotations
@@ -59,7 +70,7 @@ from sympy import Poly, ZZ
 from sympy.polys.matrices import DomainMatrix
 
 from .errors import IncompleteSearchError, NonFuchsianError
-from .linalg import solve_affine
+from .linalg import _certified_rref
 from .ratfunc import (
     COEFF_FIELD,
     FIELD,
@@ -73,8 +84,6 @@ from .ratfunc import (
     _over_lcm,
     _square,
     _x_coeffs,
-    from_low_coeffs,
-    in_x,
     lift,
     low_coeffs,
     pole_factors,
@@ -350,19 +359,62 @@ def _ansatz(q: _Quotient, b, local, bound) -> SolutionSpace:
                 [entry(r, d, i, k) for i in range(n) for k in range(ndeg + 1)]
             )
             rhs.append(bc[r].get(d, zero))
-    part, kern = solve_affine(rows, rhs)
-    d_u = in_x(D).monic()
+    pivots, cols = _certified_rref(rows, rhs)
+    w, lc = ndeg + 1, _lc_x(D)
+    parts = [(lifts[f], e) for f, e in den_exp.items() if e > 0]
 
-    def to_vec(coeffs):
-        w = ndeg + 1
-        return [from_low_coeffs(coeffs[i * w:(i + 1) * w], d_u)
-                for i in range(n)]
+    def to_vec(f, sign):
+        """The answer of free column f: unknown j is sign*N_j/Q_f, so entry
+        i is lc * sum_k N_(i*w+k) x^k / (Q_f * D), up to the sign."""
+        Q, nums = cols[f]
+        Q = _T_RING.from_list(Q)
+        coeffs = [{} for _ in range(n)]
+        for j, N in nums.items():
+            if N:
+                coeffs[j // w][j % w] = _T_RING.from_list(N) * sign
+        if f < n * w:
+            coeffs[f // w][f % w] = Q
+        return [_entry(_TX_RING({(i, k): v for k, c in cs.items()
+                                 for (i,), v in (lc * c).terms()}), Q, parts)
+                for cs in coeffs]
 
-    basis = [to_vec(v) for v in kern]
+    basis = [to_vec(f, -1) for f in range(n * w) if f not in pivots]
     particular = None
-    if part is not None:
-        particular = to_vec(part) if not b_zero else [ZERO] * n
+    if n * w not in pivots:
+        particular = to_vec(n * w, 1) if not b_zero else [ZERO] * n
     return SolutionSpace(particular=particular, basis=basis, complete=complete)
+
+
+def _cancel_content(num, c):
+    """(num/g, c/g) for num in Q[t, x], c in Q[t] and g = gcd(cont_x(num), c),
+    by univariate gcds: the gcd with c of each x-coefficient in turn."""
+    g = c
+    for v in _x_coeffs(num).values():
+        if g.is_ground:
+            return num, c
+        g = g.gcd(v)
+    if g.is_ground:
+        return num, c
+    return _exquo(num, g.set_ring(_TX_RING)), _exquo(c, g)
+
+
+def _entry(num, c, parts) -> RatFunc:
+    """num / (c * D) in lowest terms, for num in Q[t, x], c in Q[t] and
+    D = prod l^e over parts [(l, e)], distinct primitive irreducibles l of
+    Q[t][x]: the content gcd, then trial division by each l at most e times
+    (see the module docstring)."""
+    if not num:
+        return ZERO
+    num, c = _cancel_content(num, c)
+    den = c.set_ring(_TX_RING)
+    for l, e in parts:
+        while e and num.degree(1) >= l.degree(1):
+            q, r = num.div(l)
+            if r:
+                break
+            num, e = q, e - 1
+        den *= l ** e
+    return RatFunc(FIELD.field.raw_new(num, den))
 
 
 # -- hyperexponential solutions --------------------------------------------------
@@ -402,12 +454,26 @@ def hyperexponential_classes(M: DiffSystem):
         space = _ansatz(shifted, None,
                         _shifted_local(shifted, roots, scalars, shift), _BOUND)
         if space.basis:
-            r = sum((RatFunc(FIELD.convert_from(e, COEFF_FIELD))
-                     * from_low_coeffs(low_coeffs(f.diff()), f)
-                     for f, e in shift.items()), ZERO)
-            out.append((r, space))
+            out.append((_character(q.lifts, shift), space))
         complete = complete and space.complete
     return out, complete
+
+
+def _character(lifts, shift) -> RatFunc:
+    """r = sum e_f * f'/f, e_f = shift[f], as one fraction: with c in Q[t]
+    clearing the e_f, and l_f = lifts[f] over the f with e_f != 0,
+    r = (sum c*e_f * l_f' * prod_(g != f) l_g) / (c * prod l_f).  Modulo
+    l_f the numerator is c*e_f * l_f' * prod_(g != f) l_g, not zero, so only
+    its Q[t] content can cancel, against c."""
+    shift = {lifts[f]: e for f, e in shift.items() if e}
+    c = functools.reduce(lambda a, b: a.lcm(b),
+                         (e.denom for e in shift.values()), _T_RING.one)
+    den = math.prod(shift, start=_TX_RING.one)
+    num = sum(((e.numer * _exquo(c, e.denom)).set_ring(_TX_RING)
+               * l.diff(_X) * _exquo(den, l) for l, e in shift.items()),
+              _TX_RING.zero)
+    num, c = _cancel_content(num, c)
+    return RatFunc(FIELD.field.raw_new(num, c.set_ring(_TX_RING) * den))
 
 
 def _class_reps(candidates):

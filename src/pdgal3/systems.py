@@ -24,12 +24,6 @@ def mat_identity(n):
     )
 
 
-def mat_add(A, B):
-    return tuple(
-        tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
-    )
-
-
 def mat_sub(A, B):
     return tuple(
         tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(A, B)
@@ -61,17 +55,6 @@ def mat_d_x(A):
 
 def mat_d_t(A):
     return tuple(tuple(a.d_t() for a in row) for row in A)
-
-
-def mat_kron(A, B):
-    """Kronecker product; row/column index (i1*rows(B)+i2)."""
-    p = len(B)
-    q = len(B[0])
-    return tuple(
-        tuple(A[i1][j1] * B[i2][j2] for j1 in range(len(A[0])) for j2 in range(q))
-        for i1 in range(len(A))
-        for i2 in range(p)
-    )
 
 
 def mat_eq(A, B):
@@ -135,9 +118,20 @@ def direct_sum(M1: DiffSystem, M2: DiffSystem) -> DiffSystem:
 
 
 def tensor(M1: DiffSystem, M2: DiffSystem) -> DiffSystem:
-    I1 = mat_identity(M1.dim)
-    I2 = mat_identity(M2.dim)
-    return DiffSystem(mat_add(mat_kron(M1.A, I2), mat_kron(I1, M2.A)))
+    """kron(A, I) + kron(I, B), row and column index i1*dim(M2) + i2, written
+    entry by entry: A[i1][j1] where i2 = j2, B[i2][j2] where i1 = j1, their
+    sum where both hold, ZERO elsewhere.  No product is taken."""
+    A, B = M1.A, M2.A
+    n1, n2 = M1.dim, M2.dim
+
+    def entry(i1, i2, j1, j2):
+        if i1 == j1:
+            return A[i1][i1] + B[i2][i2] if i2 == j2 else B[i2][j2]
+        return A[i1][j1] if i2 == j2 else ZERO
+
+    return DiffSystem([[entry(i1, i2, j1, j2)
+                        for j1 in range(n1) for j2 in range(n2)]
+                       for i1 in range(n1) for i2 in range(n2)])
 
 
 def dual(M: DiffSystem) -> DiffSystem:

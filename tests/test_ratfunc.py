@@ -82,21 +82,36 @@ def _ref_is_log_derivative(a, m_max):
         f = _poly(fe, x)
         if f.degree() == 0:
             continue
-        f = f.monic()
-        res = residue_at(h, f)
+        res = residue_at(h, f.monic())
         if res.degree() > 0:
             return None
         val = sp.cancel(res.as_expr())
         if val.free_symbols:
             return None
-        factor_res.append((f, sp.Rational(val)))
+        factor_res.append((fe, sp.Rational(val)))
     for m in range(1, m_max + 1):
         if all((m * q).is_integer for _, q in factor_res):
-            r = ONE
-            for f, q in factor_res:
-                r = r * RatFunc(f.as_expr()) ** int(m * q)
-            return m, r
+            return m, _ref_witness([(fe, int(m * q)) for fe, q in factor_res])
     return None
+
+
+def _ref_witness(powers):
+    """prod f^k over (fe, k), f = fe / lc_x(fe) monic in x, as one fraction
+    without a multivariate gcd: the fe are distinct irreducibles, so only
+    the powers of their leading coefficients in Q[t] can cancel."""
+    ring = FIELD.field.ring
+    num, den = ring.one, ring.one
+    cnum, cden = sp.S.One, sp.S.One
+    for fe, k in powers:
+        lc = sp.Poly(fe, x).LC()
+        if k > 0:
+            num, cden = num * ring.from_expr(fe) ** k, cden * lc**k
+        else:
+            den, cnum = den * ring.from_expr(fe) ** -k, cnum * lc**-k
+    g = sp.gcd(cnum, cden)
+    num *= ring.from_expr(sp.cancel(cnum / g))
+    den *= ring.from_expr(sp.cancel(cden / g))
+    return RatFunc(FIELD.field.raw_new(num, den))
 
 
 # -- random rational functions for property tests ------------------------------
@@ -621,6 +636,21 @@ class TestLogDerivative:
         monkeypatch.setattr(RatFunc, "__pow__", no_power)
         with pytest.raises(UnsupportedError, match="degree 24071 "):
             is_log_derivative(a)
+
+    def test_witness_takes_no_product(self, monkeypatch):
+        """Three pole factors, one of them with a t-dependent leading
+        coefficient: r is built without a RatFunc product or power."""
+        a = rf("3/(2*x) - 1/(x-1) + t/(2*(t*x-1))")
+
+        def no_product(*args):
+            raise AssertionError("the witness was built from RatFunc products")
+
+        monkeypatch.setattr(RatFunc, "__mul__", no_product)
+        monkeypatch.setattr(RatFunc, "__pow__", no_product)
+        m, r = is_log_derivative(a)
+        monkeypatch.undo()
+        assert (m, r) == (2, rf("x^3 * (x - 1/t) / (x-1)^2"))
+        assert m * a * r - d_x(r) == ZERO
 
     @given(rat_funcs())
     @settings(max_examples=40, deadline=None)

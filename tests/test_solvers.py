@@ -506,6 +506,69 @@ def _same_classes(M, **reference):
     return classes, complete
 
 
+def test_class_characters_match_the_old_sum(monkeypatch):
+    """On the bench corpus (the `certified` inputs and their duals), the
+    character of every candidate class, built as one fraction, equals the
+    sum of `RatFunc` terms e_f * f'/f that it replaced, as stored."""
+    from pathlib import Path
+
+    from pdgal3 import solvers
+    from pdgal3.ratfunc import FIELD
+    from pdgal3.systems import dual
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent
+                                    / "bench"))
+    from workloads import certified
+
+    shifts = []
+
+    def recording(q, dlogs, shift):
+        shifts.append((q.lifts, shift))
+        return shift_(q, dlogs, shift)
+
+    shift_ = solvers._shift
+    monkeypatch.setattr(solvers, "_shift", recording)
+    found = 0
+    for system in certified(1):
+        M = DiffSystem(system.doc["matrix"])
+        for V in (M, dual(M)):
+            try:
+                found += len(hyperexponential_classes(V)[0])
+            except NonFuchsianError:
+                continue
+    assert found >= 20 and len(shifts) >= found
+    for lifts, shift in shifts:
+        old = sum((RatFunc(FIELD.convert_from(e, COEFF_FIELD))
+                   * from_low_coeffs(low_coeffs(f.diff()), f)
+                   for f, e in shift.items()), ZERO)
+        assert solvers._character(lifts, shift).xt_pair() == old.xt_pair()
+
+
+CHARACTER_POLES = [x, x + t, x - 1, t * x - 1, x**2 - t]
+CHARACTER_EXPONENTS = [0, 1, -2, t, 1 / t, -1 / t, 1 / (t + 1),
+                       sp.Rational(1, 2), (t - 1) / (2 * t)]
+
+
+@given(st.lists(st.tuples(st.sampled_from(CHARACTER_POLES),
+                          st.sampled_from(CHARACTER_EXPONENTS)),
+                max_size=4, unique_by=lambda p: p[0]))
+@settings(max_examples=60, deadline=None)
+@example([(x, 1 / t), (x + t, -1 / t)])
+def test_character_matches_the_old_sum(terms):
+    """The stored form is the old sum's.  In the example the numerator
+    (x + t) - x over c*x*(x + t), c = t, has the Q[t] content t, which
+    cancels."""
+    from pdgal3.ratfunc import FIELD, lift
+    from pdgal3.solvers import _character
+
+    shift = {_poly(f, x).monic(): COEFF_FIELD.from_sympy(e) for f, e in terms}
+    lifts = {f: lift(low_coeffs(f)) for f in shift}
+    old = sum((RatFunc(FIELD.convert_from(e, COEFF_FIELD))
+               * from_low_coeffs(low_coeffs(f.diff()), f)
+               for f, e in shift.items()), ZERO)
+    assert _character(lifts, shift).xt_pair() == old.xt_pair()
+
+
 SHIFT_POLES = [x, x - 1, x - t, x**2 - t]
 SHIFT_EXPONENTS = [0, 1, -1, -2, t, t + 1, sp.Rational(1, 2)]
 
@@ -882,6 +945,86 @@ def test_common_denominator_matches_per_entry_route(case):
         s_ref.particular, s_ref.basis, s_ref.complete)
     _same_classes(DiffSystem(A), residue_charpoly=_ref_residue_charpoly,
                   solve=_ref_rational_solutions)
+
+
+#: pole factors with a t-dependent lift (t*x - 1, 2*x + t) or of degree 2
+SOLVABLE_DENS = [x, x - 1, x - t, t * x - 1, 2 * x + t, x**2 - t]
+#: x-free gauges over Q[t] of determinant 1
+CONSTANT_GAUGES = [[[1, 0], [0, 1]], [[1, t], [0, 1]], [[1, 0], [t + 1, 1]],
+                   [[t, 1], [-1, 0]], [[2, t], [t, (t**2 + 1) / 2]]]
+
+
+@st.composite
+def solvable_systems(draw):
+    """(A, b): a diagonal Fuchsian system with integer residues k*f'/f, so
+    each f^k solves its row, perhaps with a residue t/x added, gauged by an
+    x-free matrix over Q[t] (2 x 2, or a 1 x 1 block beside it); b None or
+    y' - A*y for a drawn rational y, so that a particular solution exists.
+    The solutions' entries share pole factors with the universal
+    denominator and Q[t] content with the solver's RREF denominators."""
+    n = draw(st.integers(1, 3))
+    diag = []
+    for _ in range(n):
+        v = sp.S.Zero
+        for f in draw(st.lists(st.sampled_from(SOLVABLE_DENS), max_size=2,
+                               unique=True)):
+            v += draw(st.sampled_from([-2, -1, 1, 2])) * sp.diff(f, x) / f
+        if draw(st.integers(0, 4)) == 0:
+            v += t / x
+        diag.append(v)
+    P = sp.eye(n)
+    if n > 1:
+        i = draw(st.integers(0, n - 2))
+        P[i:i + 2, i:i + 2] = sp.Matrix(draw(st.sampled_from(CONSTANT_GAUGES)))
+    D = sp.diag(*diag)
+    A = mat((P.inv() * D * P).tolist())
+    b = None
+    if draw(st.booleans()):
+        y = [RatFunc(draw(st.sampled_from([0, 1, t, x, 1 / x, t / (x - 1),
+                                           x / (t * x - 1)])))
+             for _ in range(n)]
+        b = [d_x(y[i]) - sum((A[i][j] * y[j] for j in range(n)), ZERO)
+             for i in range(n)]
+    return A, b
+
+
+def _stored(space):
+    """A SolutionSpace as the stored Q[t, x] numerators and denominators."""
+    def pairs(v):
+        return None if v is None else [e.xt_pair() for e in v]
+    return pairs(space.particular), [pairs(v) for v in space.basis], \
+        space.complete
+
+
+@given(solvable_systems())
+@settings(max_examples=40, deadline=None)
+def test_answers_match_assembly_through_from_low_coeffs(case):
+    """Answers assembled over one denominator, with the content gcd and the
+    trial division by the known pole factors, are the per-entry route's
+    `from_low_coeffs` answers, byte for byte."""
+    A, b = case
+    got = rational_solutions(A, b)
+    assert _stored(got) == _stored(_ref_rational_solutions(A, b))
+    for v in got.basis:
+        check_solution(A, v)
+
+
+def test_answers_without_from_low_coeffs(monkeypatch):
+    """With `from_low_coeffs` made to raise wherever the package binds it,
+    the solver still answers."""
+    import sys
+
+    def refuse(*args):
+        raise AssertionError("from_low_coeffs was called")
+
+    A = [["-2/x", "0"], ["t/(t*x-1)", "1/(x-1)"]]
+    ref = _ref_rational_solutions(A, ["1", "0"])
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pdgal3") and hasattr(module, "from_low_coeffs"):
+            monkeypatch.setattr(module, "from_low_coeffs", refuse)
+    s = rational_solutions(A, ["1", "0"])
+    assert len(s.basis) == len(ref.basis) == 1
+    assert _stored(s) == _stored(ref)
 
 
 PROLONGATION = [["t/x", "1/x", "0"], ["0", "t/x", "1/(x-1)"], ["0", "0", "0"]]

@@ -76,6 +76,46 @@ class TestConstructions:
             DiffSystem([["1", "2"]])
 
 
+def _kron(A, B):
+    """Kronecker product; row/column index i1*rows(B) + i2.  The reference
+    that `tensor` no longer multiplies out."""
+    return tuple(
+        tuple(A[i1][j1] * B[i2][j2] for j1 in range(len(A[0]))
+              for j2 in range(len(B[0])))
+        for i1 in range(len(A)) for i2 in range(len(B)))
+
+
+def _ref_tensor(M1, M2):
+    """kron(A, I) + kron(I, B), through products with ONE and ZERO."""
+    K1 = _kron(M1.A, mat_identity(M2.dim))
+    K2 = _kron(mat_identity(M1.dim), M2.A)
+    return [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(K1, K2)]
+
+
+class TestTensor:
+    @given(st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_kronecker_reference(self, data):
+        """Entry by entry, as stored numerator and denominator."""
+        M1, M2 = data.draw(fuchsian_systems()), data.draw(fuchsian_systems())
+        got = tensor(M1, M2).A
+        want = _ref_tensor(M1, M2)
+        assert [[v.xt_pair() for v in row] for row in got] == [
+            [v.xt_pair() for v in row] for row in want]
+
+    def test_takes_no_product(self, monkeypatch):
+        M1, M2 = W3, A2
+
+        def no_product(*args):
+            raise AssertionError("tensor multiplied two entries")
+
+        monkeypatch.setattr(RatFunc, "__mul__", no_product)
+        monkeypatch.setattr(RatFunc, "__rmul__", no_product)
+        got = tensor(M1, M2)
+        monkeypatch.undo()
+        assert got == DiffSystem(_ref_tensor(M1, M2))
+
+
 class TestGauge:
     def test_identity(self):
         assert gauge(A2, mat_identity(2)) == A2
