@@ -689,7 +689,11 @@ def is_log_derivative(a):
             num, cden = num * l**k, cden * _lc_x(l)**k
         else:
             den, cnum = den * l**-k, cnum * _lc_x(l)**-k
-    g = cnum.gcd(cden)
-    return m, RatFunc(FIELD.field.raw_new(
-        num * cnum.exquo(g).set_ring(_TX_RING),
-        den * cden.exquo(g).set_ring(_TX_RING)))
+    if cnum != 1 and cden != 1:
+        g = cnum.gcd(cden)
+        cnum, cden = cnum.exquo(g), cden.exquo(g)
+    if cnum != 1:
+        num *= cnum.set_ring(_TX_RING)
+    if cden != 1:
+        den *= cden.set_ring(_TX_RING)
+    return m, RatFunc(FIELD.field.raw_new(num, den))

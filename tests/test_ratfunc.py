@@ -617,6 +617,9 @@ class TestLogDerivative:
 
     def test_moving_pole(self):
         assert is_log_derivative(rf("2/(x-t)")) == (1, rf("(x-t)^2"))
+        # the leading coefficients t of the lifts t*x - 1 and t*x - 2 cancel
+        assert is_log_derivative(rf("1/(x-1/t) - 1/(x-2/t)")) == (
+            1, rf("(t*x-1)/(t*x-2)"))
 
     def test_witness_degree_cap(self):
         n = MAX_WITNESS_DEGREE

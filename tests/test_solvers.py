@@ -997,7 +997,7 @@ def _stored(space):
 
 
 @given(solvable_systems())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=30, deadline=None)
 def test_answers_match_assembly_through_from_low_coeffs(case):
     """Answers assembled over one denominator, with the content gcd and the
     trial division by the known pole factors, are the per-entry route's

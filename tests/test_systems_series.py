@@ -94,7 +94,7 @@ def _ref_tensor(M1, M2):
 
 class TestTensor:
     @given(st.data())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=20, deadline=None)
     def test_matches_kronecker_reference(self, data):
         """Entry by entry, as stored numerator and denominator."""
         M1, M2 = data.draw(fuchsian_systems()), data.draw(fuchsian_systems())
