@@ -86,11 +86,6 @@ def _delta(p) -> PolyElement:
     return out
 
 
-def total_delta(e) -> PolyElement:
-    """Formal t-derivative: jets are shifted, explicit t is differentiated."""
-    return _delta(_in_jet_ring([_poly(e)], extra=1)[0])
-
-
 def normalize_equation(e) -> PolyElement:
     """Canonical form: divided by the lex-leading coefficient; 0 stays 0."""
     return _poly(e).monic()

@@ -48,12 +48,13 @@ univariate gcds in Q[t], then trial division by each l_f at most e_f
 times.  The quotient is in lowest terms, and dividing both parts by the
 denominator's leading coefficient gives the canonical RatFunc.
 
-The hyperexponential search computes these roots once per pole factor.  For
-a candidate character r = sum e_f * f'/f, with c in Q[t] clearing the e_f,
-A - r*I = (c*N - sum e_f*c*f'*(d/f)*I)/(c*d).  Its local data is shifted
-from A's own, not recomputed: f stays a pole unless A's residue matrix there
-is e_f*I, and the integer exponents at f are the integers among rho - e_f,
-rho a Q(t) root.  A found class's r is built the same way, as one fraction
+The hyperexponential search computes these roots once per pole factor f.
+A candidate character r = sum e_f * f'/f takes one root e_f at each f.  Two
+differ by a logarithmic derivative exactly when every e_f differs by an
+integer, so the search takes the product of each factor's roots modulo Z.
+With c in Q[t] clearing the e_f, A - r*I is
+(c*N - sum e_f*c*f'*(d/f)*I)/(c*d), and its local data at f is read from
+one table per factor (`_factor_local`).  A found class's r is one fraction
 over c * prod l_f (`_character`).
 """
 
@@ -166,15 +167,6 @@ def _charpoly(R, r):
         for (j,), v in (c * r ** (n - k)).terms():
             terms[(n - k, j)] = v
     return Poly.from_dict(terms, _LAM, t, domain=ZZ)
-
-
-def _scalar(R, r):
-    """s in Q(t) with R/r = s*I, or None when R is not scalar."""
-    s = R[0][0]
-    if any(v != (s if i == j else 0)
-           for i, row in enumerate(R) for j, v in enumerate(row)):
-        return None
-    return COEFF_FIELD.field.new(s, r)
 
 
 def _qt_roots(cp: Poly) -> list:
@@ -424,9 +416,10 @@ def hyperexponential_classes(M: DiffSystem):
     """All classes exp(int r) * (rational solution space), r with simple poles.
 
     Returns (list of (RatFunc, SolutionSpace), complete).  Requires simple
-    finite poles; candidates come from Q(t)-rational local exponents, and
-    complete is False when one outside Q(t) was skipped or an ansatz was
-    bounded: then a class may be missing.
+    finite poles; candidates come from Q(t)-rational local exponents, one
+    per class modulo Z at each pole factor, and complete is False when one
+    outside Q(t) was skipped or an ansatz was bounded: then a class may be
+    missing.
     """
     q = _common(M.A)
     if any(e > 1 for e in q.poles.values()):
@@ -436,27 +429,48 @@ def hyperexponential_classes(M: DiffSystem):
         )
     complete = True
     factors = sorted(q.poles, key=lambda f: sp.default_sort_key(f.as_expr()))
-    roots, scalars = {}, {}
-    per_factor = []
+    local, reps = {}, []
     for f in factors:
-        R, r = residue_matrix(q.N, q.d, f)
-        qt = roots[f] = _qt_roots(_charpoly(R, r))
-        scalars[f] = _scalar(R, r)
-        complete = complete and len(qt) == len(R)
-        per_factor.append(list(dict.fromkeys(qt)) or [COEFF_FIELD.zero])
+        local[f], reps_f, found = _factor_local(q, f)
+        reps.append(reps_f)
+        complete = complete and found
 
-    # one candidate character r = sum e_f * f'/f per choice of the e_f
+    # one candidate character r = sum e_f * f'/f per class of the e_f
     dlogs = _dlogs(q)
     out = []
-    for es in _class_reps(list(itertools.product(*per_factor))):
+    for es in itertools.product(*reps):
         shift = dict(zip(factors, es))
         shifted = _shift(q, dlogs, shift)
-        space = _ansatz(shifted, None,
-                        _shifted_local(shifted, roots, scalars, shift), _BOUND)
+        space = _ansatz(shifted, None, _shifted_local(shifted, local, shift),
+                        _BOUND)
         if space.basis:
             out.append((_character(q.lifts, shift), space))
         complete = complete and space.complete
     return out, complete
+
+
+def _factor_local(q: _Quotient, f):
+    """(local, reps, found) at the pole factor f of A = q, from the Q(t)
+    roots rho of A's residue characteristic polynomial chi_f there.
+
+    The residue matrix of A - r*I at f is R_f - e_f*I, so f stays a pole
+    unless R_f = e_f*I: for a root e_f, unless R_f is scalar.  Its
+    characteristic polynomial is chi_f(lam + e_f), so the integer exponents
+    at f are the integers among the rho - e_f.  local maps each distinct
+    rho, or 0 when there is none, as e_f to that pair; reps keeps the first
+    root of each class modulo Z; found says that every root is in Q(t)."""
+    R, r = residue_matrix(q.N, q.d, f)
+    qt = _qt_roots(_charpoly(R, r))
+    stays = any(v != (R[0][0] if i == j else 0)
+                for i, row in enumerate(R) for j, v in enumerate(row))
+    roots = list(dict.fromkeys(qt))
+    diffs = {e: [_as_int(rho - e) for rho in roots]
+             for e in roots or [COEFF_FIELD.zero]}
+    local = {e: (stays, sorted({k for k in ks if k is not None}))
+             for e, ks in diffs.items()}
+    reps = [e for i, (e, ks) in enumerate(diffs.items())
+            if all(k is None for k in ks[:i])]
+    return local, reps, len(qt) == len(R)
 
 
 def _character(lifts, shift) -> RatFunc:
@@ -474,19 +488,6 @@ def _character(lifts, shift) -> RatFunc:
               _TX_RING.zero)
     num, c = _cancel_content(num, c)
     return RatFunc(FIELD.field.raw_new(num, c.set_ring(_TX_RING) * den))
-
-
-def _class_reps(candidates):
-    """The first exponent tuple es of each class of the characters
-    sum e_f * f'/f modulo logarithmic derivatives.  Over distinct
-    irreducible f, two differ by one exactly when every difference of their
-    e_f is an integer."""
-    reps = []
-    for es in candidates:
-        if not any(all(_as_int(e - d) is not None for e, d in zip(es, ds))
-                   for ds in reps):
-            reps.append(es)
-    return reps
 
 
 def _dlogs(q: _Quotient) -> dict:
@@ -508,25 +509,15 @@ def _shift(q: _Quotient, dlogs, shift) -> _Quotient:
         d=q.d * c)
 
 
-def _shifted_local(q: _Quotient, roots, scalars, shift):
+def _shifted_local(q: _Quotient, local, shift):
     """`_local_data` of q = A - r*I for a Fuchsian A and r = sum e_f * f'/f,
-    from the Q(t) roots of A's residue characteristic polynomials and the
-    scalars s_f with R_f = s_f*I (None where R_f is not scalar).
-
-    The residue matrix of A - r*I at f is R_f - e_f*I, so f stays a pole
-    unless R_f = e_f*I, and its characteristic polynomial is chi_f(lam + e_f).
-    An integer root l of that makes l + e_f a Q(t) root of chi_f, so the
-    integer exponents at f are the integers among the rho - e_f."""
-    factors = {f: 1 for f in roots
-               if scalars[f] is None or scalars[f] != shift[f]}
+    e_f = shift[f]: each finite pole's read off local[f][e_f] (see
+    `_factor_local`), with no Q(t) arithmetic, and infinity's from q."""
+    factors = {f: 1 for f, e in shift.items() if local[f][e][0]}
     omega, lead = _infinity_data(q.N, q.d)
     exps = None
     if _bounded(factors, omega, lead):
-        exps = {
-            f: sorted({k for rho in roots[f]
-                       if (k := _as_int(rho - shift[f])) is not None})
-            for f in factors
-        }
+        exps = {f: local[f][shift[f]][1] for f in factors}
     return factors, exps, omega, lead
 
 

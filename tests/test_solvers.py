@@ -1,5 +1,6 @@
 """Rational and hyperexponential solutions of linear systems."""
 
+import math
 import random
 
 import pytest
@@ -38,7 +39,7 @@ from pdgal3.solvers import (
     particular_solution,
     rational_solutions,
 )
-from pdgal3.systems import DiffSystem, direct_sum, mat
+from pdgal3.systems import DiffSystem, direct_sum, gauge, mat
 from util import random_fuchsian, residue_at
 
 
@@ -458,34 +459,36 @@ class TestHyperexponential:
 # candidate character r; that loop is kept here as the reference.
 
 
-def _ref_hyperexponential_classes(M, residue_charpoly=_residue_charpoly,
-                                  solve=rational_solutions):
+def _ref_class_reps(roots):
+    """The first (r, es) of each class modulo logarithmic derivatives of the
+    whole product of candidates r = sum e_f * f'/f, es the tuple of the e_f:
+    e_f one of the distinct roots[f], or 0 where there is none."""
     from pdgal3.ratfunc import FIELD, is_log_derivative
 
+    candidates = [(ZERO, ())]
+    for f, qt in roots.items():
+        dlog = RatFunc(f.diff().as_expr() / f.as_expr())
+        candidates = [(c + RatFunc(FIELD.convert_from(e, COEFF_FIELD)) * dlog,
+                       es + (e,))
+                      for c, es in candidates
+                      for e in dict.fromkeys(qt or [COEFF_FIELD.zero])]
+    reps = []
+    for c, es in candidates:
+        if not any((h := is_log_derivative(c - r)) is not None and h[0] == 1
+                   for r, _ in reps):
+            reps.append((c, es))
+    return reps
+
+
+def _ref_hyperexponential_classes(M, residue_charpoly=_residue_charpoly,
+                                  solve=rational_solutions):
     A, n = M.A, M.dim
     factors = sorted(pole_factors([v for row in A for v in row]),
                      key=lambda f: sp.default_sort_key(f.as_expr()))
-    complete, per_factor = True, []
-    for f in factors:
-        qt = _qt_roots(residue_charpoly(A, f))
-        complete = complete and len(qt) == n * f.degree()
-        uniq = []
-        for r in qt:
-            if r not in uniq:
-                uniq.append(r)
-        per_factor.append(uniq or [COEFF_FIELD.zero])
-    candidates = [ZERO]
-    for f, eigs in zip(factors, per_factor):
-        dlog = RatFunc(f.diff().as_expr() / f.as_expr())
-        candidates = [c + RatFunc(FIELD.convert_from(e, COEFF_FIELD)) * dlog
-                      for c in candidates for e in eigs]
-    reps = []
-    for c in candidates:
-        if not any((h := is_log_derivative(c - r)) is not None and h[0] == 1
-                   for r in reps):
-            reps.append(c)
+    roots = {f: _qt_roots(residue_charpoly(A, f)) for f in factors}
+    complete = all(len(qt) == n * f.degree() for f, qt in roots.items())
     out = []
-    for r in reps:
+    for r, _ in _ref_class_reps(roots):
         space = solve(
             [[A[i][j] - (r if i == j else ZERO) for j in range(n)]
              for i in range(n)])
@@ -613,26 +616,23 @@ def shifted_systems(draw):
 
 
 def _check_shifted_local_data(M):
-    """For every choice of one Q(t) exponent e_f per pole factor (0 where
-    there is none), the shifted quotient is A - r*I, and its local data
-    shifted from A's equals the local data computed from scratch: the same
-    poles, integer exponents and infinity."""
+    """For every choice of one distinct Q(t) exponent e_f per pole factor (0
+    where there is none), the shifted quotient is A - r*I, and its local
+    data read off the per-factor table equals the local data computed from
+    scratch: the same poles, integer exponents and infinity."""
     import itertools
 
     from pdgal3.ratfunc import FIELD
-    from pdgal3.solvers import (_dlogs, _local_data, _scalar, _shift,
+    from pdgal3.solvers import (_dlogs, _factor_local, _local_data, _shift,
                                 _shifted_local)
 
     A, n = M.A, M.dim
     q = _common(A)
     factors = list(q.poles)
-    residues = {f: residue_matrix(q.N, q.d, f) for f in factors}
-    roots = {f: _qt_roots(_charpoly(*residues[f])) for f in factors}
-    scalars = {f: _scalar(*residues[f]) for f in factors}
+    local = {f: _factor_local(q, f)[0] for f in factors}
     dlogs = _dlogs(q)
     dropped = 0
-    for es in itertools.product(*(roots[f] or [COEFF_FIELD.zero]
-                                  for f in factors)):
+    for es in itertools.product(*(local[f] for f in factors)):
         r = sum((RatFunc(FIELD.convert_from(e, COEFF_FIELD))
                  * RatFunc(f.diff().as_expr() / f.as_expr())
                  for f, e in zip(factors, es)), ZERO)
@@ -642,7 +642,7 @@ def _check_shifted_local_data(M):
         Sq = _shift(q, dlogs, shift)
         assert [[RatFunc(FIELD.field.new(v, Sq.d)) for v in row]
                 for row in Sq.N] == [list(row) for row in S]
-        factors_S, exps, omega, lead = _shifted_local(Sq, roots, scalars, shift)
+        factors_S, exps, omega, lead = _shifted_local(Sq, local, shift)
         ref = _local_data(_common(S))
         assert (factors_S, exps, omega) == ref[:3]
         assert _lead_values(lead) == _lead_values(ref[3])
@@ -706,24 +706,78 @@ CLASS_EXPONENTS = [0, 1, -1, 2, sp.Rational(1, 2), sp.Rational(-3, 2), t, t + 1,
     max_size=3, unique_by=lambda p: p[0]))
 @settings(max_examples=80, deadline=None)
 def test_class_reps_match_log_derivative_dedupe(per_factor):
-    """Comparing exponent differences with `_as_int` keeps the same
-    candidates as asking `is_log_derivative` of each difference c - r."""
-    from pdgal3.ratfunc import is_log_derivative
-    from pdgal3.solvers import _class_reps
+    """For a diagonal system with these residue exponents, the search shifts
+    by the same candidates, in the same order, as asking `is_log_derivative`
+    of each difference c - r over the whole product of the distinct roots in
+    its tables keeps.  The ansatz is skipped: only the candidates count."""
+    from pdgal3 import solvers
 
-    candidates = [(ZERO, ())]
-    for f, exps in per_factor:
-        dlog = RatFunc(sp.diff(f, x) / f)
-        candidates = [
-            (c + RatFunc(e) * dlog, es + (COEFF_FIELD.from_sympy(e),))
-            for c, es in candidates for e in exps
-        ]
-    ref = []
-    for c, es in candidates:
-        if not any((h := is_log_derivative(c - r)) is not None and h[0] == 1
-                   for r, _ in ref):
-            ref.append((c, es))
-    assert _class_reps([es for _, es in candidates]) == [es for _, es in ref]
+    n = max(map(len, (exps for _, exps in per_factor)), default=1)
+    dlogs = [RatFunc(sp.diff(f, x) / f) for f, _ in per_factor]
+    M = DiffSystem([[sum((RatFunc(exps[min(i, len(exps) - 1)]) * dlog
+                          for (_, exps), dlog in zip(per_factor, dlogs)), ZERO)
+                     if i == j else ZERO for j in range(n)] for i in range(n)])
+    roots, shifts = {}, []
+
+    def factor_local(q, f):
+        out = factor_local_(q, f)
+        roots[f] = list(out[0])
+        return out
+
+    factor_local_ = solvers._factor_local
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_factor_local", factor_local)
+        mp.setattr(solvers, "_shift",
+                   lambda q, dlogs, shift: shifts.append(shift) or q)
+        mp.setattr(solvers, "_ansatz",
+                   lambda *args: SolutionSpace(None, [], True))
+        hyperexponential_classes(M)
+    ref = _ref_class_reps(roots)
+    assert [tuple(shift.values()) for shift in shifts] == [es for _, es in ref]
+
+
+# -- the class search on gauged diagonal systems -------------------------------
+
+#: residues of the gauged diagonal systems; no two differ by an integer
+DIAGONAL_RESIDUES = [sp.Rational(1, 2), sp.Rational(1, 3), sp.Rational(1, 5),
+                     t, 2 * t, -t, t + sp.Rational(1, 2)]
+
+
+def gauged_diagonal(seed, k):
+    """(M, c): diag(a_1, a_2, a_3), a_i = sum c[i][p]/(x - p) over the poles
+    p = 0, ..., k - 1 with c[i][p] drawn from DIAGONAL_RESIDUES, gauged by a
+    constant basis."""
+    rng = random.Random(seed)
+    c = [[rng.choice(DIAGONAL_RESIDUES) for _ in range(k)] for _ in range(3)]
+    D = [[RatFunc(sum(v / (x - p) for p, v in enumerate(c[i])))
+          if i == j else ZERO for j in range(3)] for i in range(3)]
+    return gauge(DiffSystem(D), [[1, 2, 0], [0, 1, 3], [1, 0, 1]]), c
+
+
+def test_class_search_works_per_factor(monkeypatch):
+    """With 5 poles the search compares each factor's roots in pairs, at
+    most 2 * sum r_f^2 `_as_int` calls over the r_f roots at f (comparing
+    whole tuples took 3267), and shifts once per class of the product: the
+    product over the poles of the number of distinct residues there."""
+    from pdgal3 import solvers
+
+    M, c = gauged_diagonal(1, 5)
+    calls = {"_as_int": 0, "_shift": 0}
+    for name in calls:
+        def counting(*args, _name=name, _inner=getattr(solvers, name)):
+            calls[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(solvers, name, counting)
+    classes, complete = hyperexponential_classes(M)
+    assert complete and len(classes) == 3
+    assert calls["_as_int"] <= 2 * 5 * 3**2
+    assert calls["_shift"] == math.prod(len(set(col)) for col in zip(*c))
+
+
+@given(st.integers(2, 3), st.integers(0, 2**16))
+@settings(max_examples=10, deadline=None)
+def test_gauged_diagonal_classes_match_the_reference(k, seed):
+    _same_classes(gauged_diagonal(seed, k)[0])
 
 
 # -- pole factors from the stored Q[t, x] form ---------------------------------
